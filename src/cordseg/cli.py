@@ -10,6 +10,7 @@ error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -51,8 +52,12 @@ def run_train(args) -> int:
     history_path.write_text(training.history_csv(history))
     _log(f"trained {cfg.epochs} epochs in {time.perf_counter() - started:.1f}s; "
          f"checkpoint {args.out}, history {history_path}")
-    report = training.evaluate(params, test_set, threshold=0.5)
-    print(metrics.report_line(report.mean_iou, report.pixel_accuracy, report.counts))
+    if history:  # the last epoch already scored the final parameters
+        last = history[-1]
+        print(metrics.report_line(last.test_iou, last.test_pixel_acc, last.test_counts))
+    else:
+        report = training.evaluate(params, test_set, threshold=0.5)
+        print(metrics.report_line(report.mean_iou, report.pixel_accuracy, report.counts))
     return 0
 
 
@@ -104,6 +109,34 @@ def run_synth(args) -> int:
     return 0
 
 
+def _number(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    value = _number(int, text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = _number(float, text)
+    if not 0.0 <= value <= 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1], got {text}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    value = _number(float, text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cordseg",
@@ -119,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-channels", type=int, default=64,
                    help="channels of the first encoder block (default 64)")
     p.add_argument("--epochs", type=int, default=50, help="training epochs (default 50)")
-    p.add_argument("--lr", type=float, default=0.001, help="Adam learning rate (default 0.001)")
+    p.add_argument("--lr", type=_positive_float, default=0.001, help="Adam learning rate (default 0.001)")
     p.add_argument("--batch", type=int, default=4, help="batch size (default 4)")
     p.add_argument("--seed", type=int, default=42, help="seed for init/split/shuffle (default 42)")
     p.add_argument("--split", type=float, default=0.8, help="train fraction (default 0.8)")
@@ -132,16 +165,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="input frame (PGM or grayscale PNG)")
     p.add_argument("--out", required=True, help="output mask path (PGM, values 0/255)")
     p.add_argument("--tile", type=int, default=256, help="tile side in pixels (default 256)")
-    p.add_argument("--threshold", type=float, default=0.5,
+    p.add_argument("--threshold", type=_probability, default=0.5,
                    help="foreground threshold on probabilities (default 0.5)")
-    p.add_argument("--threads", type=int, default=os.cpu_count(),
+    p.add_argument("--threads", type=_positive_int, default=os.cpu_count(),
                    help="tile inference workers (default: available cores)")
     p.set_defaults(func=run_predict)
 
     p = sub.add_parser("eval", help="score a model against a paired dataset")
     p.add_argument("--model", required=True, help="checkpoint path")
     p.add_argument("--data", required=True, help="dataset directory with images/ and masks/")
-    p.add_argument("--threshold", type=float, default=0.5,
+    p.add_argument("--threshold", type=_probability, default=0.5,
                    help="foreground threshold on probabilities (default 0.5)")
     p.set_defaults(func=run_eval)
 

@@ -1,9 +1,21 @@
 """Forward and reverse-mode kernels on rank-4 tensors.
 
 A tensor here is a plain numpy floating array of shape
-(batch, channels, height, width), row-major with batch outermost.  Network
-math runs in float32; every kernel preserves the dtype of its inputs so the
-finite-difference checker can drive the same code in float64.
+(batch, channels, height, width).  Kernels accept any memory layout; conv2d
+returns a (batch, channels) transposed view of a channel-major buffer, which
+is the order the next convolution reads.  Network math runs in float32;
+every kernel preserves the dtype of its inputs so the finite-difference
+checker can drive the same code in float64.
+
+Convolution is unrolled into one GEMM over tap-major columns: the input is
+zero-padded once in (channels, batch, height, width) order, and a
+(channels*kh*kw, batch*height*width) column array is filled with one
+contiguous slice copy per kernel tap.  The reduction axis keeps the
+(channel, kh, kw) order of the weight tensor, so the forward pass is
+weights.reshape(oc, -1) @ columns and the weight gradient is
+grad_out @ columns.T.  The input gradient is the transposed GEMM
+weights.reshape(oc, -1).T @ grad_out followed by col2im, which adds each
+tap's slice back into a zero-padded buffer and crops the padding.
 
 Each forward kernel has a reverse-mode counterpart that maps the upstream
 gradient to gradients w.r.t. its inputs.  All kernels are pure functions:
@@ -16,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericError, ShapeError
 
@@ -48,22 +59,29 @@ def _check_tensor4(x: np.ndarray, name: str = "input") -> None:
         raise ShapeError(f"{name} has an empty dimension: {x.shape}")
 
 
-def _im2col(padded: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Window-extract a padded (n, c, H, W) array into (n*h*w, c*kh*kw)."""
-    win = sliding_window_view(padded, (kh, kw), axis=(2, 3))  # (n, c, h, w, kh, kw)
-    n, c, h, w = win.shape[:4]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * h * w, c * kh * kw)
-
-
-def _conv_same(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Stride-1 cross-correlation with zero same-padding, no bias."""
+def _columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Tap-major (c*kh*kw, n*h*w) columns of x with zero same-padding."""
     n, c, h, w = x.shape
-    oc, ic, kh, kw = weights.shape
     ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col(padded, kh, kw)
-    out = cols @ weights.reshape(oc, ic * kh * kw).T
-    return out.reshape(n, h, w, oc).transpose(0, 3, 1, 2)
+    padded = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    padded[:, :, ph:ph + h, pw:pw + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, h, w), dtype=x.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            cols[:, u, v] = padded[:, :, u:u + h, v:v + w]
+    return cols.reshape(c * kh * kw, n * h * w)
+
+
+def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
+    """Adjoint of _columns: sum each tap's slice back into an (n, c, h, w) view."""
+    n, c, h, w = shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    taps = cols.reshape(c, kh, kw, n, h, w)
+    padded = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            padded[:, :, u:u + h, v:v + w] += taps[:, u, v]
+    return padded[:, :, ph:ph + h, pw:pw + w].transpose(1, 0, 2, 3)
 
 
 def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -79,7 +97,9 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
                          f"{ic} channels for kernel {p.weights.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d needs odd kernel sides for same-padding, got {(kh, kw)}")
-    return _conv_same(x, p.weights) + p.bias[None, :, None, None]
+    n, _, h, w = x.shape
+    out = (p.weights.reshape(oc, -1) @ _columns(x, kh, kw)).reshape(oc, n, h, w)
+    return (out + p.bias[:, None, None, None]).transpose(1, 0, 2, 3)
 
 
 def conv2d_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
@@ -89,15 +109,10 @@ def conv2d_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
     if grad_out.shape != (n, oc, h, w):
         raise ShapeError(f"conv2d upstream gradient {grad_out.shape} does not match "
                          f"output shape {(n, oc, h, w)}")
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    padded = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    cols = _im2col(padded, kh, kw)                       # (n*h*w, c*kh*kw)
-    g = grad_out.transpose(0, 2, 3, 1).reshape(n * h * w, oc)
-    grad_w = (g.T @ cols).reshape(oc, ic, kh, kw)
+    g = grad_out.transpose(1, 0, 2, 3).reshape(oc, n * h * w)
+    grad_w = (g @ _columns(x, kh, kw).T).reshape(oc, ic, kh, kw)
     grad_b = grad_out.sum(axis=(0, 2, 3))
-    # input gradient = same-padded correlation with the flipped, transposed kernel
-    w_flip = p.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    grad_x = _conv_same(grad_out, np.ascontiguousarray(w_flip))
+    grad_x = _col2im(p.weights.reshape(oc, -1).T @ g, x.shape, kh, kw)
     return grad_x, grad_w, grad_b
 
 

@@ -36,7 +36,7 @@ def predict_frame(params: list[ConvParams], frame: np.ndarray,
     tiles = tiling.split_image(tiling.pad_image(frame, grid), grid)
 
     def segment(tile: np.ndarray) -> np.ndarray:
-        logits, _ = unet.forward(params, to_unit(tile)[None, None])
+        logits, _ = unet.forward(params, to_unit(tile)[None, None], record=False)
         return ops.sigmoid(logits)[0, 0]
 
     if threads == 1:

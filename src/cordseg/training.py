@@ -49,6 +49,7 @@ class EpochRecord:
     train_loss: float
     test_iou: float
     test_pixel_acc: float
+    test_counts: ConfusionCounts | None = None   # pooled held-out confusion counts
 
 
 @dataclass(frozen=True)
@@ -154,7 +155,7 @@ def evaluate(params: list[ConvParams], samples: list[Sample],
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
         x, _ = _batch_arrays(chunk)
-        logits, _ = unet.forward(params, x)
+        logits, _ = unet.forward(params, x, record=False)
         probs = ops.sigmoid(logits)
         for i, s in enumerate(chunk):
             pred = metrics.binarize(probs[i, 0], threshold)
@@ -222,8 +223,8 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig):
             loss_sum += loss * len(picked)
             seen += len(picked)
         report = evaluate(params, test_set)
-        history.append(EpochRecord(epoch, loss_sum / seen,
-                                   report.mean_iou, report.pixel_accuracy))
+        history.append(EpochRecord(epoch, loss_sum / seen, report.mean_iou,
+                                   report.pixel_accuracy, report.counts))
     return params, history
 
 

@@ -158,8 +158,14 @@ class ActivationCache:
     consumed: bool = False
 
 
-def forward(params: list[ConvParams], batch: np.ndarray):
-    """Run the network; returns (logits, cache for the matching backward)."""
+def forward(params: list[ConvParams], batch: np.ndarray, record: bool = True):
+    """Run the network; returns (logits, cache for the matching backward).
+
+    With record=False the pass is inference only: the cache keeps no
+    per-layer records (its records list is empty and backward rejects it),
+    so every activation except the encoder skips is freed as soon as the
+    next layer has read it.  The logits are bitwise the same in both modes.
+    """
     cfg = config_from_params(params)
     ops._check_tensor4(batch, "batch")
     n, c, h, w = batch.shape
@@ -171,12 +177,13 @@ def forward(params: list[ConvParams], batch: np.ndarray):
                          f"(2^depth for depth {cfg.depth})")
 
     records = []
+    keep = records.append if record else lambda _: None
     k = 0
 
     def conv_relu(t):
         nonlocal k
         z = ops.conv2d(t, params[k])
-        records.append(("conv_relu", t, z))
+        keep(("conv_relu", t, z))
         k += 1
         return ops.relu(z)
 
@@ -186,17 +193,17 @@ def forward(params: list[ConvParams], batch: np.ndarray):
         t = conv_relu(conv_relu(t))
         skips.append(t)
         t, idx = ops.maxpool2(t)
-        records.append(("pool", level, idx))
+        keep(("pool", level, idx))
     t = conv_relu(conv_relu(t))
     for level in range(cfg.depth - 1, -1, -1):
         up = ops.upconv2(t, params[k])
-        records.append(("upconv", t))
+        keep(("upconv", t))
         k += 1
         t = ops.concat_channels(up, skips[level])
-        records.append(("concat", level, up.shape[1]))
+        keep(("concat", level, up.shape[1]))
         t = conv_relu(conv_relu(t))
     logits = ops.conv2d(t, params[k])
-    records.append(("conv", t))
+    keep(("conv", t))
     return logits, ActivationCache(records, batch.shape, logits.shape)
 
 
@@ -205,6 +212,8 @@ def backward(params: list[ConvParams], cache: ActivationCache,
     """Exact reverse traversal of forward; gradients align with params."""
     if cache.consumed:
         raise DomainError("activation cache was already consumed by a backward pass")
+    if not cache.records:
+        raise DomainError("activation cache holds no records: forward ran with record=False")
     if grad_logits.shape != cache.logits_shape:
         raise ShapeError(f"grad_logits {grad_logits.shape} does not match the "
                          f"cached logits shape {cache.logits_shape}")

@@ -31,6 +31,36 @@ def conv2d_reference(x, weights, bias):
     return out
 
 
+def conv2d_backward_reference(x, weights, grad_out):
+    """Gradients of conv2d_reference w.r.t. (input, weights, bias).
+
+    Every output pixel hands grad * weight back to each input pixel its
+    window reads and grad * input to each weight tap; float64 accumulation.
+    """
+    n, c, h, w = x.shape
+    oc, ic, kh, kw = weights.shape
+    assert c == ic and grad_out.shape == (n, oc, h, w)
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    grad_x = np.zeros((n, c, h, w), dtype=np.float64)
+    grad_w = np.zeros((oc, ic, kh, kw), dtype=np.float64)
+    grad_b = np.zeros(oc, dtype=np.float64)
+    for b in range(n):
+        for o in range(oc):
+            for y in range(h):
+                for xx in range(w):
+                    g = float(grad_out[b, o, y, xx])
+                    grad_b[o] += g
+                    for ch in range(ic):
+                        for u in range(kh):
+                            for v in range(kw):
+                                yy = y + u - ph
+                                xv = xx + v - pw
+                                if 0 <= yy < h and 0 <= xv < w:
+                                    grad_x[b, ch, yy, xv] += g * float(weights[o, ch, u, v])
+                                    grad_w[o, ch, u, v] += g * float(x[b, ch, yy, xv])
+    return grad_x, grad_w, grad_b
+
+
 def upconv2_reference(x, weights, bias):
     """Scatter every input pixel into its 2x2 output block."""
     n, ic, h, w = x.shape

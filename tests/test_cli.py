@@ -66,6 +66,21 @@ def test_train_logs_split_and_prints_report(trained):
     assert REPORT_RE.match(final), final
 
 
+def test_train_report_line_is_last_epoch_evaluation(trained):
+    ckpt, out = trained
+    last = ckpt.with_suffix(".history.csv").read_text().splitlines()[-1].split(",")
+    _, _, test_iou, test_pixel_acc = last
+    final = out.stdout.strip().splitlines()[-1]
+    assert final.startswith(f"iou={test_iou} pixel_acc={test_pixel_acc} ")
+
+
+def test_train_zero_epochs_still_prints_report(tmp_path, dataset_dir):
+    res = run_cli("train", "--data", str(dataset_dir), "--out", str(tmp_path / "m.ckpt"),
+                  "--depth", "1", "--base-channels", "2", "--epochs", "0")
+    assert res.returncode == 0, res.stderr
+    assert REPORT_RE.match(res.stdout.strip().splitlines()[-1])
+
+
 def test_train_history_csv_has_one_row_per_epoch(trained):
     ckpt, _ = trained
     lines = ckpt.with_suffix(".history.csv").read_text().splitlines()
@@ -192,6 +207,37 @@ def test_train_numeric_divergence_exits_3(tmp_path, dataset_dir):
                   "--seed", "1")
     assert res.returncode == 3
     assert "numeric" in res.stderr.lower()
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_predict_threads_below_one_exits_2(tmp_path, threads):
+    res = run_cli("predict", "--model", str(tmp_path / "m.ckpt"), "--image",
+                  str(tmp_path / "f.pgm"), "--out", str(tmp_path / "o.pgm"),
+                  "--threads", threads)
+    assert res.returncode == 2
+    assert "--threads" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1.5"])
+def test_threshold_outside_unit_interval_exits_2(tmp_path, command, threshold):
+    paths = {"predict": ["--image", str(tmp_path / "f.pgm"), "--out", str(tmp_path / "o.pgm")],
+             "eval": ["--data", str(tmp_path)]}[command]
+    res = run_cli(command, "--model", str(tmp_path / "m.ckpt"), *paths,
+                  "--threshold", threshold)
+    assert res.returncode == 2
+    assert "--threshold" in res.stderr
+    assert not (tmp_path / "o.pgm").exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "0", "-0.001"])
+def test_train_non_positive_or_non_finite_lr_exits_2(tmp_path, dataset_dir, lr):
+    ckpt = tmp_path / "m.ckpt"
+    res = run_cli("train", "--data", str(dataset_dir), "--out", str(ckpt),
+                  "--depth", "1", "--base-channels", "2", "--epochs", "1", "--lr", lr)
+    assert res.returncode == 2
+    assert "--lr" in res.stderr
+    assert not ckpt.exists()
 
 
 def test_gradcheck_passes_and_prints_scientific(trained):

@@ -8,7 +8,8 @@ from cordseg.errors import DomainError, ShapeError
 from cordseg.ops import ConvParams
 from cordseg.rng import SplitMix64
 
-from reference import conv2d_reference, maxpool2_reference, upconv2_reference
+from reference import (conv2d_backward_reference, conv2d_reference, maxpool2_reference,
+                       upconv2_reference)
 
 
 def random_tensor(rng, shape, lo=-1.0, hi=1.0):
@@ -88,6 +89,40 @@ def test_conv2d_linear_in_input():
     # with bias, f(x+y) - f(x) - f(y) equals the negated bias map
     diff = ops.conv2d(x + y, p) - ops.conv2d(x, p) - ops.conv2d(y, p)
     np.testing.assert_allclose(diff, -p.bias[None, :, None, None] * np.ones_like(diff), atol=1e-4)
+
+
+def assert_conv2d_backward_matches_oracle(rng, n, ci, co, h, w, k):
+    x = random_tensor(rng, (n, ci, h, w))
+    p = conv_params(rng, co, ci, k)
+    g = random_tensor(rng, (n, co, h, w))
+    got = ops.conv2d_backward(x, p, g)
+    want = conv2d_backward_reference(x, p.weights, g)
+    for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
+        assert a.shape == b.shape, name
+        np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-5, err_msg=name)
+
+
+def test_conv2d_backward_matches_loop_oracle_on_random_shapes():
+    rng = SplitMix64(300)
+    for trial in range(20):
+        n, ci, co = (1 + rng.randbelow(3) for _ in range(3))
+        h, w = 1 + rng.randbelow(7), 1 + rng.randbelow(7)
+        k = 1 if rng.randbelow(4) == 0 else 3
+        assert_conv2d_backward_matches_oracle(rng, n, ci, co, h, w, k)
+
+
+@pytest.mark.parametrize("n, ci, co, h, w, k", [
+    (3, 2, 2, 5, 5, 3),   # batch > 1
+    (2, 1, 3, 4, 6, 3),   # single input channel
+    (1, 2, 2, 3, 7, 3),   # non-square, h < w
+    (2, 2, 2, 7, 2, 3),   # non-square, h > w
+    (2, 3, 2, 5, 4, 1),   # 1x1 kernel
+    (2, 3, 1, 6, 5, 3),   # single output channel
+    (2, 4, 1, 4, 4, 1),   # the U-Net head: 1x1 kernel to one logit plane
+])
+def test_conv2d_backward_matches_loop_oracle_on_edge_shapes(n, ci, co, h, w, k):
+    assert_conv2d_backward_matches_oracle(SplitMix64(n * 1000 + ci * 100 + co * 10 + k),
+                                          n, ci, co, h, w, k)
 
 
 # --- maxpool2 -----------------------------------------------------------------

@@ -103,6 +103,28 @@ def test_forward_golden_logits():
     assert float(logits.sum()) == pytest.approx(28.250978, abs=1e-3)
 
 
+def test_forward_without_record_gives_identical_logits():
+    params = unet.init_params(UNetConfig(depth=2, base_channels=4), 42)
+    x = small_input(9, n=2, side=16)
+    recorded, _ = unet.forward(params, x)
+    bare, _ = unet.forward(params, x, record=False)
+    assert np.array_equal(recorded, bare)
+
+
+def test_forward_without_record_keeps_no_records():
+    params = unet.init_params(UNetConfig(depth=2, base_channels=4), 42)
+    logits, cache = unet.forward(params, small_input(10, side=16), record=False)
+    assert list(cache.records) == []
+    assert cache.logits_shape == logits.shape
+
+
+def test_backward_rejects_cache_without_records():
+    params = unet.init_params(UNetConfig(depth=1, base_channels=2), 42)
+    logits, cache = unet.forward(params, small_input(11), record=False)
+    with pytest.raises(DomainError):
+        unet.backward(params, cache, np.zeros_like(logits))
+
+
 def test_backward_zero_upstream_gives_zero_gradients():
     params = unet.init_params(UNetConfig(depth=1, base_channels=2), 42)
     logits, cache = unet.forward(params, small_input(4))
