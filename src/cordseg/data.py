@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import CordsegError, DomainError, ShapeError
 from .rng import SplitMix64, derive
@@ -62,6 +63,9 @@ class Sample(NamedTuple):
 
 # --- PGM ----------------------------------------------------------------------
 
+_PGM_MAX_DIGITS = 18  # a longer field describes a raster of over 10**18 bytes
+
+
 def decode_pgm(data: bytes) -> np.ndarray:
     if not data.startswith(b"P5"):
         raise UnknownImageFormatError(f"not a binary PGM: magic {data[:2]!r}")
@@ -79,6 +83,8 @@ def decode_pgm(data: bytes) -> np.ndarray:
             pos += 1
         if pos == start:
             raise ImageDataError("malformed PGM header")
+        if pos - start > _PGM_MAX_DIGITS:
+            raise ImageDataError(f"PGM header field of {pos - start} digits")
         fields.append(int(data[start:pos]))
     width, height, maxval = fields
     if maxval != 255:
@@ -101,11 +107,88 @@ def encode_pgm(img: np.ndarray) -> bytes:
 
 
 # --- PNG (8-bit grayscale, non-interlaced) ------------------------------------
+#
+# Every PNG filter predicts a byte from its left, up and up-left neighbours
+# (https://www.w3.org/TR/png/#9Filters), so all pixels on one anti-diagonal
+# x + y = d depend only on diagonals d - 1 and d - 2.  The decoder stores the
+# image skewed, diagonal d as one contiguous row, and decodes a whole diagonal
+# per numpy step: H + W - 1 steps instead of a Python step per pixel (an image
+# taller than max(2W, 256) rows is swept in bands of that height).  The IDAT
+# stream is inflated with the size the header declares as its limit, so
+# a small file cannot expand without bound before the size check.
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
+_PNG_MAX_SIDE = 2**31 - 1  # the PNG limit on width and height
+_MIN_BAND = 256  # fewest rows per band of a tall image
+
+
+def _unfilter_band(rows: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """Unfilter (h, w + 1) scanlines whose row above decoded to `prev`.
+
+    Pixel (y, x) lies on diagonal d = x + y.  Its filtered byte is held at
+    raw[d, y] and its decoded value at dec[d + 2, y + 1], so its left, up
+    and up-left neighbours are dec[d + 1, y + 1], dec[d + 1, y] and
+    dec[d, y].  Column 0 of `dec` is row -1 (`prev`, then zeros), and cells
+    with x < 0 stay zero: the PNG's implicit border.  int16 holds every
+    intermediate value.
+    """
+    h, w = rows.shape[0], rows.shape[1] - 1
+    ftype = rows[:, 0]
+    raw = np.zeros((h + w - 1, h), np.uint8)
+    as_strided(raw, (h, w), (h + 1, h))[...] = rows[:, 1:]
+    dec = np.zeros((h + w + 1, h + 1), np.int16)
+    dec[1:w + 1, 0] = prev
+    for d in range(h + w - 1):
+        y0, y1 = max(0, d - w + 1), min(h, d + 1)
+        left = dec[d + 1, y0 + 1:y1 + 1]
+        up = dec[d + 1, y0:y1]
+        ul = dec[d, y0:y1]
+        from_ul = up - ul          # Paeth's p - left
+        from_left = left - ul      # Paeth's p - up
+        pa, pb = np.abs(from_ul), np.abs(from_left)
+        pc = np.abs(from_ul + from_left)
+        paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, ul))
+        pred = np.choose(ftype[y0:y1], (0, left, up, (left + up) >> 1, paeth))
+        cur = dec[d + 2, y0 + 1:y1 + 1]
+        np.add(raw[d, y0:y1], pred, out=cur)
+        cur &= 255
+    decoded = dec.reshape(-1)[2 * h + 3:]
+    item = dec.itemsize
+    return as_strided(decoded, (h, w), ((h + 2) * item, (h + 1) * item)).astype(np.uint8)
+
+
+def _unfilter(rows: np.ndarray) -> np.ndarray:
+    """Reverse the per-row filters of (H, W + 1) scanlines, filter byte first.
+
+    The skewed buffers grow with (h + W) * h for a band of h rows, so a tall
+    image is decoded in bands of at most max(2W, 256) rows, each seeded with
+    the last row of the band above; any image no taller than that is one
+    sweep.
+    """
+    height, width = rows.shape[0], rows.shape[1] - 1
+    unknown = np.flatnonzero(rows[:, 0] > 4)
+    if unknown.size:
+        y = int(unknown[0])
+        raise ImageDataError(f"PNG row {y} uses unknown filter {rows[y, 0]}")
+    out = np.empty((height, width), np.uint8)
+    prev = np.zeros(width, np.uint8)
+    band = max(2 * width, _MIN_BAND)
+    for top in range(0, height, band):
+        out[top:top + band] = _unfilter_band(rows[top:top + band], prev)
+        prev = out[min(top + band, height) - 1]
+    return out
 
 
 def decode_png(data: bytes) -> np.ndarray:
+    """Decode an 8-bit grayscale non-interlaced PNG to a 2-D uint8 array.
+
+    Every chunk's CRC is checked.  The concatenated IDAT stream is inflated
+    with a limit of one byte more than the H * (W + 1) scanline bytes the
+    header declares, and rejected if it inflates to more or less than that
+    or ends early.  The scanlines are then unfiltered in one wavefront sweep
+    over the image's anti-diagonals (see the section comment above).  Every
+    malformed input raises an ImageFormatError.
+    """
     if not data.startswith(_PNG_SIGNATURE):
         raise UnknownImageFormatError("not a PNG: bad signature")
     pos = len(_PNG_SIGNATURE)
@@ -123,6 +206,8 @@ def decode_png(data: bytes) -> np.ndarray:
             raise ImageDataError(f"PNG chunk {ctype!r} fails its checksum")
         pos += 12 + length
         if ctype == b"IHDR":
+            if length != 13:
+                raise ImageDataError(f"PNG IHDR chunk holds {length} bytes, expected 13")
             header = struct.unpack(">IIBBBBB", body)
         elif ctype == b"IDAT":
             idat += body
@@ -131,6 +216,8 @@ def decode_png(data: bytes) -> np.ndarray:
     if header is None:
         raise ImageDataError("PNG has no IHDR chunk")
     width, height, bitdepth, color, compression, filt, interlace = header
+    if not (0 < width <= _PNG_MAX_SIDE and 0 < height <= _PNG_MAX_SIDE):
+        raise ImageDataError(f"bad PNG dimensions {width}x{height}")
     if (bitdepth, color) != (8, 0):
         raise UnsupportedPixelFormatError(f"only 8-bit grayscale PNG is supported, "
                                           f"got bit depth {bitdepth}, color type {color}")
@@ -139,49 +226,22 @@ def decode_png(data: bytes) -> np.ndarray:
                                           "the baseline are not supported")
     if not idat:
         raise ImageDataError("PNG has no IDAT data")
-    raw = np.frombuffer(zlib.decompress(bytes(idat)), dtype=np.uint8)
-    if raw.size != height * (width + 1):
-        raise ImageDataError(f"PNG scanline data holds {raw.size} bytes, expected "
-                             f"{height * (width + 1)}")
-    rows = raw.reshape(height, width + 1)
-    out = np.zeros((height, width), dtype=np.uint8)
-    prev = np.zeros(width, dtype=np.int32)
-    for y in range(height):
-        ftype = rows[y, 0]
-        cur = rows[y, 1:].astype(np.int32)
-        if ftype == 0:
-            line = cur
-        elif ftype == 1:  # Sub: cumulative along the row
-            line = np.cumsum(cur, dtype=np.int64) & 255
-        elif ftype == 2:  # Up
-            line = (cur + prev) & 255
-        elif ftype == 3:  # Average
-            line = np.empty(width, dtype=np.int32)
-            left = 0
-            for x in range(width):
-                left = (cur[x] + ((left + prev[x]) >> 1)) & 255
-                line[x] = left
-        elif ftype == 4:  # Paeth
-            line = np.empty(width, dtype=np.int32)
-            left = 0
-            for x in range(width):
-                up = int(prev[x])
-                ul = int(prev[x - 1]) if x else 0
-                p = left + up - ul
-                pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
-                if pa <= pb and pa <= pc:
-                    pred = left
-                elif pb <= pc:
-                    pred = up
-                else:
-                    pred = ul
-                left = (cur[x] + pred) & 255
-                line[x] = left
-        else:
-            raise ImageDataError(f"PNG row {y} uses unknown filter {ftype}")
-        out[y] = line
-        prev = line.astype(np.int32)
-    return out
+    expected = height * (width + 1)
+    inflater = zlib.decompressobj()
+    try:
+        stream = inflater.decompress(bytes(idat), expected + 1)
+    except zlib.error as exc:
+        raise ImageDataError(f"PNG image data is corrupt: {exc}") from None
+    if len(stream) > expected:
+        raise ImageDataError(f"PNG scanline data exceeds the {expected} bytes "
+                             f"declared for {width}x{height}")
+    if not inflater.eof:
+        raise ImageDataError("PNG image data stream ends early")
+    if len(stream) != expected:
+        raise ImageDataError(f"PNG scanline data holds {len(stream)} bytes, expected "
+                             f"{expected}")
+    rows = np.frombuffer(stream, dtype=np.uint8).reshape(height, width + 1)
+    return _unfilter(rows)
 
 
 def encode_png(img: np.ndarray) -> bytes:
@@ -349,7 +409,8 @@ def gen_synthetic(count: int, size: int, seed: int) -> list[Sample]:
             if _MIN_FOREGROUND <= fraction <= _MAX_FOREGROUND:
                 break
         else:
-            raise RuntimeError("synthetic generator failed to land in the "
-                               "foreground-fraction window")
+            raise DomainError(f"synthetic sample {i} of size {size}, seed {seed}: "
+                              f"100 draws all missed the foreground-fraction "
+                              f"window [{_MIN_FOREGROUND}, {_MAX_FOREGROUND}]")
         samples.append(Sample(f"cord_{i:04d}", image, mask))
     return samples

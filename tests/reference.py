@@ -100,6 +100,53 @@ def maxpool2_reference(x):
     return out, idx
 
 
+def png_unfilter_reference(rows):
+    """Undo PNG row filters one row at a time, Average and Paeth per pixel.
+
+    `rows` is (height, width + 1) uint8 scanlines, filter byte first; every
+    filter byte must be 0..4.  Integer arithmetic throughout.
+    """
+    height, width = rows.shape[0], rows.shape[1] - 1
+    out = np.zeros((height, width), dtype=np.uint8)
+    prev = np.zeros(width, dtype=np.int32)
+    for y in range(height):
+        ftype = rows[y, 0]
+        cur = rows[y, 1:].astype(np.int32)
+        if ftype == 0:
+            line = cur
+        elif ftype == 1:  # Sub: cumulative along the row
+            line = np.cumsum(cur, dtype=np.int64) & 255
+        elif ftype == 2:  # Up
+            line = (cur + prev) & 255
+        elif ftype == 3:  # Average
+            line = np.empty(width, dtype=np.int32)
+            left = 0
+            for x in range(width):
+                left = (cur[x] + ((left + prev[x]) >> 1)) & 255
+                line[x] = left
+        elif ftype == 4:  # Paeth
+            line = np.empty(width, dtype=np.int32)
+            left = 0
+            for x in range(width):
+                up = int(prev[x])
+                ul = int(prev[x - 1]) if x else 0
+                p = left + up - ul
+                pa, pb, pc = abs(p - left), abs(p - up), abs(p - ul)
+                if pa <= pb and pa <= pc:
+                    pred = left
+                elif pb <= pc:
+                    pred = up
+                else:
+                    pred = ul
+                left = (cur[x] + pred) & 255
+                line[x] = left
+        else:
+            raise ValueError(f"row {y} uses unknown filter {ftype}")
+        out[y] = line
+        prev = line.astype(np.int32)
+    return out
+
+
 def confusion_reference(pred, truth):
     """Per-pixel enumeration into (tp, fp, fn, tn)."""
     tp = fp = fn = tn = 0

@@ -164,6 +164,27 @@ def test_predict_incompatible_tile_exits_2(tmp_path, trained, dataset_dir):
     assert "2" in res.stderr  # names the required divisor
 
 
+def test_predict_corrupt_png_exits_2(tmp_path, trained):
+    import struct
+    import zlib
+
+    def chunk(ctype, body):
+        return struct.pack(">I", len(body)) + ctype + body + struct.pack(">I", zlib.crc32(ctype + body))
+
+    # valid chunk framing and checksums around an IDAT that is not a zlib stream
+    frame_path = tmp_path / "corrupt.png"
+    frame_path.write_bytes(b"\x89PNG\r\n\x1a\n"
+                           + chunk(b"IHDR", struct.pack(">IIBBBBB", 32, 32, 8, 0, 0, 0, 0))
+                           + chunk(b"IDAT", b"\x00not a zlib stream")
+                           + chunk(b"IEND", b""))
+    ckpt, _ = trained
+    res = run_cli("predict", "--model", str(ckpt), "--image", str(frame_path),
+                  "--out", str(tmp_path / "m.pgm"))
+    assert res.returncode == 2
+    assert "PNG image data is corrupt" in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "m.pgm").exists()
+
+
 def test_eval_prints_parseable_report(trained, dataset_dir):
     ckpt, _ = trained
     res = run_cli("eval", "--model", str(ckpt), "--data", str(dataset_dir))

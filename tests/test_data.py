@@ -1,15 +1,43 @@
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 
 from cordseg import data
 from cordseg.data import (EmptyDatasetError, ImageDataError, PairingError,
                           UnknownImageFormatError, UnsupportedPixelFormatError)
-from cordseg.errors import DomainError, ShapeError
+from cordseg.errors import CordsegError, DomainError, ShapeError
 from cordseg.rng import SplitMix64
+from reference import png_unfilter_reference
 
 
 def random_image(rng, h, w):
     return (rng.u64_array(h * w) & np.uint64(255)).astype(np.uint8).reshape(h, w)
+
+
+def png_chunk(ctype, body):
+    return struct.pack(">I", len(body)) + ctype + body + struct.pack(">I", zlib.crc32(ctype + body))
+
+
+def png_blob(width, height, stream, ihdr=None):
+    """A PNG whose IDAT holds `stream` compressed; `ihdr` overrides the header body."""
+    ihdr = struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0) if ihdr is None else ihdr
+    return (b"\x89PNG\r\n\x1a\n" + png_chunk(b"IHDR", ihdr)
+            + png_chunk(b"IDAT", zlib.compress(stream)) + png_chunk(b"IEND", b""))
+
+
+def filtered_rows(rng, h, w, types=(0, 1, 2, 3, 4)):
+    """Random scanlines, each row's filter byte drawn from `types`."""
+    rows = random_image(rng, h, w + 1)
+    rows[:, 0] = np.asarray(types, np.uint8)[rng.u64_array(h) % np.uint64(len(types))]
+    return rows
+
+
+def decode_rows(rows):
+    h, w = rows.shape[0], rows.shape[1] - 1
+    return data.decode_png(png_blob(w, h, rows.tobytes()))
 
 
 # --- PGM ------------------------------------------------------------------------
@@ -40,6 +68,12 @@ def test_pgm_rejects_pixel_count_mismatch():
         data.decode_pgm(b"P5\n2 2\n255\n" + bytes(3))
     with pytest.raises(ImageDataError):
         data.decode_pgm(b"P5\n2 2\n255\n" + bytes(5))
+
+
+def test_pgm_rejects_overlong_header_field():
+    # int() refuses strings of more than 4300 digits with a ValueError
+    with pytest.raises(ImageDataError):
+        data.decode_pgm(b"P5\n" + b"9" * 5000 + b" 2\n255\n" + bytes(4))
 
 
 def test_full_frame_pixel_count(tmp_path):
@@ -116,11 +150,153 @@ def test_png_all_filter_types_decode():
     np.testing.assert_array_equal(data.decode_png(blob), img)
 
 
+def test_png_unfilter_matches_loop_oracle_random_streams():
+    rng = SplitMix64(37)
+    for case in range(300):
+        h, w = 1 + rng.randbelow(49), 1 + rng.randbelow(49)
+        rows = filtered_rows(rng, h, w)
+        assert np.array_equal(decode_rows(rows), png_unfilter_reference(rows)), (case, h, w)
+
+
+@pytest.mark.parametrize("h, w, types", [
+    (1, 1, (0, 1, 2, 3, 4)), (1, 29, (0, 1, 2, 3, 4)), (29, 1, (0, 1, 2, 3, 4)),
+    (13, 11, (0,)), (13, 11, (1,)), (13, 11, (2,)), (13, 11, (3,)), (13, 11, (4,)),
+    # taller than max(2W, 256) rows: decoded in bands, each seeded by the one above
+    (600, 3, (0, 1, 2, 3, 4)), (530, 130, (3, 4)),
+])
+def test_png_unfilter_matches_loop_oracle_edge_shapes(h, w, types):
+    rows = filtered_rows(SplitMix64(h * 1000 + w), h, w, types)
+    assert np.array_equal(decode_rows(rows), png_unfilter_reference(rows))
+
+
+def test_png_tall_image_decode_memory_stays_bounded():
+    # one skewed sweep over 8000 rows of width 2 would hold 8001x8000 cells
+    rows = filtered_rows(SplitMix64(38), 8000, 2)
+    blob = png_blob(2, 8000, rows.tobytes())
+    tracemalloc.start()
+    try:
+        img = data.decode_png(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(img, png_unfilter_reference(rows))
+    assert peak < 2_000_000, peak
+
+
+def test_png_unknown_filter_names_row():
+    rows = filtered_rows(SplitMix64(39), 6, 4)
+    rows[3, 0] = 5
+    with pytest.raises(ImageDataError, match="row 3 uses unknown filter 5"):
+        decode_rows(rows)
+
+
+@pytest.mark.parametrize("ihdr, stream", [
+    (struct.pack(">IIBBBB", 2, 2, 8, 0, 0, 0), bytes(6)),
+    (struct.pack(">IIBBBBBB", 2, 2, 8, 0, 0, 0, 0, 0), bytes(6)),
+    (struct.pack(">IIBBBBB", 0, 2, 8, 0, 0, 0, 0), bytes(2)),
+    (struct.pack(">IIBBBBB", 2, 0, 8, 0, 0, 0, 0), b""),
+    (struct.pack(">IIBBBBB", 2**32 - 1, 2**32 - 1, 8, 0, 0, 0, 0), bytes(6)),
+], ids=["short-ihdr", "long-ihdr", "zero-width", "zero-height", "over-png-limit"])
+def test_png_rejects_malformed_header(ihdr, stream):
+    with pytest.raises(ImageDataError):
+        data.decode_png(png_blob(2, 2, stream, ihdr=ihdr))
+
+
+def test_png_rejects_corrupt_and_truncated_image_data():
+    good = zlib.compress(bytes(6))
+    for idat in (b"\x00garbage!", good[:-3]):
+        blob = (b"\x89PNG\r\n\x1a\n"
+                + png_chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+                + png_chunk(b"IDAT", idat) + png_chunk(b"IEND", b""))
+        with pytest.raises(ImageDataError):
+            data.decode_png(blob)
+
+
+def test_png_inflation_stops_at_declared_size():
+    # a 2x2 header over a stream that inflates to 50 MB
+    blob = png_blob(2, 2, bytes(50_000_000))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ImageDataError, match="exceeds"):
+            data.decode_png(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 def test_unknown_magic_rejected(tmp_path):
     path = tmp_path / "weird.dat"
     path.write_bytes(b"GIF89a....")
     with pytest.raises(UnknownImageFormatError):
         data.load_grayscale(path)
+
+
+# --- decoder fuzz ----------------------------------------------------------------
+
+def _chunks(blob):
+    pos, out = 8, []
+    while pos < len(blob):
+        length, ctype = struct.unpack(">I4s", blob[pos:pos + 8])
+        out.append((ctype, blob[pos + 8:pos + 8 + length]))
+        pos += 12 + length
+    return out
+
+
+def _mutate_bytes(rng, blob):
+    kind = rng.randbelow(3)
+    if kind == 0:  # flip one to three bytes
+        out = bytearray(blob)
+        for _ in range(1 + rng.randbelow(3)):
+            out[rng.randbelow(len(out))] ^= 1 + rng.randbelow(255)
+        return bytes(out)
+    if kind == 1:  # truncate
+        return blob[:rng.randbelow(len(blob))]
+    # splice: a slice of the file itself replaces another slice
+    a, b = sorted((rng.randbelow(len(blob)), rng.randbelow(len(blob))))
+    c = rng.randbelow(len(blob))
+    return blob[:a] + blob[c:c + 1 + rng.randbelow(16)] + blob[b:]
+
+
+def _mutate_chunk(rng, blob):
+    """Mutate one chunk's body and give it a valid length and CRC again."""
+    chunks = _chunks(blob)
+    i = rng.randbelow(len(chunks))
+    ctype, body = chunks[i]
+    chunks[i] = (ctype, _mutate_bytes(rng, body) if body else bytes([rng.randbelow(256)]))
+    return blob[:8] + b"".join(png_chunk(t, b) for t, b in chunks)
+
+
+def test_decoder_fuzz_returns_image_or_cordseg_error(tmp_path):
+    rng = SplitMix64(40)
+    pgm = data.encode_pgm(random_image(rng, 7, 9))
+    rows = filtered_rows(rng, 9, 7)
+    stream = zlib.compress(rows.tobytes())
+    png = (b"\x89PNG\r\n\x1a\n"
+           + png_chunk(b"IHDR", struct.pack(">IIBBBBB", 7, 9, 8, 0, 0, 0, 0))
+           + png_chunk(b"IDAT", stream[:20]) + png_chunk(b"IDAT", stream[20:])
+           + png_chunk(b"IEND", b""))
+    assert np.array_equal(data.decode_png(png), png_unfilter_reference(rows))
+    path = tmp_path / "fuzz"
+    outcomes = {"image": 0, "error": 0}
+    for case in range(1500):
+        if case % 3 == 0:
+            blob = _mutate_bytes(rng, pgm)
+        elif case % 3 == 1:
+            blob = _mutate_bytes(rng, png)
+        else:
+            blob = _mutate_chunk(rng, png)
+        path.write_bytes(blob)
+        try:
+            img = data.load_grayscale(path)
+        except CordsegError:
+            outcomes["error"] += 1
+            continue
+        except Exception as exc:  # noqa: BLE001 - the failure this test looks for
+            pytest.fail(f"case {case}: {type(exc).__name__}: {exc} on {blob!r}")
+        assert isinstance(img, np.ndarray) and img.ndim == 2 and img.dtype == np.uint8, case
+        outcomes["image"] += 1
+    assert min(outcomes.values()) > 100, outcomes
 
 
 # --- masks ------------------------------------------------------------------------
@@ -244,6 +420,15 @@ def test_synthetic_foreground_is_bright_stroke_support():
         bg = s.image[s.mask == 0].astype(float)
         assert fg.mean() > 150
         assert bg.mean() < 100
+
+
+def test_synthetic_window_miss_raises_domain_error(monkeypatch):
+    def empty(size, rng):
+        return np.zeros((size, size), np.uint8), np.zeros((size, size), np.uint8)
+
+    monkeypatch.setattr(data, "_draw_sample", empty)
+    with pytest.raises(DomainError, match="size 40, seed 7"):
+        data.gen_synthetic(2, 40, 7)
 
 
 def test_synthetic_rejects_tiny_size_and_count():
