@@ -91,7 +91,9 @@ def decode_pgm(data: bytes) -> np.ndarray:
         raise UnsupportedPixelFormatError(f"PGM maxval must be 255, got {maxval}")
     if width < 1 or height < 1:
         raise ImageDataError(f"bad PGM dimensions {width}x{height}")
-    pos += 1  # exactly one whitespace byte before the raster
+    if not data[pos:pos + 1].isspace():
+        raise ImageDataError("PGM maxval must be followed by one whitespace byte")
+    pos += 1
     raster = data[pos:]
     if len(raster) != width * height:
         raise ImageDataError(f"PGM raster holds {len(raster)} bytes, expected "
@@ -205,6 +207,8 @@ def decode_png(data: bytes) -> np.ndarray:
         if crc != zlib.crc32(ctype + body):
             raise ImageDataError(f"PNG chunk {ctype!r} fails its checksum")
         pos += 12 + length
+        if (ctype == b"IHDR") != (header is None):  # IHDR first, and only once
+            raise ImageDataError(f"PNG chunk {ctype!r} out of order: one IHDR must come first")
         if ctype == b"IHDR":
             if length != 13:
                 raise ImageDataError(f"PNG IHDR chunk holds {length} bytes, expected 13")
@@ -242,23 +246,6 @@ def decode_png(data: bytes) -> np.ndarray:
                              f"{expected}")
     rows = np.frombuffer(stream, dtype=np.uint8).reshape(height, width + 1)
     return _unfilter(rows)
-
-
-def encode_png(img: np.ndarray) -> bytes:
-    if img.ndim != 2 or img.dtype != np.uint8:
-        raise ShapeError(f"expected a 2-D uint8 image, got {img.dtype} {img.shape}")
-    height, width = img.shape
-
-    def chunk(ctype: bytes, body: bytes) -> bytes:
-        crc = struct.pack(">I", zlib.crc32(ctype + body))
-        return struct.pack(">I", len(body)) + ctype + body + crc
-
-    scanlines = np.zeros((height, width + 1), dtype=np.uint8)
-    scanlines[:, 1:] = img
-    return (_PNG_SIGNATURE
-            + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0))
-            + chunk(b"IDAT", zlib.compress(scanlines.tobytes()))
-            + chunk(b"IEND", b""))
 
 
 # --- files and datasets --------------------------------------------------------

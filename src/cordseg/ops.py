@@ -199,11 +199,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Reverse mode from the forward output y = sigmoid(x)."""
-    return grad_out * y * (1.0 - y)
-
-
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stack b's channels after a's; batch and spatial dims must agree."""
     _check_tensor4(a, "first operand")

@@ -24,11 +24,7 @@ def predict_frame(params: list[ConvParams], frame: np.ndarray,
                   threads: int | None = None):
     """Segment one grayscale frame; returns (binary mask, probability map),
     both with exactly the frame's dimensions."""
-    cfg = unet.config_from_params(params)
-    divisor = 1 << cfg.depth
-    if tile_size % divisor:
-        raise ShapeError(f"tile size {tile_size} must be divisible by {divisor} "
-                         f"(2^depth for depth {cfg.depth})")
+    unet.check_divisible("tile size", (tile_size,), unet.config_from_params(params).depth)
     if frame.ndim != 2:
         raise ShapeError(f"frame must be a 2-D grayscale image, got shape {frame.shape}")
     height, width = frame.shape

@@ -177,9 +177,7 @@ def _check_tiles(samples: list[Sample], depth: int) -> int:
     (h, w), = sizes
     if h != w:
         raise ShapeError(f"tiles must be square, got {h}x{w}")
-    if h % (1 << depth):
-        raise ShapeError(f"tile side {h} must be divisible by {1 << depth} "
-                         f"(2^depth for depth {depth})")
+    unet.check_divisible("tile side", (h,), depth)
     return h
 
 
@@ -202,7 +200,8 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig):
     if not train_set:
         raise DomainError(f"training split is empty for ratio {cfg.split_ratio} "
                           f"over {len(samples)} samples")
-    state = AdamState.zeros(unet.param_tensors(params))
+    theta = unet.flatten_params(params)
+    state = AdamState.zeros([theta])
     for epoch in range(1, cfg.epochs + 1):
         stream = SplitMix64(derive(cfg.seed, 0xE90C, epoch))
         order = stream.permutation(len(train_set))
@@ -217,9 +216,8 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig):
             logits, cache = unet.forward(params, x)
             loss = ops.bce_with_logits(logits, y)
             grads = unet.backward(params, cache, ops.bce_with_logits_backward(logits, y))
-            tensors, state = adam_step(unet.param_tensors(params),
-                                       unet.param_tensors(grads), state, cfg)
-            params = unet.tensors_to_params(tensors)
+            [theta], state = adam_step([theta], [unet.flatten_params(grads)], state, cfg)
+            params = unet.unflatten_params(theta, net_cfg)
             loss_sum += loss * len(picked)
             seen += len(picked)
         report = evaluate(params, test_set)

@@ -10,9 +10,11 @@ spatial size equal to the input everywhere, so masks align with tiles.
 
 Parameters live in one canonical order: encoder blocks top-down (conv1,
 conv2 per level), bottleneck (conv1, conv2), decoder blocks bottom-up
-(upconv, conv1, conv2 per level), final 1x1 conv.  The flat tensor stream
-(weights, bias per layer, in that order) is what the optimizer, the
-gradient checker, and the checkpoint file all share.
+(upconv, conv1, conv2 per level), final 1x1 conv.  The model is a
+list[ConvParams] whose one other form is a flat vector of every layer's
+weights then bias in that order; `unflatten_params` cuts it into per-layer
+views.  Adam updates that vector in one step, the gradient checker perturbs
+a float64 copy of it, and checkpoints store its tensors in the same order.
 """
 
 from __future__ import annotations
@@ -67,6 +69,20 @@ def layer_plan(cfg: UNetConfig) -> list[tuple[str, int, int, int]]:
     return plan
 
 
+def param_shapes(cfg: UNetConfig) -> list[tuple[tuple[int, ...], tuple[int]]]:
+    """(weights, bias) shapes of every layer, in canonical order."""
+    return [((c_in, c_out, k, k) if kind == "upconv" else (c_out, c_in, k, k), (c_out,))
+            for kind, c_in, c_out, k in layer_plan(cfg)]
+
+
+def check_divisible(what: str, sides: tuple[int, ...], depth: int) -> None:
+    """Raise ShapeError unless every side survives depth 2x2 poolings."""
+    divisor = 1 << depth
+    if any(side % divisor for side in sides):
+        raise ShapeError(f"{what} {'x'.join(map(str, sides))} must be divisible by "
+                         f"{divisor} (2^depth for depth {depth})")
+
+
 def init_params(cfg: UNetConfig, seed: int) -> list[ConvParams]:
     """He-initialized parameters, bit-reproducible for a given (cfg, seed).
 
@@ -74,17 +90,15 @@ def init_params(cfg: UNetConfig, seed: int) -> list[ConvParams]:
     splitmix64 stream in canonical parameter order; biases start at zero.
     fan_in counts the inputs feeding one output unit: in_channels*kh*kw for
     a convolution, in_channels for the non-overlapping transposed
-    convolution.
+    convolution.  The layers are views into one float32 vector.
     """
     stream = SplitMix64(seed)
-    params = []
-    for kind, c_in, c_out, k in layer_plan(cfg):
-        shape = (c_in, c_out, k, k) if kind == "upconv" else (c_out, c_in, k, k)
+    size = sum(math.prod(w) + math.prod(b) for w, b in param_shapes(cfg))
+    params = unflatten_params(np.zeros(size, dtype=np.float32), cfg)
+    for (kind, c_in, _, k), p in zip(layer_plan(cfg), params):
         fan_in = c_in if kind == "upconv" else c_in * k * k
-        scale = np.sqrt(2.0 / fan_in)
-        w = (stream.normal_array(int(np.prod(shape))) * scale).astype(np.float32).reshape(shape)
-        b = np.zeros(c_out, dtype=np.float32)
-        params.append(ConvParams(w, b))
+        draws = stream.normal_array(p.weights.size) * np.sqrt(2.0 / fan_in)
+        p.weights[...] = draws.reshape(p.weights.shape)
     return params
 
 
@@ -105,47 +119,30 @@ def config_from_params(params: list[ConvParams]) -> UNetConfig:
         in_channels=params[0].weights.shape[1],
         out_channels=params[-1].weights.shape[0],
     )
-    for i, ((kind, c_in, c_out, k), p) in enumerate(zip(layer_plan(cfg), params)):
-        expect = (c_in, c_out, k, k) if kind == "upconv" else (c_out, c_in, k, k)
-        if p.weights.shape != expect or p.bias.shape != (c_out,):
+    for i, ((w, b), p) in enumerate(zip(param_shapes(cfg), params)):
+        if p.weights.shape != w or p.bias.shape != b:
             raise ShapeError(f"layer {i} has shapes {p.weights.shape}/{p.bias.shape}, "
-                             f"expected {expect}/({c_out},) for the canonical plan")
+                             f"expected {w}/{b} for the canonical plan")
     return cfg
 
 
-def param_tensors(params: list[ConvParams]) -> list[np.ndarray]:
-    """The canonical flat tensor stream: weights, bias for each layer."""
-    out = []
-    for p in params:
-        out.append(p.weights)
-        out.append(p.bias)
-    return out
-
-
-def tensors_to_params(tensors: list[np.ndarray]) -> list[ConvParams]:
-    """Regroup a canonical tensor stream back into per-layer parameters."""
-    if len(tensors) % 2:
-        raise ShapeError(f"tensor stream of length {len(tensors)} is not (weights, bias) pairs")
-    return [ConvParams(tensors[i], tensors[i + 1]) for i in range(0, len(tensors), 2)]
-
-
 def flatten_params(params: list[ConvParams]) -> np.ndarray:
-    """All parameters as one float64 vector in canonical order."""
-    return np.concatenate([t.astype(np.float64).ravel() for t in param_tensors(params)])
+    """All parameters as one vector in canonical order, in their own dtype."""
+    return np.concatenate([t.ravel() for p in params for t in (p.weights, p.bias)])
 
 
-def unflatten_params(vector: np.ndarray, like: list[ConvParams]) -> list[ConvParams]:
-    """Rebuild a parameter list with like's shapes from a flat vector."""
-    vector = np.asarray(vector)
-    tensors = []
-    pos = 0
-    for t in param_tensors(like):
-        tensors.append(vector[pos:pos + t.size].reshape(t.shape))
-        pos += t.size
+def unflatten_params(vector: np.ndarray, cfg: UNetConfig) -> list[ConvParams]:
+    """Per-layer views into a flat canonical-order vector; nothing is copied."""
+    params, pos = [], 0
+    for w, b in param_shapes(cfg):
+        n_w, n_b = math.prod(w), math.prod(b)
+        params.append(ConvParams(vector[pos:pos + n_w].reshape(w),
+                                 vector[pos + n_w:pos + n_w + n_b]))
+        pos += n_w + n_b
     if pos != vector.size:
         raise ShapeError(f"vector of length {vector.size} does not match "
                          f"parameter count {pos}")
-    return tensors_to_params(tensors)
+    return params
 
 
 @dataclass
@@ -171,10 +168,7 @@ def forward(params: list[ConvParams], batch: np.ndarray, record: bool = True):
     n, c, h, w = batch.shape
     if c != cfg.in_channels:
         raise ShapeError(f"batch has {c} channels, model expects {cfg.in_channels}")
-    divisor = 1 << cfg.depth
-    if h % divisor or w % divisor:
-        raise ShapeError(f"spatial size {h}x{w} must be divisible by {divisor} "
-                         f"(2^depth for depth {cfg.depth})")
+    check_divisible("spatial size", (h, w), cfg.depth)
 
     records = []
     keep = records.append if record else lambda _: None
@@ -286,8 +280,8 @@ def gradient_check(cfg: UNetConfig | None = None, side: int = 8, seed: int = 42,
     index of the worst coordinate).
     """
     cfg = cfg or UNetConfig(depth=1, base_channels=2)
-    params = init_params(cfg, seed)
-    params = tensors_to_params([t.astype(np.float64) for t in param_tensors(params)])
+    theta = flatten_params(init_params(cfg, seed)).astype(np.float64)
+    params = unflatten_params(theta, cfg)
     margin_needed = 200.0 * step
     for attempt in range(500):
         stream = SplitMix64(derive(seed, 0xDA7A, attempt))
@@ -302,13 +296,13 @@ def gradient_check(cfg: UNetConfig | None = None, side: int = 8, seed: int = 42,
         raise NumericError("no seeded input found with a safe differentiability margin")
 
     def f(theta):
-        ps = unflatten_params(theta, params)
+        ps = unflatten_params(theta, cfg)
         logits, cache = forward(ps, x)
         loss = ops.bce_with_logits(logits, y)
         grads = backward(ps, cache, ops.bce_with_logits_backward(logits, y))
         return loss, flatten_params(grads)
 
-    errors = ops.finite_diff_errors(f, flatten_params(params), step)
+    errors = ops.finite_diff_errors(f, theta, step)
     worst = int(errors.argmax())
     return float(errors[worst]), worst
 
@@ -350,7 +344,7 @@ def save_checkpoint(params: list[ConvParams], cfg: UNetConfig, path) -> None:
     blob = bytearray(CHECKPOINT_MAGIC)
     blob += struct.pack("<5I", CHECKPOINT_VERSION, cfg.depth, cfg.base_channels,
                         cfg.in_channels, cfg.out_channels)
-    for tensor in param_tensors(params):
+    for tensor in (t for p in params for t in (p.weights, p.bias)):
         if any(d >= _MAX_DIM for d in tensor.shape):
             raise CheckpointDimError(f"dimension too large to store: {tensor.shape}")
         blob += struct.pack("<I", tensor.ndim)
@@ -362,10 +356,10 @@ def save_checkpoint(params: list[ConvParams], cfg: UNetConfig, path) -> None:
 
 class _Reader:
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, count: int, what: str) -> bytes:
+    def take(self, count: int, what: str) -> memoryview:
         if self.pos + count > len(self.data):
             raise CheckpointTruncatedError(f"file ends inside {what}")
         chunk = self.data[self.pos:self.pos + count]
@@ -377,10 +371,14 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, cfg). Round trip is bitwise exact."""
+    """Read a checkpoint; returns (params, cfg). Round trip is bitwise exact.
+
+    Each tensor's dims must be the ones the header's config implies; the
+    returned layers are views into one float32 vector.
+    """
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
-    magic = reader.take(4, "magic")
+    magic = bytes(reader.take(4, "magic"))
     if magic != CHECKPOINT_MAGIC:
         raise CheckpointMagicError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
     version = reader.u32("version")
@@ -390,27 +388,21 @@ def load_checkpoint(path):
     if any(v < 1 or v > 0xFFFF for v in header):
         raise CheckpointDimError(f"config fields out of range: {header}")
     cfg = UNetConfig(*header)
-    plan = layer_plan(cfg)
-    tensors = []
-    for i in range(2 * len(plan)):
+    if cfg.base_channels << cfg.depth >= _MAX_DIM:  # the bottleneck width is a stored dim
+        raise CheckpointDimError(f"bottleneck width {cfg.base_channels} << {cfg.depth} "
+                                 f"does not fit a stored dimension")
+    values = []
+    for i, expect in enumerate(shape for pair in param_shapes(cfg) for shape in pair):
         rank = reader.u32(f"tensor {i} rank")
-        if rank not in (1, 4):
-            raise CheckpointDimError(f"tensor {i} has rank {rank}, expected 1 or 4")
+        if rank != len(expect):
+            raise CheckpointDimError(f"tensor {i} has rank {rank}, expected {len(expect)}")
         dims = tuple(reader.u32(f"tensor {i} dims") for _ in range(rank))
-        if any(d < 1 or d >= _MAX_DIM for d in dims):
-            raise CheckpointDimError(f"tensor {i} dims out of range: {dims}")
-        count = math.prod(dims)  # exact, cannot wrap on adversarial dims
-        if count >= _MAX_DIM:
-            raise CheckpointDimError(f"tensor {i} element count overflows: {dims}")
-        raw = reader.take(4 * count, f"tensor {i} data")
-        tensors.append(np.frombuffer(raw, dtype="<f4").reshape(dims).copy())
+        if dims != expect:
+            raise CheckpointDimError(f"tensor {i} has dims {dims}, expected {expect} "
+                                     f"for the declared config")
+        values.append(np.frombuffer(reader.take(4 * math.prod(dims), f"tensor {i} data"),
+                                    dtype="<f4"))
     if reader.pos != len(reader.data):
         extra = len(reader.data) - reader.pos
         raise CheckpointError(f"{extra} trailing bytes after the last tensor")
-    params = tensors_to_params(tensors)
-    for i, ((kind, c_in, c_out, k), p) in enumerate(zip(plan, params)):
-        expect = (c_in, c_out, k, k) if kind == "upconv" else (c_out, c_in, k, k)
-        if p.weights.shape != expect or p.bias.shape != (c_out,):
-            raise CheckpointError(f"layer {i} tensors {p.weights.shape}/{p.bias.shape} "
-                                  f"do not match the declared config (expected {expect})")
-    return params, cfg
+    return unflatten_params(np.concatenate(values).astype(np.float32, copy=False), cfg), cfg

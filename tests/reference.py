@@ -5,6 +5,9 @@ accumulation, coordinate sets.  None of it shares code with the package,
 so agreement is meaningful.
 """
 
+import struct
+import zlib
+
 import numpy as np
 
 
@@ -213,3 +216,25 @@ def unet_parameter_count_reference(depth, base, in_channels=1, out_channels=1):
         prev = c
     total += conv(base, out_channels, 1)
     return total
+
+
+def sigmoid_backward(y, grad_out):
+    """Reverse mode of the logistic function from its output y = sigmoid(x)."""
+    return grad_out * y * (1.0 - y)
+
+
+def encode_png(img):
+    """A minimal 8-bit grayscale PNG of a 2-D uint8 image: one IDAT, filter 0 rows."""
+    assert img.ndim == 2 and img.dtype == np.uint8, (img.dtype, img.shape)
+    height, width = img.shape
+
+    def chunk(ctype, body):
+        return (struct.pack(">I", len(body)) + ctype + body
+                + struct.pack(">I", zlib.crc32(ctype + body)))
+
+    scanlines = np.zeros((height, width + 1), dtype=np.uint8)
+    scanlines[:, 1:] = img
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0))
+            + chunk(b"IDAT", zlib.compress(scanlines.tobytes()))
+            + chunk(b"IEND", b""))

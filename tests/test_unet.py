@@ -64,6 +64,27 @@ def test_config_from_params_round_trip():
         assert unet.config_from_params(unet.init_params(cfg, 5)) == cfg
 
 
+def test_unflatten_params_returns_views_of_the_vector():
+    cfg = UNetConfig(depth=2, base_channels=4)
+    vector = unet.flatten_params(unet.init_params(cfg, 12))
+    assert vector.dtype == np.float32
+    params = unet.unflatten_params(vector, cfg)
+    assert unet.config_from_params(params) == cfg
+    for p in params:
+        assert np.shares_memory(p.weights, vector) and np.shares_memory(p.bias, vector)
+    vector[0] = 7.0
+    assert params[0].weights.flat[0] == 7.0
+    again = unet.flatten_params(params)
+    assert again.dtype == vector.dtype
+    assert again.tobytes() == vector.tobytes()
+
+
+def test_unflatten_params_rejects_wrong_length():
+    cfg = UNetConfig(depth=1, base_channels=2)
+    with pytest.raises(ShapeError):
+        unet.unflatten_params(np.zeros(430, np.float32), cfg)
+
+
 def test_forward_shape_contract():
     params = unet.init_params(UNetConfig(depth=2, base_channels=8), 42)
     x = small_input(1, n=1, side=64)
