@@ -137,6 +137,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _available_cores() -> int | None:
+    """CPUs this process may run on; the host count where affinity is unknown."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cordseg",
@@ -167,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tile", type=int, default=256, help="tile side in pixels (default 256)")
     p.add_argument("--threshold", type=_probability, default=0.5,
                    help="foreground threshold on probabilities (default 0.5)")
-    p.add_argument("--threads", type=_positive_int, default=os.cpu_count(),
+    p.add_argument("--threads", type=_positive_int, default=_available_cores(),
                    help="tile inference workers (default: available cores)")
     p.set_defaults(func=run_predict)
 
@@ -181,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of every gradient "
                        "on a small model; exit 0 iff max relative error < 1e-3")
     p.add_argument("--seed", type=int, default=42, help="model/input seed (default 42)")
-    p.add_argument("--step", type=float, default=1e-5,
+    p.add_argument("--step", type=_positive_float, default=1e-5,
                    help="central-difference step (default 1e-5)")
     p.add_argument("--sabotage-index", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=run_gradcheck)

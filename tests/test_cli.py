@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via subprocesses."""
 
+import os
 import re
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cordseg import data
+from cordseg import cli, data
 
 REPORT_RE = re.compile(
     r"^iou=\d\.\d{6} pixel_acc=\d\.\d{6} tp=\d+ fp=\d+ fn=\d+ tn=\d+$")
@@ -259,6 +260,21 @@ def test_train_non_positive_or_non_finite_lr_exits_2(tmp_path, dataset_dir, lr):
     assert res.returncode == 2
     assert "--lr" in res.stderr
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
+def test_gradcheck_non_positive_or_non_finite_step_exits_2(step):
+    res = run_cli("gradcheck", "--step", step)
+    assert res.returncode == 2
+    assert "--step" in res.stderr and "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_predict_threads_default_counts_cores_in_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    args = cli.build_parser().parse_args(["predict", "--model", "m", "--image", "i",
+                                          "--out", "o"])
+    assert args.threads == 1
 
 
 def test_gradcheck_passes_and_prints_scientific(trained):

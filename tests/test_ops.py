@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,17 +65,67 @@ def test_conv2d_rejects_even_kernel():
         ops.conv2d(np.zeros((1, 1, 4, 4), np.float32), p)
 
 
-def test_conv2d_matches_loop_oracle_on_random_shapes():
+def random_conv_cases():
     rng = SplitMix64(100)
     for trial in range(30):
         n, ci, co = (1 + rng.randbelow(4) for _ in range(3))
         h, w = 1 + rng.randbelow(8), 1 + rng.randbelow(8)
         k = 1 if rng.randbelow(4) == 0 else 3
-        x = random_tensor(rng, (n, ci, h, w))
-        p = conv_params(rng, co, ci, k)
+        yield random_tensor(rng, (n, ci, h, w)), conv_params(rng, co, ci, k)
+
+
+def test_conv2d_matches_loop_oracle_on_random_shapes():
+    for x, p in random_conv_cases():
         got = ops.conv2d(x, p)
         want = conv2d_reference(x, p.weights, p.bias)
         np.testing.assert_allclose(got, want, atol=1e-5)
+
+
+def test_banded_conv2d_matches_loop_oracle_on_random_shapes(monkeypatch):
+    # a budget of a few columns splits every layer into many bands
+    budget = 256
+    monkeypatch.setattr(ops, "_BAND_BYTES", budget)
+    kinds = set()
+    for x, p in random_conv_cases():
+        n, _, h, w = x.shape
+        column_bytes = p.weights[0].size * x.itemsize
+        bands = ops._bands(n, h, w, column_bytes)
+        if len(bands) > 1:
+            kinds.add("1x1" if p.weights.shape[-1] == 1 else "3x3")
+            kinds.add("n > 1" if n > 1 else "n = 1")
+        covered = np.zeros((n, h, w), int)
+        for images, rows, xs in bands:
+            covered[images, rows, xs] += 1
+            width = covered[images, rows, xs].size
+            assert width * column_bytes <= max(budget, column_bytes)
+            if images.stop - images.start > 1:
+                kinds.add("several images")
+            if (rows.stop, xs.stop) != (h, w):
+                kinds.add("ends mid-image")
+            if xs == slice(0, w) and h % (rows.stop - rows.start):
+                kinds.add("h not divisible by band height")
+            if xs != slice(0, w):
+                kinds.add("part of a row")
+        assert np.all(covered == 1)
+        np.testing.assert_allclose(ops.conv2d(x, p), conv2d_reference(x, p.weights, p.bias),
+                                   atol=1e-5)
+    assert kinds == {"1x1", "3x3", "n > 1", "n = 1", "several images", "ends mid-image",
+                     "h not divisible by band height", "part of a row"}
+
+
+def test_conv2d_columns_stay_bounded_on_a_wide_tile():
+    # whole-tile columns of this layer alone would take 128*9*256*256*4 B = 288 MiB
+    rng = SplitMix64(110)
+    x = random_tensor(rng, (1, 128, 256, 256))
+    p = conv_params(rng, 64, 128, 3)
+    tracemalloc.start()
+    try:
+        out = ops.conv2d(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 64, 256, 256)
+    assert peak < 96 * 2**20, peak
 
 
 def test_conv2d_linear_in_input():

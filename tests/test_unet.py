@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cordseg import unet
+from cordseg import ops, unet
 from cordseg.errors import DomainError, ShapeError
 from cordseg.rng import SplitMix64, derive
 from cordseg.unet import UNetConfig
@@ -130,6 +130,16 @@ def test_forward_without_record_gives_identical_logits():
     recorded, _ = unet.forward(params, x)
     bare, _ = unet.forward(params, x, record=False)
     assert np.array_equal(recorded, bare)
+
+
+def test_forward_with_tiny_column_bands_matches_default(monkeypatch):
+    params = unet.init_params(UNetConfig(depth=2, base_channels=4), 42)
+    x = small_input(12, n=2, side=16)
+    want, _ = unet.forward(params, x, record=False)
+    monkeypatch.setattr(ops, "_BAND_BYTES", 256)
+    got, _ = unet.forward(params, x, record=False)
+    # banding changes which GEMM kernels run, so only a tolerance holds
+    np.testing.assert_allclose(got, want, atol=1e-5)
 
 
 def test_forward_without_record_keeps_no_records():
