@@ -7,21 +7,19 @@ is the order the next convolution reads.  Network math runs in float32;
 every kernel preserves the dtype of its inputs so the finite-difference
 checker can drive the same code in float64.
 
-Convolution is unrolled into GEMMs over tap-major columns: the input is
-zero-padded once in (channels, batch, height, width) order, and a
-(channels*kh*kw, columns) array is filled with one contiguous slice copy
-per kernel tap.  The reduction axis keeps the (channel, kh, kw) order of
-the weight tensor.  The forward pass builds the batch*height*width columns
-in bands that each stay under a fixed byte budget (whole images, whole
-rows of one image, or part of one row) and runs
-weights.reshape(oc, -1) @ band straight into that band's slice of the
-output, so a wide tile never holds its whole column array; a layer whose
-columns fit the budget is one GEMM.  The backward pass keeps whole-tile
-columns: the weight gradient grad_out @ columns.T reduces over every
-column, and banding it would change its summation order and so the
-trained weights.  The input gradient is the transposed GEMM
-weights.reshape(oc, -1).T @ grad_out followed by col2im, which adds each
-tap's slice back into a zero-padded buffer and crops the padding.
+Convolution is unrolled into GEMMs over tap-major columns: a
+(channels*kh*kw, columns) array is filled from a tensor's (channels,
+batch, height, width) view with one slice copy per kernel tap, each tap
+writing its own zero padding.  The reduction axis keeps the (channel, kh,
+kw) order of the weight tensor.  The forward pass builds the
+batch*height*width columns in bands that each stay under a fixed byte
+budget (whole images, whole rows of one image, or part of one row) and
+runs weights.reshape(oc, -1) @ band straight into that band's slice of
+the output, so a wide tile never holds its whole column array; a layer
+whose columns fit the budget is one GEMM.  The backward pass fills one
+whole-tile column array, of grad_out, and both gradients are GEMMs on it
+(see conv2d_backward).  It is not banded, because banding the weight
+gradient would change its summation order and so the trained weights.
 
 Each forward kernel has a reverse-mode counterpart that maps the upstream
 gradient to gradients w.r.t. its inputs.  All kernels are pure functions:
@@ -74,26 +72,34 @@ def _check_tensor4(x: np.ndarray, name: str = "input") -> None:
 _BAND_BYTES = 12 << 20
 
 
-def _pad(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """x zero-padded for a same kh x kw convolution, in (c, n, h, w) order."""
-    n, c, h, w = x.shape
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    padded = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    padded[:, :, ph:ph + h, pw:pw + w] = x.transpose(1, 0, 2, 3)
-    return padded
-
-
-def _fill_columns(cols: np.ndarray, padded: np.ndarray, kh: int, kw: int,
+def _fill_columns(cols: np.ndarray, x: np.ndarray, kh: int, kw: int,
                   images: slice, rows: slice, xs: slice) -> np.ndarray:
-    """Fill cols, a (c*kh*kw, band) array, with the tap-major columns of the
-    band images x rows x xs of the output grid; one slice copy per tap."""
-    c = padded.shape[0]
-    taps = cols.reshape(c, kh, kw, images.stop - images.start,
-                        rows.stop - rows.start, xs.stop - xs.start)
+    """Fill cols, a (c*kh*kw, band) array, with the tap-major columns of a
+    same kh x kw convolution over x, an unpadded (c, n, h, w) array, for the
+    band images x rows x xs of the output grid: one slice copy per tap of
+    the input it overlaps, and zeros where the tap reads the padding."""
+    c, _, h, w = x.shape
+    ph, pw = (kh - 1) // 2, (kw - 1) // 2
+    nr, nx = rows.stop - rows.start, xs.stop - xs.start
+    taps = cols.reshape(c, kh, kw, images.stop - images.start, nr, nx)
     for u in range(kh):
+        top = rows.start + u - ph
+        r0 = max(-top, 0)
+        r1 = max(min(h - top, nr), r0)
         for v in range(kw):
-            taps[:, u, v] = padded[:, images, rows.start + u:rows.stop + u,
-                                   xs.start + v:xs.stop + v]
+            left = xs.start + v - pw
+            x0 = max(-left, 0)
+            x1 = max(min(w - left, nx), x0)
+            tap = taps[:, u, v]
+            if r0:
+                tap[:, :, :r0] = 0
+            if r1 < nr:
+                tap[:, :, r1:] = 0
+            if x0:
+                tap[..., :x0] = 0
+            if x1 < nx:
+                tap[..., x1:] = 0
+            tap[:, :, r0:r1, x0:x1] = x[:, images, top + r0:top + r1, left + x0:left + x1]
     return cols
 
 
@@ -114,19 +120,6 @@ def _bands(n: int, h: int, w: int, column_bytes: int):
             for i in range(n) for r in range(h) for x in range(0, w, per)]
 
 
-def _col2im(cols: np.ndarray, shape: tuple, kh: int, kw: int) -> np.ndarray:
-    """Adjoint of _fill_columns over the whole grid: sum each tap's slice
-    back into an (n, c, h, w) view."""
-    n, c, h, w = shape
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    taps = cols.reshape(c, kh, kw, n, h, w)
-    padded = np.zeros((c, n, h + 2 * ph, w + 2 * pw), dtype=cols.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            padded[:, :, u:u + h, v:v + w] += taps[:, u, v]
-    return padded[:, :, ph:ph + h, pw:pw + w].transpose(1, 0, 2, 3)
-
-
 def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """3x3 / 1x1 convolution, stride 1, zero same-padding.
 
@@ -143,7 +136,7 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     n, _, h, w = x.shape
     kernel = p.weights.reshape(oc, -1)
     k = kernel.shape[1]
-    padded = _pad(x, kh, kw)
+    planes = x.transpose(1, 0, 2, 3)
     out = np.empty((oc, n, h, w), dtype=np.result_type(kernel, x))
     bands = _bands(n, h, w, k * x.itemsize)
     widest = max((i.stop - i.start) * (r.stop - r.start) * (s.stop - s.start)
@@ -153,24 +146,29 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
         # a view, since every band is whole images, whole rows or part of one row
         target = out[:, images, rows, xs].reshape(oc, -1)
         cols = buffer[:target.size // oc * k].reshape(k, -1)
-        np.matmul(kernel, _fill_columns(cols, padded, kh, kw, images, rows, xs), out=target)
+        np.matmul(kernel, _fill_columns(cols, planes, kh, kw, images, rows, xs), out=target)
     out += p.bias[:, None, None, None]
     return out.transpose(1, 0, 2, 3)
 
 
 def conv2d_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
-    """Gradients of conv2d w.r.t. (input, weights, bias)."""
-    n, c, h, w = x.shape
+    """Gradients of conv2d w.r.t. (input, weights, bias): with cols the
+    tap-major columns of grad_out, grad_x = W'.reshape(ic, -1) @ cols with
+    W'[c, o, u, v] = W[o, c, kh-1-u, kw-1-v], and grad_w[o, c, u, v] =
+    (cols @ x.reshape(ic, -1).T)[o, kh-1-u, kw-1-v, c], x channel-major."""
+    n, _, h, w = x.shape
     oc, ic, kh, kw = p.weights.shape
     if grad_out.shape != (n, oc, h, w):
         raise ShapeError(f"conv2d upstream gradient {grad_out.shape} does not match "
                          f"output shape {(n, oc, h, w)}")
-    g = grad_out.transpose(1, 0, 2, 3).reshape(oc, n * h * w)
-    cols = _fill_columns(np.empty((c * kh * kw, n * h * w), dtype=x.dtype), _pad(x, kh, kw),
-                         kh, kw, slice(0, n), slice(0, h), slice(0, w))
-    grad_w = (g @ cols.T).reshape(oc, ic, kh, kw)
+    cols = _fill_columns(np.empty((oc * kh * kw, n * h * w), dtype=grad_out.dtype),
+                         grad_out.transpose(1, 0, 2, 3), kh, kw,
+                         slice(0, n), slice(0, h), slice(0, w))
+    flipped = p.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ic, -1)
+    grad_x = (flipped @ cols).reshape(ic, n, h, w).transpose(1, 0, 2, 3)
+    taps = cols @ x.transpose(1, 0, 2, 3).reshape(ic, -1).T
+    grad_w = taps.reshape(oc, kh, kw, ic)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
     grad_b = grad_out.sum(axis=(0, 2, 3))
-    grad_x = _col2im(p.weights.reshape(oc, -1).T @ g, x.shape, kh, kw)
     return grad_x, grad_w, grad_b
 
 

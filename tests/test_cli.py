@@ -14,9 +14,9 @@ REPORT_RE = re.compile(
     r"^iou=\d\.\d{6} pixel_acc=\d\.\d{6} tp=\d+ fp=\d+ fn=\d+ tn=\d+$")
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run([sys.executable, "-m", "cordseg", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +139,27 @@ def test_predict_threads_do_not_change_output(tmp_path, trained, dataset_dir):
         assert res.returncode == 0, res.stderr
         masks.append(out_path.read_bytes())
     assert masks[0] == masks[1]
+
+
+def test_blas_thread_count_does_not_change_checkpoint_or_mask(tmp_path, dataset_dir):
+    # OpenBLAS reads the variable when numpy loads, so it is set in the child's env
+    frame_path = tmp_path / "frame.pgm"
+    frame_path.write_bytes(data.encode_pgm(np.tile(data.load_dataset(dataset_dir)[2].image,
+                                                   (2, 3))))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        ckpt, mask = tmp_path / f"model{threads}.ckpt", tmp_path / f"mask{threads}.pgm"
+        res = run_cli("train", "--data", str(dataset_dir), "--out", str(ckpt),
+                      "--depth", "2", "--base-channels", "8", "--epochs", "2",
+                      "--seed", "42", env=env)
+        assert res.returncode == 0, res.stderr
+        res = run_cli("predict", "--model", str(ckpt), "--image", str(frame_path),
+                      "--out", str(mask), "--tile", "32", env=env)
+        assert res.returncode == 0, res.stderr
+        outputs.append((ckpt.read_bytes(), mask.read_bytes()))
+    assert outputs[0][0] == outputs[1][0]
+    assert outputs[0][1] == outputs[1][1]
 
 
 def test_predict_full_scale_frame_165_tiles(tmp_path, trained):

@@ -162,6 +162,34 @@ def test_conv2d_backward_matches_loop_oracle_on_random_shapes():
         assert_conv2d_backward_matches_oracle(rng, n, ci, co, h, w, k)
 
 
+def test_conv2d_backward_input_gradient_is_adjoint_of_forward():
+    # <conv2d(x), g> == <x, grad_x> for a zero-bias conv, which is linear in x
+    rng = SplitMix64(310)
+    for x, p in random_conv_cases():
+        x = x.astype(np.float64)
+        p0 = ConvParams(p.weights.astype(np.float64), np.zeros(p.bias.shape))
+        g = random_tensor(rng, (x.shape[0], p.weights.shape[0]) + x.shape[2:]).astype(np.float64)
+        grad_x = ops.conv2d_backward(x, p0, g)[0]
+        lhs = float(np.vdot(ops.conv2d(x, p0), g))
+        assert lhs == pytest.approx(float(np.vdot(x, grad_x)), rel=1e-12, abs=1e-12)
+
+
+def test_conv2d_backward_holds_one_column_array():
+    # the columns of grad_out are 8*9*4*64*64*4 B = 4.5 MiB; those of x would be 9 MiB
+    rng = SplitMix64(320)
+    x = random_tensor(rng, (4, 16, 64, 64))
+    p = conv_params(rng, 8, 16, 3)
+    g = random_tensor(rng, (4, 8, 64, 64))
+    tracemalloc.start()
+    try:
+        grad_x, _, _ = ops.conv2d_backward(x, p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad_x.shape == x.shape
+    assert peak < 8 * 2**20, peak
+
+
 @pytest.mark.parametrize("n, ci, co, h, w, k", [
     (3, 2, 2, 5, 5, 3),   # batch > 1
     (2, 1, 3, 4, 6, 3),   # single input channel
