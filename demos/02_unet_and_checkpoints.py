@@ -36,8 +36,9 @@ logits, cache = unet.forward(params, x)
 print(f"\nforward: input {x.shape} -> logits {logits.shape} "
       f"(same spatial size, thanks to same-padding)")
 
-grads = unet.backward(params, cache, np.ones_like(logits))
-print(f"backward returns one gradient per layer: {len(grads)} == {len(params)}")
+grad = unet.backward(params, cache, np.ones_like(logits))
+print(f"backward returns one flat gradient vector: {grad.size:,} == "
+      f"{unet.parameter_count(params):,} parameters")
 
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "model.ckpt"

@@ -101,42 +101,32 @@ def dihedral_augment(image: np.ndarray, mask: np.ndarray, seed):
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def zeros(cls, tensors: list[np.ndarray]) -> "AdamState":
-        return cls(m=[np.zeros_like(x) for x in tensors],
-                   v=[np.zeros_like(x) for x in tensors])
+    def zeros(cls, theta: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(params: list[np.ndarray], grads: list[np.ndarray],
-              state: AdamState, cfg: TrainConfig):
-    """One bias-corrected Adam update over a list of tensors.
-
-    Returns (updated tensors, updated state); inputs are left untouched.
-    """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError(f"got {len(params)} parameters, {len(grads)} gradients, "
-                         f"{len(state.m)} moment tensors")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeError(f"gradient {g.shape} does not match parameter {p.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient; aborting the update step")
-    t = state.t + 1
-    bias1 = 1.0 - cfg.beta1 ** t
-    bias2 = 1.0 - cfg.beta2 ** t
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v = cfg.beta2 * v + (1.0 - cfg.beta2) * np.square(g)
-        update = cfg.learning_rate * (m / bias1) / (np.sqrt(v / bias2) + cfg.eps)
-        new_params.append((p - update).astype(p.dtype, copy=False))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(new_m, new_v, t)
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
+              cfg: TrainConfig) -> None:
+    """One bias-corrected Adam update of theta, state.m, state.v and state.t in
+    place, so per-layer views of theta see it; a rejected grad changes nothing."""
+    if not theta.shape == grad.shape == state.m.shape:
+        raise ShapeError(f"gradient {grad.shape} and moments {state.m.shape} do not "
+                         f"match parameters {theta.shape}")
+    if not np.all(np.isfinite(grad)):
+        raise NumericError("non-finite gradient; aborting the update step")
+    state.t += 1
+    bias1 = 1.0 - cfg.beta1 ** state.t
+    bias2 = 1.0 - cfg.beta2 ** state.t
+    state.m *= cfg.beta1
+    state.m += (1.0 - cfg.beta1) * grad
+    state.v *= cfg.beta2
+    state.v += (1.0 - cfg.beta2) * np.square(grad)
+    theta -= cfg.learning_rate * (state.m / bias1) / (np.sqrt(state.v / bias2) + cfg.eps)
 
 
 def _batch_arrays(samples: list[Sample]):
@@ -186,8 +176,9 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig):
 
     Per epoch: seeded reshuffle, batches of batch_size with the last partial
     batch kept, optional per-sample dihedral augmentation, forward, BCE,
-    backward, Adam; then an evaluation pass over the held-out split.
-    Deterministic for a fixed (cfg, samples, net_cfg).
+    backward to one flat gradient, Adam in place on the flat parameter
+    vector that the layers view; then an evaluation pass over the held-out
+    split.  Deterministic for a fixed (cfg, samples, net_cfg).
     """
     if not samples:
         raise DomainError("cannot train on an empty dataset")
@@ -201,7 +192,8 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig):
         raise DomainError(f"training split is empty for ratio {cfg.split_ratio} "
                           f"over {len(samples)} samples")
     theta = unet.flatten_params(params)
-    state = AdamState.zeros([theta])
+    params = unet.unflatten_params(theta, net_cfg)
+    state = AdamState.zeros(theta)
     for epoch in range(1, cfg.epochs + 1):
         stream = SplitMix64(derive(cfg.seed, 0xE90C, epoch))
         order = stream.permutation(len(train_set))
@@ -215,9 +207,8 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig):
             x, y = _batch_arrays(picked)
             logits, cache = unet.forward(params, x)
             loss = ops.bce_with_logits(logits, y)
-            grads = unet.backward(params, cache, ops.bce_with_logits_backward(logits, y))
-            [theta], state = adam_step([theta], [unet.flatten_params(grads)], state, cfg)
-            params = unet.unflatten_params(theta, net_cfg)
+            grad_logits = ops.bce_with_logits_backward(logits, y)
+            adam_step(theta, unet.backward(params, cache, grad_logits), state, cfg)
             loss_sum += loss * len(picked)
             seen += len(picked)
         report = evaluate(params, test_set)

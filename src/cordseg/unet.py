@@ -13,8 +13,9 @@ conv2 per level), bottleneck (conv1, conv2), decoder blocks bottom-up
 (upconv, conv1, conv2 per level), final 1x1 conv.  The model is a
 list[ConvParams] whose one other form is a flat vector of every layer's
 weights then bias in that order; `unflatten_params` cuts it into per-layer
-views.  Adam updates that vector in one step, the gradient checker perturbs
-a float64 copy of it, and checkpoints store its tensors in the same order.
+views.  `backward` returns the gradient as such a vector, Adam updates the
+parameter vector in place, the gradient checker perturbs a float64 copy of
+it, and checkpoints store its tensors in the same order.
 """
 
 from __future__ import annotations
@@ -150,7 +151,6 @@ class ActivationCache:
     """Intermediates recorded by one forward pass, consumed by one backward."""
 
     records: list = field(repr=False)
-    batch_shape: tuple
     logits_shape: tuple
     consumed: bool = False
 
@@ -198,12 +198,13 @@ def forward(params: list[ConvParams], batch: np.ndarray, record: bool = True):
         t = conv_relu(conv_relu(t))
     logits = ops.conv2d(t, params[k])
     keep(("conv", t))
-    return logits, ActivationCache(records, batch.shape, logits.shape)
+    return logits, ActivationCache(records, logits.shape)
 
 
 def backward(params: list[ConvParams], cache: ActivationCache,
-             grad_logits: np.ndarray) -> list[ConvParams]:
-    """Exact reverse traversal of forward; gradients align with params."""
+             grad_logits: np.ndarray) -> np.ndarray:
+    """Exact reverse traversal of forward; returns the gradient as one flat
+    vector in canonical order and in the parameters' dtype."""
     if cache.consumed:
         raise DomainError("activation cache was already consumed by a backward pass")
     if not cache.records:
@@ -211,34 +212,27 @@ def backward(params: list[ConvParams], cache: ActivationCache,
     if grad_logits.shape != cache.logits_shape:
         raise ShapeError(f"grad_logits {grad_logits.shape} does not match the "
                          f"cached logits shape {cache.logits_shape}")
-    grads: list[ConvParams | None] = [None] * len(params)
+    grad = np.empty(parameter_count(params), dtype=params[0].weights.dtype)
+    grads = unflatten_params(grad, config_from_params(params))
     k = len(params) - 1
     g = grad_logits
     skip_grads: dict[int, np.ndarray] = {}
     for record in reversed(cache.records):
         tag = record[0]
-        if tag == "conv":
-            g, gw, gb = ops.conv2d_backward(record[1], params[k], g)
-            grads[k] = ConvParams(gw, gb)
-            k -= 1
-        elif tag == "conv_relu":
-            _, x_in, z = record
-            g = ops.relu_backward(z, g)
-            g, gw, gb = ops.conv2d_backward(x_in, params[k], g)
-            grads[k] = ConvParams(gw, gb)
-            k -= 1
-        elif tag == "concat":
+        if tag == "concat":
             _, level, up_channels = record
             g, skip_grads[level] = ops.split_channels(g, up_channels)
-        elif tag == "upconv":
-            g, gw, gb = ops.upconv2_backward(record[1], params[k], g)
-            grads[k] = ConvParams(gw, gb)
-            k -= 1
-        else:  # pool
+        elif tag == "pool":
             _, level, idx = record
             g = ops.maxpool2_backward(idx, g) + skip_grads.pop(level)
+        else:  # conv, conv_relu or upconv: one parameter layer
+            if tag == "conv_relu":
+                g = ops.relu_backward(record[2], g)
+            kernel = ops.upconv2_backward if tag == "upconv" else ops.conv2d_backward
+            g, grads[k].weights[...], grads[k].bias[...] = kernel(record[1], params[k], g)
+            k -= 1
     cache.consumed = True
-    return grads  # type: ignore[return-value]
+    return grad
 
 
 def _kink_margin(cache: ActivationCache) -> float:
@@ -299,8 +293,7 @@ def gradient_check(cfg: UNetConfig | None = None, side: int = 8, seed: int = 42,
         ps = unflatten_params(theta, cfg)
         logits, cache = forward(ps, x)
         loss = ops.bce_with_logits(logits, y)
-        grads = backward(ps, cache, ops.bce_with_logits_backward(logits, y))
-        return loss, flatten_params(grads)
+        return loss, backward(ps, cache, ops.bce_with_logits_backward(logits, y))
 
     errors = ops.finite_diff_errors(f, theta, step)
     worst = int(errors.argmax())

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cordseg import data, training, unet
+from cordseg import data, ops, training, unet
 from cordseg.data import Sample
 from cordseg.errors import DomainError, NumericError, ShapeError
 from cordseg.rng import SplitMix64
@@ -107,52 +109,100 @@ def test_augment_int_seed_is_deterministic():
 
 def test_adam_zero_gradient_is_identity():
     cfg = TrainConfig(epochs=1)
-    params = [np.array([1.0, -2.0], np.float32), np.array([[3.0]], np.float32)]
-    grads = [np.zeros_like(p) for p in params]
-    state = AdamState.zeros(params)
-    new, state2 = adam_step(params, grads, state, cfg)
-    for p, q in zip(params, new):
-        assert np.array_equal(p, q)
-    assert state2.t == 1
+    theta = np.array([1.0, -2.0, 3.0], np.float32)
+    before = theta.copy()
+    state = AdamState.zeros(theta)
+    adam_step(theta, np.zeros_like(theta), state, cfg)
+    assert np.array_equal(theta, before)
+    assert state.t == 1
 
 
 def test_adam_first_step_matches_reference():
     cfg = TrainConfig(epochs=1, learning_rate=1e-3)
-    params = [np.array([1.0], np.float64)]
-    grads = [np.array([0.5], np.float64)]
-    new, state = adam_step(params, grads, AdamState.zeros(params), cfg)
+    theta = np.array([1.0], np.float64)
+    adam_step(theta, np.array([0.5], np.float64), AdamState.zeros(theta), cfg)
     want, _, _, _ = adam_reference(1.0, 0.5, 0.0, 0.0, 0)
-    assert new[0][0] == pytest.approx(want, abs=1e-9)
+    assert theta[0] == pytest.approx(want, abs=1e-9)
     assert want == pytest.approx(0.999000000, abs=1e-8)  # update ~ -lr*g/(|g|+eps)
 
 
 def test_adam_constant_gradient_steps_stay_near_lr():
     cfg = TrainConfig(epochs=1, learning_rate=1e-3)
-    params = [np.array([1.0], np.float64)]
-    state = AdamState.zeros(params)
+    theta = np.array([1.0], np.float64)
+    state = AdamState.zeros(theta)
     theta_ref, m_ref, v_ref, t_ref = 1.0, 0.0, 0.0, 0
     for _ in range(2):
-        before = params[0][0]
-        params, state = adam_step(params, [np.array([0.5])], state, cfg)
-        delta = abs(params[0][0] - before)
+        before = theta[0]
+        adam_step(theta, np.array([0.5]), state, cfg)
+        delta = abs(theta[0] - before)
         assert 0.9 * cfg.learning_rate <= delta <= 1.1 * cfg.learning_rate
         theta_ref, m_ref, v_ref, t_ref = adam_reference(theta_ref, 0.5, m_ref, v_ref, t_ref)
-        assert params[0][0] == pytest.approx(theta_ref, abs=1e-9)
+        assert theta[0] == pytest.approx(theta_ref, abs=1e-9)
 
 
 def test_adam_rejects_nonfinite_gradient():
     cfg = TrainConfig(epochs=1)
-    params = [np.array([1.0], np.float32)]
+    theta = np.array([1.0], np.float32)
     with pytest.raises(NumericError):
-        adam_step(params, [np.array([np.nan], np.float32)], AdamState.zeros(params), cfg)
+        adam_step(theta, np.array([np.nan], np.float32), AdamState.zeros(theta), cfg)
 
 
 def test_adam_moment_shapes_mirror_params():
-    params = [np.zeros((3, 2, 3, 3), np.float32), np.zeros(3, np.float32)]
-    state = AdamState.zeros(params)
-    assert [m.shape for m in state.m] == [p.shape for p in params]
-    assert [v.shape for v in state.v] == [p.shape for p in params]
+    theta = np.zeros(3 * 2 * 3 * 3 + 3, np.float32)
+    state = AdamState.zeros(theta)
+    assert state.m.shape == state.v.shape == theta.shape
     assert state.t == 0
+
+
+def test_adam_in_place_update_is_bitwise_the_out_of_place_formula():
+    cfg = TrainConfig(epochs=1, learning_rate=1e-2)
+    net = UNetConfig(depth=1, base_channels=2)
+    theta = unet.flatten_params(unet.init_params(net, 3))
+    layers = unet.unflatten_params(theta, net)
+    state = AdamState.zeros(theta)
+    m, v = state.m, state.v
+    want_theta, want_m, want_v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
+    stream = SplitMix64(17)
+    for t in range(1, 5):
+        g = stream.normal_array(theta.size).astype(np.float32)
+        want_m = cfg.beta1 * want_m + (1.0 - cfg.beta1) * g
+        want_v = cfg.beta2 * want_v + (1.0 - cfg.beta2) * np.square(g)
+        want_theta = want_theta - cfg.learning_rate * (want_m / (1.0 - cfg.beta1 ** t)) / (
+            np.sqrt(want_v / (1.0 - cfg.beta2 ** t)) + cfg.eps)
+        assert adam_step(theta, g, state, cfg) is None
+        assert state.m is m and state.v is v and state.t == t
+        assert want_theta.dtype == theta.dtype == np.float32
+        for got, want in ((theta, want_theta), (m, want_m), (v, want_v)):
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    assert np.array_equal(unet.flatten_params(layers), want_theta)
+    assert layers[-1].bias[0] == want_theta[-1]
+
+
+def test_adam_rejects_mismatched_shapes():
+    theta = np.zeros(4, np.float32)
+    with pytest.raises(ShapeError):
+        adam_step(theta, np.zeros(3, np.float32), AdamState.zeros(theta), TrainConfig(epochs=1))
+
+
+def test_training_step_peak_stays_under_six_parameter_copies():
+    # one forward + backward + Adam step of a wide model on a tiny image is
+    # dominated by parameter-sized buffers: the gradient and Adam's temporaries
+    net = UNetConfig(depth=2, base_channels=64)
+    theta = unet.flatten_params(unet.init_params(net, 42))
+    params = unet.unflatten_params(theta, net)
+    state = AdamState.zeros(theta)
+    x = SplitMix64(9).normal_array(16 * 16).astype(np.float32).reshape(1, 1, 16, 16)
+    y = (x > 0).astype(np.float32)
+    tracemalloc.start()
+    try:
+        logits, cache = unet.forward(params, x)
+        grad_logits = ops.bce_with_logits_backward(logits, y)
+        adam_step(theta, unet.backward(params, cache, grad_logits), state, TrainConfig(epochs=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.t == 1
+    assert peak < 6 * theta.nbytes, peak / theta.nbytes
 
 
 # --- evaluate ----------------------------------------------------------------------

@@ -159,7 +159,8 @@ def test_backward_rejects_cache_without_records():
 def test_backward_zero_upstream_gives_zero_gradients():
     params = unet.init_params(UNetConfig(depth=1, base_channels=2), 42)
     logits, cache = unet.forward(params, small_input(4))
-    grads = unet.backward(params, cache, np.zeros_like(logits))
+    grads = unet.unflatten_params(unet.backward(params, cache, np.zeros_like(logits)),
+                                  UNetConfig(depth=1, base_channels=2))
     for g in grads:
         assert np.all(g.weights == 0.0)
         assert np.all(g.bias == 0.0)
@@ -169,18 +170,32 @@ def test_backward_head_bias_is_channel_summed_upstream():
     params = unet.init_params(UNetConfig(depth=1, base_channels=2), 42)
     logits, cache = unet.forward(params, small_input(5))
     g = np.ones_like(logits) * 0.25
-    grads = unet.backward(params, cache, g)
+    grads = unet.unflatten_params(unet.backward(params, cache, g),
+                                  UNetConfig(depth=1, base_channels=2))
     np.testing.assert_allclose(grads[-1].bias, g.sum(axis=(0, 2, 3)), rtol=1e-6)
 
 
 def test_backward_aligns_with_params_shapes():
-    params = unet.init_params(UNetConfig(depth=2, base_channels=4), 8)
+    cfg = UNetConfig(depth=2, base_channels=4)
+    params = unet.init_params(cfg, 8)
     logits, cache = unet.forward(params, small_input(6, side=16))
-    grads = unet.backward(params, cache, np.ones_like(logits))
+    grads = unet.unflatten_params(unet.backward(params, cache, np.ones_like(logits)), cfg)
     assert len(grads) == len(params)
     for g, p in zip(grads, params):
         assert g.weights.shape == p.weights.shape
         assert g.bias.shape == p.bias.shape
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_returns_one_flat_vector_in_the_parameter_dtype(dtype):
+    cfg = UNetConfig(depth=1, base_channels=2)
+    theta = unet.flatten_params(unet.init_params(cfg, 3)).astype(dtype)
+    params = unet.unflatten_params(theta, cfg)
+    logits, cache = unet.forward(params, small_input(9).astype(dtype))
+    grad = unet.backward(params, cache, np.ones_like(logits))
+    assert isinstance(grad, np.ndarray)
+    assert grad.shape == (unet.parameter_count(params),)
+    assert grad.dtype == dtype
 
 
 def test_backward_consumes_cache_once():
