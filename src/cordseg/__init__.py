@@ -2,22 +2,4 @@
 grayscale micrographs, with forward and reverse-mode kernels implemented
 from scratch on numpy."""
 
-from .data import Sample, gen_synthetic, load_dataset, load_grayscale, save_mask
-from .metrics import ConfusionCounts, binarize, confusion, iou, pixel_accuracy
-from .ops import ConvParams, finite_diff_check
-from .pipeline import predict_frame
-from .tiling import TileGrid, compute_grid, pad_image, split_image, stitch
-from .training import TrainConfig, evaluate, split_dataset, train
-from .unet import (UNetConfig, backward, forward, init_params, load_checkpoint,
-                   parameter_count, save_checkpoint)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConfusionCounts", "ConvParams", "Sample", "TileGrid", "TrainConfig",
-    "UNetConfig", "backward", "binarize", "compute_grid", "confusion",
-    "evaluate", "finite_diff_check", "forward", "gen_synthetic", "init_params",
-    "iou", "load_checkpoint", "load_dataset", "load_grayscale", "pad_image",
-    "parameter_count", "pixel_accuracy", "predict_frame", "save_checkpoint",
-    "save_mask", "split_dataset", "split_image", "stitch", "train",
-]

@@ -20,6 +20,9 @@ whose columns fit the budget is one GEMM.  The backward pass fills one
 whole-tile column array, of grad_out, and both gradients are GEMMs on it
 (see conv2d_backward).  It is not banded, because banding the weight
 gradient would change its summation order and so the trained weights.
+The 2x2 stride-2 up-convolution runs through the same two functions: its
+output blocks do not overlap, so it is a 1x1 conv2d to four planes per
+output channel followed by a depth-to-space move (see upconv2).
 
 Each forward kernel has a reverse-mode counterpart that maps the upstream
 gradient to gradients w.r.t. its inputs.  All kernels are pure functions:
@@ -204,9 +207,9 @@ def maxpool2_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 def upconv2(x: np.ndarray, p: ConvParams) -> np.ndarray:
     """2x2 transposed convolution with stride 2, no padding.
 
-    Each input pixel scatters value*kernel into its own 2x2 output block
-    (no overlap at this kernel/stride), then bias is added; spatial size
-    doubles.
+    Each input pixel scatters value*kernel into its own 2x2 output block,
+    plus bias; spatial size doubles.  The blocks do not overlap, so this runs
+    as a 1x1 conv2d to 4*oc planes in (o, u, v) order and a depth-to-space move.
     """
     _check_tensor4(x)
     ic, oc, kh, kw = p.weights.shape
@@ -216,23 +219,24 @@ def upconv2(x: np.ndarray, p: ConvParams) -> np.ndarray:
         raise ShapeError(f"upconv2 channel mismatch: input {x.shape} expects "
                          f"{ic} channels for kernel {p.weights.shape}")
     n, _, h, w = x.shape
-    blocks = np.tensordot(x, p.weights, axes=([1], [0]))  # (n, h, w, oc, 2, 2)
-    out = blocks.transpose(0, 3, 1, 4, 2, 5).reshape(n, oc, 2 * h, 2 * w)
-    return out + p.bias[None, :, None, None]
+    kernel = p.weights.transpose(1, 2, 3, 0).reshape(4 * oc, ic, 1, 1)
+    planes = conv2d(x, ConvParams(kernel, np.repeat(p.bias, 4))).reshape(n, oc, 2, 2, h, w)
+    return planes.transpose(0, 1, 4, 2, 5, 3).reshape(n, oc, 2 * h, 2 * w)
 
 
 def upconv2_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
-    """Gradients of upconv2 w.r.t. (input, weights, bias)."""
+    """Gradients of upconv2 w.r.t. (input, weights, bias): conv2d_backward of
+    its 1x1 conv, on grad_out moved space-to-depth into the 4*oc planes."""
     ic, oc, _, _ = p.weights.shape
     n, _, h, w = x.shape
     if grad_out.shape != (n, oc, 2 * h, 2 * w):
         raise ShapeError(f"upconv2 upstream gradient {grad_out.shape} does not match "
                          f"output shape {(n, oc, 2 * h, 2 * w)}")
-    g = grad_out.reshape(n, oc, h, 2, w, 2)
+    kernel = p.weights.transpose(1, 2, 3, 0).reshape(4 * oc, ic, 1, 1)
+    g = grad_out.reshape(n, oc, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(n, 4 * oc, h, w)
+    grad_x, grad_w, _ = conv2d_backward(x, ConvParams(kernel, p.bias), g)
     grad_b = grad_out.sum(axis=(0, 2, 3))
-    grad_x = np.einsum("nohuwv,iouv->nihw", g, p.weights, optimize=True)
-    grad_w = np.einsum("nihw,nohuwv->iouv", x, g, optimize=True)
-    return grad_x, grad_w, grad_b
+    return grad_x, grad_w.reshape(oc, 2, 2, ic).transpose(3, 0, 1, 2), grad_b
 
 
 def relu(x: np.ndarray) -> np.ndarray:

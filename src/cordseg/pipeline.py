@@ -35,10 +35,7 @@ def predict_frame(params: list[ConvParams], frame: np.ndarray,
         logits, _ = unet.forward(params, to_unit(tile)[None, None], record=False)
         return ops.sigmoid(logits)[0, 0]
 
-    if threads == 1:
-        prob_tiles = [segment(t) for t in tiles]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            prob_tiles = list(pool.map(segment, tiles))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        prob_tiles = list(pool.map(segment, tiles))
     probs = tiling.stitch(np.stack(prob_tiles), grid)
     return metrics.binarize(probs, threshold), probs

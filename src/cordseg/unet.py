@@ -217,7 +217,9 @@ def backward(params: list[ConvParams], cache: ActivationCache,
     k = len(params) - 1
     g = grad_logits
     skip_grads: dict[int, np.ndarray] = {}
-    for record in reversed(cache.records):
+    cache.consumed = True
+    while cache.records:  # popping frees each activation once it is used
+        record = cache.records.pop()
         tag = record[0]
         if tag == "concat":
             _, level, up_channels = record
@@ -231,7 +233,6 @@ def backward(params: list[ConvParams], cache: ActivationCache,
             kernel = ops.upconv2_backward if tag == "upconv" else ops.conv2d_backward
             g, grads[k].weights[...], grads[k].bias[...] = kernel(record[1], params[k], g)
             k -= 1
-    cache.consumed = True
     return grad
 
 

@@ -83,6 +83,32 @@ def upconv2_reference(x, weights, bias):
     return out
 
 
+def upconv2_backward_reference(x, weights, grad_out):
+    """Gradients of upconv2_reference w.r.t. (input, weights, bias).
+
+    Every output pixel (2y+u, 2x+v) hands grad * weight back to input pixel
+    (y, x) and grad * input to weight tap (u, v); float64 accumulation.
+    """
+    n, ic, h, w = x.shape
+    ic2, oc, kh, kw = weights.shape
+    assert ic == ic2 and (kh, kw) == (2, 2) and grad_out.shape == (n, oc, 2 * h, 2 * w)
+    grad_x = np.zeros((n, ic, h, w), dtype=np.float64)
+    grad_w = np.zeros((ic, oc, 2, 2), dtype=np.float64)
+    grad_b = np.zeros(oc, dtype=np.float64)
+    for b in range(n):
+        for o in range(oc):
+            for y in range(h):
+                for xx in range(w):
+                    for u in range(2):
+                        for v in range(2):
+                            g = float(grad_out[b, o, 2 * y + u, 2 * xx + v])
+                            grad_b[o] += g
+                            for ch in range(ic):
+                                grad_x[b, ch, y, xx] += g * float(weights[ch, o, u, v])
+                                grad_w[ch, o, u, v] += g * float(x[b, ch, y, xx])
+    return grad_x, grad_w, grad_b
+
+
 def maxpool2_reference(x):
     """Enumerate every 2x2 window; first maximum in row-major scan wins."""
     n, c, h, w = x.shape

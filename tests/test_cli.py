@@ -326,3 +326,11 @@ def test_bad_dataset_path_exits_2(tmp_path):
     res = run_cli("train", "--data", str(tmp_path / "missing"), "--out",
                   str(tmp_path / "m.ckpt"), "--epochs", "1")
     assert res.returncode == 2
+
+
+def test_importing_the_package_does_not_load_numpy():
+    # so an entry point can still set BLAS thread variables before numpy loads
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, cordseg; assert 'numpy' not in sys.modules"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr

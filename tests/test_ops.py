@@ -10,7 +10,7 @@ from cordseg.ops import ConvParams
 from cordseg.rng import SplitMix64
 
 from reference import (conv2d_backward_reference, conv2d_reference, maxpool2_reference,
-                       sigmoid_backward, upconv2_reference)
+                       sigmoid_backward, upconv2_backward_reference, upconv2_reference)
 
 
 def random_tensor(rng, shape, lo=-1.0, hi=1.0):
@@ -292,18 +292,82 @@ def test_upconv2_rejects_non_2x2_kernel():
         ops.upconv2(np.zeros((1, 1, 4, 4), np.float32), p)
 
 
-def test_upconv2_matches_scatter_oracle_on_random_shapes():
+def random_upconv_cases():
     rng = SplitMix64(400)
     for trial in range(30):
         n, ci, co = (1 + rng.randbelow(4) for _ in range(3))
         h, w = 1 + rng.randbelow(8), 1 + rng.randbelow(8)
         x = random_tensor(rng, (n, ci, h, w))
         weights = random_tensor(rng, (ci, co, 2, 2))
-        bias = random_tensor(rng, (co,))
-        got = ops.upconv2(x, ConvParams(weights, bias))
-        want = upconv2_reference(x, weights, bias)
-        assert got.shape == (n, co, 2 * h, 2 * w)
+        yield x, ConvParams(weights, random_tensor(rng, (co,)))
+
+
+def test_upconv2_matches_scatter_oracle_on_random_shapes():
+    for x, p in random_upconv_cases():
+        got = ops.upconv2(x, p)
+        want = upconv2_reference(x, p.weights, p.bias)
+        n, _, h, w = x.shape
+        assert got.shape == (n, p.weights.shape[1], 2 * h, 2 * w)
         np.testing.assert_allclose(got, want, atol=1e-5)
+
+
+def test_banded_upconv2_matches_scatter_oracle_on_random_shapes(monkeypatch):
+    # the 1x1 conv inside upconv2 then runs in bands of a few columns
+    monkeypatch.setattr(ops, "_BAND_BYTES", 256)
+    banded = 0
+    for x, p in random_upconv_cases():
+        n, ci, h, w = x.shape
+        banded += len(ops._bands(n, h, w, ci * x.itemsize)) > 1
+        np.testing.assert_allclose(ops.upconv2(x, p),
+                                   upconv2_reference(x, p.weights, p.bias), atol=1e-5)
+    assert banded > 15, banded  # most of the 30 cases run in several bands
+
+
+def test_upconv2_holds_one_output_sized_buffer_besides_its_output():
+    # the output is 1*64*256*256*4 B = 16 MiB; besides it, only conv2d's
+    # 4*oc planes of the same size, which are then moved into the output
+    rng = SplitMix64(410)
+    x = random_tensor(rng, (1, 128, 128, 128))
+    p = ConvParams(random_tensor(rng, (128, 64, 2, 2)), random_tensor(rng, (64,)))
+    tracemalloc.start()
+    try:
+        out = ops.upconv2(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 64, 256, 256)
+    assert peak < 2.5 * out.nbytes, peak / out.nbytes
+
+
+def assert_upconv2_backward_matches_oracle(rng, n, ci, co, h, w):
+    x = random_tensor(rng, (n, ci, h, w)).astype(np.float64)
+    p = ConvParams(random_tensor(rng, (ci, co, 2, 2)).astype(np.float64), np.zeros(co))
+    g = random_tensor(rng, (n, co, 2 * h, 2 * w)).astype(np.float64)
+    got = ops.upconv2_backward(x, p, g)
+    want = upconv2_backward_reference(x, p.weights, g)
+    for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
+        assert a.shape == b.shape and a.dtype == np.float64, name
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_upconv2_backward_matches_loop_oracle_on_random_shapes():
+    rng = SplitMix64(420)
+    for trial in range(20):
+        n, ci, co = (1 + rng.randbelow(3) for _ in range(3))
+        h, w = 1 + rng.randbelow(7), 1 + rng.randbelow(7)
+        assert_upconv2_backward_matches_oracle(rng, n, ci, co, h, w)
+
+
+@pytest.mark.parametrize("n, ci, co, h, w", [
+    (3, 2, 2, 4, 4),   # batch > 1
+    (2, 1, 3, 3, 5),   # single input channel
+    (2, 3, 1, 5, 3),   # single output channel
+    (1, 2, 3, 2, 6),   # non-square
+    (2, 3, 2, 1, 1),   # one input pixel
+])
+def test_upconv2_backward_matches_loop_oracle_on_edge_shapes(n, ci, co, h, w):
+    assert_upconv2_backward_matches_oracle(SplitMix64(n * 1000 + ci * 100 + co * 10 + h),
+                                           n, ci, co, h, w)
 
 
 def test_upconv2_linear_in_input():

@@ -205,6 +205,30 @@ def test_training_step_peak_stays_under_six_parameter_copies():
     assert peak < 6 * theta.nbytes, peak / theta.nbytes
 
 
+def test_training_steps_do_not_hold_the_previous_steps_activations():
+    # the acceptance shape; a step that still held the last step's records
+    # while the next forward ran would peak about 1.5x the first step
+    net = UNetConfig(depth=2, base_channels=8)
+    theta = unet.flatten_params(unet.init_params(net, 42))
+    params = unet.unflatten_params(theta, net)
+    state = AdamState.zeros(theta)
+    x = SplitMix64(10).normal_array(4 * 64 * 64).astype(np.float32).reshape(4, 1, 64, 64)
+    y = (x > 0).astype(np.float32)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            tracemalloc.reset_peak()
+            logits, cache = unet.forward(params, x)
+            grad_logits = ops.bce_with_logits_backward(logits, y)
+            adam_step(theta, unet.backward(params, cache, grad_logits), state,
+                      TrainConfig(epochs=1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert all(p < 1.05 * peaks[0] for p in peaks[1:]), [p / 2**20 for p in peaks]
+
+
 # --- evaluate ----------------------------------------------------------------------
 
 def test_evaluate_perfect_predictions(tmp_path):

@@ -202,6 +202,7 @@ def test_backward_consumes_cache_once():
     params = unet.init_params(UNetConfig(depth=1, base_channels=2), 42)
     logits, cache = unet.forward(params, small_input(7))
     unet.backward(params, cache, np.zeros_like(logits))
+    assert cache.records == []  # each activation is freed once its gradient is computed
     with pytest.raises(DomainError):
         unet.backward(params, cache, np.zeros_like(logits))
 
