@@ -10,6 +10,7 @@ error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import math
 import os
 import sys
@@ -18,6 +19,41 @@ from pathlib import Path
 
 from . import data, metrics, pipeline, tiling, training, unet
 from .errors import CordsegError, NumericError
+
+
+# run-time thread setters of the OpenBLAS builds numpy ships, newest first
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+def _pin_blas_threads() -> None:
+    """Run the OpenBLAS that numpy loaded on one thread, unless the user chose
+    a count with OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.
+
+    cordseg spreads tiles and training shards over the cores itself, so a
+    threaded GEMM only spins on cores those already use.  OpenBLAS reads its
+    variables once, when it loads, so the count is set through its own
+    setter, which works whatever imported numpy first.  Where no OpenBLAS or
+    setter is found, or there is no /proc, nothing changes.
+    """
+    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
+        return
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        setter = next((getattr(lib, name) for name in _BLAS_SET_THREADS
+                       if hasattr(lib, name)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
 
 
 def _log(message: str) -> None:
@@ -42,11 +78,18 @@ def run_train(args) -> int:
     _log(f"dataset: {len(samples)} samples from {args.data}")
     _log(f"split: train={len(train_set)} test={len(test_set)} "
          f"(ratio {cfg.split_ratio}, seed {cfg.seed})")
-    started = time.perf_counter()
-    params, history = training.train(cfg, samples, net_cfg)
-    for record in history:
+    started = last = time.perf_counter()
+
+    def log_epoch(record: training.EpochRecord) -> None:
+        nonlocal last
+        now = time.perf_counter()
         _log(f"epoch={record.epoch} train_loss={record.train_loss:.6f} "
-             f"test_iou={record.test_iou:.6f} test_pixel_acc={record.test_pixel_acc:.6f}")
+             f"test_iou={record.test_iou:.6f} test_pixel_acc={record.test_pixel_acc:.6f} "
+             f"wall_s={now - last:.2f}")
+        last = now
+
+    params, history = training.train(cfg, samples, net_cfg, threads=_available_cores() or 1,
+                                     on_epoch=log_epoch)
     unet.save_checkpoint(params, net_cfg, args.out)
     history_path = _history_path(args.out)
     history_path.write_text(training.history_csv(history))
@@ -205,6 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _pin_blas_threads()
     try:
         return args.func(args)
     except NumericError as exc:

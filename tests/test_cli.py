@@ -89,6 +89,13 @@ def test_train_history_csv_has_one_row_per_epoch(trained):
     assert len(lines) == 3
 
 
+def test_train_logs_each_epoch_with_its_wall_time(trained):
+    _, out = trained
+    lines = [ln for ln in out.stderr.splitlines() if ln.startswith("epoch=")]
+    assert [ln.split()[0] for ln in lines] == ["epoch=1", "epoch=2"]
+    assert all(re.search(r" wall_s=\d+\.\d\d$", ln) for ln in lines), lines
+
+
 def test_train_repeat_invocation_byte_identical(tmp_path, dataset_dir):
     outs = []
     for name in ("a", "b"):
@@ -141,14 +148,23 @@ def test_predict_threads_do_not_change_output(tmp_path, trained, dataset_dir):
     assert masks[0] == masks[1]
 
 
+def _env_with_blas_threads(threads):
+    """os.environ without the BLAS thread variables, plus OPENBLAS_NUM_THREADS
+    when threads is given."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    return env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+
+
 def test_blas_thread_count_does_not_change_checkpoint_or_mask(tmp_path, dataset_dir):
-    # OpenBLAS reads the variable when numpy loads, so it is set in the child's env
+    # OpenBLAS reads the variable when numpy loads, so it is set in the child's
+    # env; with none set the CLI pins OpenBLAS to one thread itself
     frame_path = tmp_path / "frame.pgm"
     frame_path.write_bytes(data.encode_pgm(np.tile(data.load_dataset(dataset_dir)[2].image,
                                                    (2, 3))))
     outputs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    for threads in (None, "1", "2"):
+        env = _env_with_blas_threads(threads)
         ckpt, mask = tmp_path / f"model{threads}.ckpt", tmp_path / f"mask{threads}.pgm"
         res = run_cli("train", "--data", str(dataset_dir), "--out", str(ckpt),
                       "--depth", "2", "--base-channels", "8", "--epochs", "2",
@@ -158,8 +174,44 @@ def test_blas_thread_count_does_not_change_checkpoint_or_mask(tmp_path, dataset_
                       "--out", str(mask), "--tile", "32", env=env)
         assert res.returncode == 0, res.stderr
         outputs.append((ckpt.read_bytes(), mask.read_bytes()))
-    assert outputs[0][0] == outputs[1][0]
-    assert outputs[0][1] == outputs[1][1]
+    for ckpt_bytes, mask_bytes in outputs[1:]:
+        assert ckpt_bytes == outputs[0][0]
+        assert mask_bytes == outputs[0][1]
+
+
+# imports numpy before cordseg, as benchmarks/child.py does, so OpenBLAS has
+# already read its variables when the CLI starts; prints the BLAS thread count
+_BLAS_THREADS_AFTER_CLI = """
+import ctypes, sys
+import numpy
+from cordseg import cli
+assert cli.main(sys.argv[1:]) == 0
+names = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+         "openblas_get_num_threads64_", "openblas_get_num_threads")
+with open("/proc/self/maps") as fh:
+    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+libs = [ctypes.CDLL(path) for path in paths]
+getters = [getattr(lib, name) for lib in libs for name in names if hasattr(lib, name)]
+for getter in getters:
+    getter.argtypes, getter.restype = [], ctypes.c_int
+print(getters[0]() if getters else "none")
+"""
+
+
+def test_cli_pins_blas_to_one_thread_unless_the_user_sets_a_count(tmp_path):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one core: OpenBLAS starts with one thread anyway")
+    counts = []
+    for threads in (None, "2"):
+        res = subprocess.run([sys.executable, "-c", _BLAS_THREADS_AFTER_CLI, "synth",
+                              "--out", str(tmp_path / f"ds{threads}"), "--count", "2",
+                              "--size", "32"],
+                             capture_output=True, text=True, env=_env_with_blas_threads(threads))
+        assert res.returncode == 0, res.stderr
+        counts.append(res.stdout.split()[-1])
+    if counts[0] == "none":
+        pytest.skip("no OpenBLAS thread-count symbol in this numpy")
+    assert counts == ["1", "2"]
 
 
 def test_predict_full_scale_frame_165_tiles(tmp_path, trained):
