@@ -10,50 +10,13 @@ error, 3 numeric error.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import math
-import os
 import sys
 import time
 from pathlib import Path
 
-from . import data, metrics, pipeline, tiling, training, unet
+from . import data, metrics, parallel, pipeline, tiling, training, unet
 from .errors import CordsegError, NumericError
-
-
-# run-time thread setters of the OpenBLAS builds numpy ships, newest first
-_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_", "openblas_set_num_threads")
-
-
-def _pin_blas_threads() -> None:
-    """Run the OpenBLAS that numpy loaded on one thread, unless the user chose
-    a count with OPENBLAS_NUM_THREADS or OMP_NUM_THREADS.
-
-    cordseg spreads tiles and training shards over the cores itself, so a
-    threaded GEMM only spins on cores those already use.  OpenBLAS reads its
-    variables once, when it loads, so the count is set through its own
-    setter, which works whatever imported numpy first.  Where no OpenBLAS or
-    setter is found, or there is no /proc, nothing changes.
-    """
-    if "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ:
-        return
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        setter = next((getattr(lib, name) for name in _BLAS_SET_THREADS
-                       if hasattr(lib, name)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return
 
 
 def _log(message: str) -> None:
@@ -88,8 +51,7 @@ def run_train(args) -> int:
              f"wall_s={now - last:.2f}")
         last = now
 
-    params, history = training.train(cfg, samples, net_cfg, threads=_available_cores() or 1,
-                                     on_epoch=log_epoch)
+    params, history = training.train(cfg, samples, net_cfg, on_epoch=log_epoch)
     unet.save_checkpoint(params, net_cfg, args.out)
     history_path = _history_path(args.out)
     history_path.write_text(training.history_csv(history))
@@ -180,13 +142,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _available_cores() -> int | None:
-    """CPUs this process may run on; the host count where affinity is unknown."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count()
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cordseg",
@@ -217,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tile", type=int, default=256, help="tile side in pixels (default 256)")
     p.add_argument("--threshold", type=_probability, default=0.5,
                    help="foreground threshold on probabilities (default 0.5)")
-    p.add_argument("--threads", type=_positive_int, default=_available_cores(),
+    p.add_argument("--threads", type=_positive_int, default=parallel.available_cores(),
                    help="tile inference workers (default: available cores)")
     p.set_defaults(func=run_predict)
 
@@ -248,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _pin_blas_threads()
     try:
         return args.func(args)
     except NumericError as exc:

@@ -288,14 +288,11 @@ def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:
     return float(terms.mean())
 
 
-def bce_with_logits_backward(logits: np.ndarray, targets: np.ndarray,
-                             count: int | None = None) -> np.ndarray:
-    """Per-element gradient (sigmoid(z) - y) / count of the mean over count
-    elements; count defaults to logits.size.  A shard of a larger batch passes
-    the batch's element count, so the shard gradients sum to the batch's."""
+def bce_with_logits_backward(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-element gradient (sigmoid(z) - y) / count."""
     if logits.shape != targets.shape:
         raise ShapeError(f"logits {logits.shape} and targets {targets.shape} differ")
-    return (sigmoid(logits) - targets) / (logits.size if count is None else count)
+    return (sigmoid(logits) - targets) / logits.size
 
 
 def finite_diff_errors(f, theta: np.ndarray, step: float = 1e-3) -> np.ndarray:

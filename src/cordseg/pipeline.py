@@ -1,9 +1,10 @@
 """Full-frame segmentation: pad, split into tiles, segment each tile, stitch
 the probability maps, threshold once.
 
-Tiles are independent, so per-tile inference fans out over a thread pool;
-results are placed by tile index, which makes the output identical for any
-worker count.  Thresholding happens on the stitched full-frame probability
+Tiles are independent, so per-tile inference fans out over a thread pool,
+with OpenBLAS given its share of the cores (see parallel.py); results are
+placed by tile index, which makes the output identical for any worker
+count.  Thresholding happens on the stitched full-frame probability
 map so tile boundaries cannot shift the decision.
 """
 
@@ -13,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import metrics, ops, tiling, unet
+from . import metrics, ops, parallel, tiling, unet
 from .data import to_unit
 from .errors import ShapeError
 from .ops import ConvParams
@@ -23,7 +24,9 @@ def predict_frame(params: list[ConvParams], frame: np.ndarray,
                   tile_size: int = 256, threshold: float = 0.5,
                   threads: int | None = None):
     """Segment one grayscale frame; returns (binary mask, probability map),
-    both with exactly the frame's dimensions."""
+    both with exactly the frame's dimensions.  threads caps the tile workers
+    (default: the available cores); there are never more workers than
+    tiles."""
     unet.check_divisible("tile size", (tile_size,), unet.config_from_params(params).depth)
     if frame.ndim != 2:
         raise ShapeError(f"frame must be a 2-D grayscale image, got shape {frame.shape}")
@@ -35,7 +38,8 @@ def predict_frame(params: list[ConvParams], frame: np.ndarray,
         logits, _ = unet.forward(params, to_unit(tile)[None, None], record=False)
         return ops.sigmoid(logits)[0, 0]
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(parallel.available_cores() if threads is None else threads, len(tiles))
+    with parallel.share_cores(workers), ThreadPoolExecutor(workers) as pool:
         prob_tiles = list(pool.map(segment, tiles))
     probs = tiling.stitch(np.stack(prob_tiles), grid)
     return metrics.binarize(probs, threshold), probs

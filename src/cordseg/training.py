@@ -3,19 +3,13 @@ and evaluation.
 
 Training is bit-reproducible: the split, the per-epoch shuffles, and the
 augmentation draws all come from splitmix64 streams derived from the
-configured seed, and every reduction runs in a fixed order.  Each batch is
-split into fixed shards of _SHARD samples whose gradients are summed in
-shard order, so the trained bytes do not depend on how many threads run
-the shards.
+configured seed, and every reduction runs in a fixed order.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -185,55 +179,19 @@ def _check_tiles(samples: list[Sample], depth: int) -> int:
     return h
 
 
-_SHARD = 2  # samples per shard; the partition depends on the batch alone
-
-
-def _shard_step(params: list[ConvParams], x: np.ndarray, y: np.ndarray, count: int):
-    """Forward and backward of one shard of a batch of count target elements;
-    returns (its BCE summed over its samples, its share of the flat gradient
-    of the batch-mean BCE)."""
-    logits, cache = unet.forward(params, x)
-    loss = ops.bce_with_logits(logits, y) * len(x)
-    return loss, unet.backward(params, cache, ops.bce_with_logits_backward(logits, y, count))
-
-
-def _batch_step(params: list[ConvParams], x: np.ndarray, y: np.ndarray,
-                pool: ThreadPoolExecutor | None):
-    """(BCE summed over the samples, flat batch-mean gradient) of one batch,
-    each summed over its shards in shard order.  The calling thread runs
-    shard 0 and the pool, if any, the rest; without a pool every shard runs
-    here in order."""
-    steps = [partial(_shard_step, params, x[i:i + _SHARD], y[i:i + _SHARD], y.size)
-             for i in range(0, len(x), _SHARD)]
-    rest = [pool.submit(step).result for step in steps[1:]] if pool else steps[1:]
-    loss, grad = steps[0]()
-    for step in rest:
-        shard_loss, shard_grad = step()
-        loss += shard_loss
-        grad += shard_grad
-    return loss, grad
-
-
 def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
-          threads: int = 1,
           on_epoch: Callable[[EpochRecord], None] | None = None):
     """Full training run; returns (params, per-epoch history).
 
     Per epoch: seeded reshuffle, batches of batch_size with the last partial
-    batch kept, optional per-sample dihedral augmentation, then forward, BCE
-    and backward per fixed shard of the batch, the shard gradients summed in
-    order into one flat gradient, and Adam in place on the flat parameter
+    batch kept, optional per-sample dihedral augmentation, forward, BCE,
+    backward to one flat gradient, Adam in place on the flat parameter
     vector that the layers view; then an evaluation pass over the held-out
-    split, whose record goes to on_epoch as soon as it is made.  threads
-    counts the threads that run a batch's shards, the calling thread
-    included; more than one pays only with a single-threaded BLAS (the CLI
-    sets that up).  Deterministic for a fixed (cfg, samples, net_cfg),
-    whatever threads is.
+    split, whose record goes to on_epoch as soon as it is made.
+    Deterministic for a fixed (cfg, samples, net_cfg).
     """
     if not samples:
         raise DomainError("cannot train on an empty dataset")
-    if threads < 1:
-        raise DomainError(f"threads must be >= 1, got {threads}")
     _check_tiles(samples, net_cfg.depth)
     train_set, test_set = split_dataset(samples, cfg.split_ratio, cfg.seed)
     params = unet.init_params(net_cfg, cfg.seed)
@@ -246,27 +204,28 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
     theta = unet.flatten_params(params)
     params = unet.unflatten_params(theta, net_cfg)
     state = AdamState.zeros(theta)
-    # workers besides the calling thread; the pool starts one only when a
-    # batch has a shard for it
-    with ThreadPoolExecutor(threads - 1) if threads > 1 else nullcontext() as pool:
-        for epoch in range(1, cfg.epochs + 1):
-            stream = SplitMix64(derive(cfg.seed, 0xE90C, epoch))
-            order = stream.permutation(len(train_set))
-            loss_sum = 0.0
-            for start in range(0, len(order), cfg.batch_size):
-                picked = [train_set[i] for i in order[start:start + cfg.batch_size]]
-                if cfg.augment:
-                    picked = [Sample(s.name, *dihedral_augment(s.image, s.mask, stream))
-                              for s in picked]
-                loss, grad = _batch_step(params, *_batch_arrays(picked), pool)
-                adam_step(theta, grad, state, cfg)
-                loss_sum += loss
-                del grad  # not held through the next batch's forward
-            report = evaluate(params, test_set)
-            history.append(EpochRecord(epoch, loss_sum / len(order), report.mean_iou,
-                                       report.pixel_accuracy, report.counts))
-            if on_epoch is not None:
-                on_epoch(history[-1])
+    for epoch in range(1, cfg.epochs + 1):
+        stream = SplitMix64(derive(cfg.seed, 0xE90C, epoch))
+        order = stream.permutation(len(train_set))
+        loss_sum = 0.0
+        seen = 0
+        for start in range(0, len(order), cfg.batch_size):
+            picked = [train_set[i] for i in order[start:start + cfg.batch_size]]
+            if cfg.augment:
+                picked = [Sample(s.name, *dihedral_augment(s.image, s.mask, stream))
+                          for s in picked]
+            x, y = _batch_arrays(picked)
+            logits, cache = unet.forward(params, x)
+            loss = ops.bce_with_logits(logits, y)
+            grad_logits = ops.bce_with_logits_backward(logits, y)
+            adam_step(theta, unet.backward(params, cache, grad_logits), state, cfg)
+            loss_sum += loss * len(picked)
+            seen += len(picked)
+        report = evaluate(params, test_set)
+        history.append(EpochRecord(epoch, loss_sum / seen, report.mean_iou,
+                                   report.pixel_accuracy, report.counts))
+        if on_epoch is not None:
+            on_epoch(history[-1])
     return params, history
 
 

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via subprocesses."""
 
+import json
 import os
 import re
 import subprocess
@@ -158,7 +159,8 @@ def _env_with_blas_threads(threads):
 
 def test_blas_thread_count_does_not_change_checkpoint_or_mask(tmp_path, dataset_dir):
     # OpenBLAS reads the variable when numpy loads, so it is set in the child's
-    # env; with none set the CLI pins OpenBLAS to one thread itself
+    # env; with none set, cordseg gives OpenBLAS its share of the cores while
+    # its tile workers run
     frame_path = tmp_path / "frame.pgm"
     frame_path.write_bytes(data.encode_pgm(np.tile(data.load_dataset(dataset_dir)[2].image,
                                                    (2, 3))))
@@ -180,38 +182,56 @@ def test_blas_thread_count_does_not_change_checkpoint_or_mask(tmp_path, dataset_
 
 
 # imports numpy before cordseg, as benchmarks/child.py does, so OpenBLAS has
-# already read its variables when the CLI starts; prints the BLAS thread count
-_BLAS_THREADS_AFTER_CLI = """
-import ctypes, sys
+# already read its variables when the CLI starts; prints the OpenBLAS thread
+# count before the run, the counts unet.forward saw during it, and the count
+# after it
+_BLAS_THREADS_SEEN_BY_CLI = """
+import json, sys
 import numpy
-from cordseg import cli
+from cordseg import cli, parallel, unet
+blas = parallel._openblas()
+if blas is None:
+    sys.exit(print("none"))
+get_threads, forward, seen = blas[1], unet.forward, set()
+def spy(*args, **kwargs):
+    seen.add(get_threads())
+    return forward(*args, **kwargs)
+unet.forward = spy
+before = get_threads()
 assert cli.main(sys.argv[1:]) == 0
-names = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-         "openblas_get_num_threads64_", "openblas_get_num_threads")
-with open("/proc/self/maps") as fh:
-    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-libs = [ctypes.CDLL(path) for path in paths]
-getters = [getattr(lib, name) for lib in libs for name in names if hasattr(lib, name)]
-for getter in getters:
-    getter.argtypes, getter.restype = [], ctypes.c_int
-print(getters[0]() if getters else "none")
+print(json.dumps([before, sorted(seen), get_threads()]))
 """
 
 
-def test_cli_pins_blas_to_one_thread_unless_the_user_sets_a_count(tmp_path):
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("one core: OpenBLAS starts with one thread anyway")
-    counts = []
-    for threads in (None, "2"):
-        res = subprocess.run([sys.executable, "-c", _BLAS_THREADS_AFTER_CLI, "synth",
-                              "--out", str(tmp_path / f"ds{threads}"), "--count", "2",
-                              "--size", "32"],
+def test_blas_gets_its_share_of_the_cores_only_while_cordseg_workers_run(
+        tmp_path, trained, dataset_dir):
+    cores = len(os.sched_getaffinity(0))
+    if cores < 2:
+        pytest.skip("one core: cordseg never runs two workers")
+    frame_path = tmp_path / "frame.pgm"  # 2x3 tiles of 32
+    frame_path.write_bytes(data.encode_pgm(np.tile(data.load_dataset(dataset_dir)[2].image,
+                                                   (2, 3))))
+    predict = ["predict", "--model", str(trained[0]), "--image", str(frame_path),
+               "--out", str(tmp_path / "mask.pgm"), "--tile", "32"]
+    train = ["train", "--data", str(dataset_dir), "--out", str(tmp_path / "m.ckpt"),
+             "--depth", "1", "--base-channels", "2", "--epochs", "1"]
+    share = max(1, cores // 2)
+    cases = [  # (argv, OPENBLAS_NUM_THREADS, counts forward sees; None: the count before)
+        (predict + ["--threads", "2"], None, {share}),
+        (predict + ["--threads", "1"], None, {None}),
+        (predict + ["--threads", "2"], "2", {2}),
+        (train, None, {None}),
+        (["eval", "--model", str(trained[0]), "--data", str(dataset_dir)], None, {None}),
+    ]
+    for argv, threads, expected in cases:
+        res = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SEEN_BY_CLI, *argv],
                              capture_output=True, text=True, env=_env_with_blas_threads(threads))
         assert res.returncode == 0, res.stderr
-        counts.append(res.stdout.split()[-1])
-    if counts[0] == "none":
-        pytest.skip("no OpenBLAS thread-count symbol in this numpy")
-    assert counts == ["1", "2"]
+        if res.stdout.strip() == "none":
+            pytest.skip("no OpenBLAS thread-count symbols in this numpy")
+        before, seen, after = json.loads(res.stdout.splitlines()[-1])
+        assert set(seen) == {before if n is None else n for n in expected}, (argv, threads, seen)
+        assert after == before, (argv, threads, after)
 
 
 def test_predict_full_scale_frame_165_tiles(tmp_path, trained):

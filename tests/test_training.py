@@ -317,34 +317,6 @@ def test_train_same_seed_identical_history_and_params():
         assert np.array_equal(a.bias, b.bias)
 
 
-def test_train_bytes_and_history_do_not_depend_on_threads():
-    # 14 samples split 11/3; batches of 6 and then 5 run as shards 2+2+2 and 2+2+1
-    samples = data.gen_synthetic(14, 32, 4)
-    cfg = TrainConfig(epochs=2, seed=3, batch_size=6)
-    net_cfg = UNetConfig(depth=1, base_channels=2)
-    (p1, h1), *others = [training.train(cfg, samples, net_cfg, threads=t) for t in (1, 2, 3)]
-    for params, history in others:
-        assert history == h1
-        assert unet.flatten_params(params).tobytes() == unet.flatten_params(p1).tobytes()
-    with pytest.raises(DomainError):
-        training.train(cfg, samples, net_cfg, threads=0)
-
-
-def test_summed_shard_gradients_are_the_batch_gradient():
-    net_cfg = UNetConfig(depth=1, base_channels=2)
-    theta = unet.flatten_params(unet.init_params(net_cfg, 8)).astype(np.float64)
-    params = unet.unflatten_params(theta, net_cfg)
-    stream = SplitMix64(21)
-    x = stream.normal_array(5 * 16 * 16).reshape(5, 1, 16, 16)
-    y = (stream.normal_array(x.size).reshape(x.shape) > 0).astype(np.float64)
-    loss, grad = training._batch_step(params, x, y, None)  # shards of 2, 2 and 1
-    whole_loss, whole_grad = training._shard_step(params, x, y, y.size)
-    assert grad.dtype == np.float64
-    assert loss == pytest.approx(whole_loss, rel=1e-10)
-    np.testing.assert_allclose(grad, whole_grad, rtol=1e-10,
-                               atol=1e-10 * np.abs(whole_grad).max())
-
-
 def test_on_epoch_sees_each_record_before_train_returns():
     class Stop(Exception):
         pass
