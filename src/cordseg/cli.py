@@ -4,7 +4,7 @@ Subcommands mirror the pipeline stages: synth (dataset generation), train,
 predict (full-frame segmentation), eval, and gradcheck (gradient
 self-check).  Logs go to standard error; machine-parseable results go to
 standard output.  Exit codes: 0 success, 1 check failure, 2 usage or input
-error, 3 numeric error.
+error (running out of memory included), 3 numeric error.
 """
 
 from __future__ import annotations
@@ -172,8 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tile", type=int, default=256, help="tile side in pixels (default 256)")
     p.add_argument("--threshold", type=_probability, default=0.5,
                    help="foreground threshold on probabilities (default 0.5)")
-    p.add_argument("--threads", type=_positive_int, default=parallel.available_cores(),
-                   help="tile inference workers (default: available cores)")
+    p.add_argument("--threads", type=_positive_int, default=parallel.default_workers(),
+                   help="tile inference workers (default: available cores, divided by "
+                        "OPENBLAS_NUM_THREADS or OMP_NUM_THREADS when set)")
     p.set_defaults(func=run_predict)
 
     p = sub.add_parser("eval", help="score a model against a paired dataset")
@@ -208,6 +209,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         _log(f"numeric error: {exc}")
         return 3
+    except MemoryError as exc:  # an input or flag value asked for more than the machine has
+        _log(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
+        return 2
     except (CordsegError, OSError) as exc:
         _log(f"error: {exc}")
         return 2

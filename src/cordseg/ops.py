@@ -2,27 +2,24 @@
 
 A tensor here is a plain numpy floating array of shape
 (batch, channels, height, width).  Kernels accept any memory layout; conv2d
-returns a (batch, channels) transposed view of a channel-major buffer, which
-is the order the next convolution reads.  Network math runs in float32;
-every kernel preserves the dtype of its inputs so the finite-difference
-checker can drive the same code in float64.
+returns a (batch, channels) view of a (channels, height, batch, width)
+buffer, the order the next convolution reads.  Network math runs in
+float32; every kernel preserves the dtype of its inputs so the
+finite-difference checker can drive the same code in float64.
 
-Convolution is unrolled into GEMMs over tap-major columns: a
-(channels*kh*kw, columns) array is filled from a tensor's (channels,
-batch, height, width) view with one slice copy per kernel tap, each tap
-writing its own zero padding.  The reduction axis keeps the (channel, kh,
-kw) order of the weight tensor.  The forward pass builds the
-batch*height*width columns in bands that each stay under a fixed byte
-budget (whole images, whole rows of one image, or part of one row) and
-runs weights.reshape(oc, -1) @ band straight into that band's slice of
-the output, so a wide tile never holds its whole column array; a layer
-whose columns fit the budget is one GEMM.  The backward pass fills one
-whole-tile column array, of grad_out, and both gradients are GEMMs on it
-(see conv2d_backward).  It is not banded, because banding the weight
-gradient would change its summation order and so the trained weights.
-The 2x2 stride-2 up-convolution runs through the same two functions: its
-output blocks do not overlap, so it is a 1x1 conv2d to four planes per
-output channel followed by a depth-to-space move (see upconv2).
+Convolution is lowered along one axis only (the memory-efficient
+convolution of Cho & Brand 2017, arXiv:1706.06873): L holds the kw
+horizontal taps of the zero-padded input in (channel, tap v, padded row,
+image, column) order, a kh-th of im2col, and one GEMM of the stacked
+(kh*oc, ic*kw) kernel on L gives every tap row at once; row block u, read
+u padded rows on, is tap row u's share of the output.  The forward pass
+runs in bands of whole output rows, their kh-1 halo rows lowered again,
+so that L and the product stay under a byte budget; a layer that fits is
+one GEMM.  For a 1x1 kernel L is the input planes, a view where the layout
+allows.  The backward pass lowers grad_out once, unbanded, so the weight
+gradient's summation order is fixed (see conv2d_backward).  The 2x2
+stride-2 up-convolution is a 1x1 conv2d to four planes per output channel
+plus a depth-to-space move, since its output blocks do not overlap.
 
 Each forward kernel has a reverse-mode counterpart that maps the upstream
 gradient to gradients w.r.t. its inputs.  All kernels are pure functions:
@@ -66,61 +63,67 @@ def _check_tensor4(x: np.ndarray, name: str = "input") -> None:
         raise ShapeError(f"{name} has an empty dimension: {x.shape}")
 
 
-# Forward column buffers stay under this many bytes; a larger column array is
-# built and multiplied one band at a time.  A depth-4 base-64 256-pixel tile
-# forward ran equally fast with 4 to 32 MiB bands (1.6x faster than with
-# whole-tile columns).  12 MiB keeps every training-batch layer of the
-# acceptance model (at most 9 MiB of columns) a single GEMM, and a two-thread
-# predict with the small model peaked at 118 MB RSS, against 161 MB at 16 MiB.
+# Each band's lowering and GEMM product stay under this many bytes together;
+# 12 MiB keeps every training-batch layer of the acceptance model one GEMM.
 _BAND_BYTES = 12 << 20
 
 
-def _fill_columns(cols: np.ndarray, x: np.ndarray, kh: int, kw: int,
-                  images: slice, rows: slice, xs: slice) -> np.ndarray:
-    """Fill cols, a (c*kh*kw, band) array, with the tap-major columns of a
-    same kh x kw convolution over x, an unpadded (c, n, h, w) array, for the
-    band images x rows x xs of the output grid: one slice copy per tap of
-    the input it overlaps, and zeros where the tap reads the padding."""
-    c, _, h, w = x.shape
-    ph, pw = (kh - 1) // 2, (kw - 1) // 2
-    nr, nx = rows.stop - rows.start, xs.stop - xs.start
-    taps = cols.reshape(c, kh, kw, images.stop - images.start, nr, nx)
-    for u in range(kh):
-        top = rows.start + u - ph
-        r0 = max(-top, 0)
-        r1 = max(min(h - top, nr), r0)
-        for v in range(kw):
-            left = xs.start + v - pw
-            x0 = max(-left, 0)
-            x1 = max(min(w - left, nx), x0)
-            tap = taps[:, u, v]
-            if r0:
-                tap[:, :, :r0] = 0
-            if r1 < nr:
-                tap[:, :, r1:] = 0
-            if x0:
-                tap[..., :x0] = 0
-            if x1 < nx:
-                tap[..., x1:] = 0
-            tap[:, :, r0:r1, x0:x1] = x[:, images, top + r0:top + r1, left + x0:left + x1]
-    return cols
+def _row_bands(n: int, h: int, w: int, column_bytes: int, halo: int):
+    """Split the (h, n, w) output grid, in order, into (rows, images, xs)
+    bands whose columns, halo rows included, take at most _BAND_BYTES at
+    column_bytes each (or one output pixel): whole rows across all images if
+    one fits, else images of one row, else part of one image's row."""
+    per = _BAND_BYTES // column_bytes
+    if per >= (1 + halo) * n * w:
+        k = per // (n * w) - halo
+        return [(slice(r, min(r + k, h)), slice(0, n), slice(0, w)) for r in range(0, h, k)]
+    if per >= (1 + halo) * w:
+        k = per // ((1 + halo) * w)
+        return [(slice(r, r + 1), slice(i, min(i + k, n)), slice(0, w))
+                for r in range(h) for i in range(0, n, k)]
+    k = max(1, per // (1 + halo))
+    return [(slice(r, r + 1), slice(i, i + 1), slice(s, min(s + k, w)))
+            for r in range(h) for i in range(n) for s in range(0, w, k)]
 
 
-def _bands(n: int, h: int, w: int, column_bytes: int):
-    """Split the n*h*w column axis, in order, into (images, rows, xs) slices
-    of at most _BAND_BYTES of columns each (at least one column): whole
-    images if one fits, else whole rows of one image, else parts of a row."""
-    per = max(1, _BAND_BYTES // column_bytes)
-    if per >= h * w:
-        k = per // (h * w)
-        return [(slice(i, min(i + k, n)), slice(0, h), slice(0, w))
-                for i in range(0, n, k)]
-    if per >= w:
-        k = per // w
-        return [(slice(i, i + 1), slice(r, min(r + k, h)), slice(0, w))
-                for i in range(n) for r in range(0, h, k)]
-    return [(slice(i, i + 1), slice(r, r + 1), slice(x, min(x + per, w)))
-            for i in range(n) for r in range(h) for x in range(0, w, per)]
+def _lower(lowered: np.ndarray, planes: np.ndarray, kh: int, kw: int,
+           rows: slice, images: slice, xs: slice) -> np.ndarray:
+    """Fill lowered, a (c*kw, padded rows*images*columns) array, with the
+    horizontal taps of a same kh x kw convolution over planes, an unpadded
+    (c, h, n, w) array, for the output band rows x images x xs and its kh-1
+    halo rows; rows and column strips outside the frame are zeroed."""
+    c, h, _, w = planes.shape
+    nr, nx = rows.stop - rows.start + kh - 1, xs.stop - xs.start
+    taps = lowered.reshape(c, kw, nr, images.stop - images.start, nx)
+    top = rows.start - (kh - 1) // 2
+    r0 = max(-top, 0)
+    r1 = max(min(h - top, nr), r0)
+    taps[:, :, :r0] = 0
+    taps[:, :, r1:] = 0
+    for v in range(kw):
+        left = xs.start + v - (kw - 1) // 2
+        x0 = max(-left, 0)
+        x1 = max(min(w - left, nx), x0)
+        tap = taps[:, v, r0:r1]
+        tap[..., :x0] = 0
+        tap[..., x1:] = 0
+        tap[..., x0:x1] = planes[:, top + r0:top + r1, images, left + x0:left + x1]
+    return lowered
+
+
+def _stacked_gemm(kernel: np.ndarray, lowered: np.ndarray, stride: int,
+                  out: np.ndarray, product: np.ndarray | None = None) -> np.ndarray:
+    """out = the sum, in u order, of row block u of kernel @ lowered (held in
+    product) shifted u*stride columns on: a same convolution from the
+    stacked kernel and a lowering whose padded rows are stride columns apart."""
+    oc, m = out.shape
+    if kernel.shape[0] == oc:
+        return np.matmul(kernel, lowered, out=out)
+    product = np.matmul(kernel, lowered, out=product)
+    np.add(product[:oc, :m], product[oc:2 * oc, stride:stride + m], out=out)
+    for u in range(2, kernel.shape[0] // oc):
+        out += product[u * oc:(u + 1) * oc, u * stride:u * stride + m]
+    return out
 
 
 def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -137,58 +140,74 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d needs odd kernel sides for same-padding, got {(kh, kw)}")
     n, _, h, w = x.shape
-    kernel = p.weights.reshape(oc, -1)
-    k = kernel.shape[1]
-    planes = x.transpose(1, 0, 2, 3)
-    out = np.empty((oc, n, h, w), dtype=np.result_type(kernel, x))
-    bands = _bands(n, h, w, k * x.itemsize)
-    widest = max((i.stop - i.start) * (r.stop - r.start) * (s.stop - s.start)
-                 for i, r, s in bands)
-    buffer = np.empty(k * widest, dtype=x.dtype)
-    for images, rows, xs in bands:
-        # a view, since every band is whole images, whole rows or part of one row
-        target = out[:, images, rows, xs].reshape(oc, -1)
-        cols = buffer[:target.size // oc * k].reshape(k, -1)
-        np.matmul(kernel, _fill_columns(cols, planes, kh, kw, images, rows, xs), out=target)
+    kernel = p.weights.transpose(2, 0, 1, 3).reshape(kh * oc, ic * kw)
+    planes = x.transpose(1, 2, 0, 3)
+    out = np.empty((oc, h, n, w), dtype=np.result_type(kernel, x))
+    if kh * kw == 1:
+        np.matmul(kernel, planes.reshape(ic, -1), out=out.reshape(oc, -1))
+    else:
+        bands = _row_bands(n, h, w, (ic * kw + kh * oc) * out.itemsize, kh - 1)
+        widest = max((r.stop - r.start + kh - 1) * (i.stop - i.start) * (s.stop - s.start)
+                     for r, i, s in bands)
+        # one allocation: two separate ones raised a two-thread predict's peak RSS
+        lowered, product = np.split(np.empty((ic * kw + kh * oc) * widest, out.dtype),
+                                    [ic * kw * widest])
+        for rows, images, xs in bands:
+            # a view, since every band is whole rows, images of one row or part of one
+            target = out[:, rows, images, xs].reshape(oc, -1)
+            stride = target.shape[1] // (rows.stop - rows.start)
+            size = target.shape[1] + (kh - 1) * stride
+            band = _lower(lowered[:ic * kw * size].reshape(-1, size), planes, kh, kw, rows, images, xs)
+            _stacked_gemm(kernel, band, stride, target, product[:kh * oc * size].reshape(-1, size))
     out += p.bias[:, None, None, None]
-    return out.transpose(1, 0, 2, 3)
+    return out.transpose(2, 0, 1, 3)
 
 
 def conv2d_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
-    """Gradients of conv2d w.r.t. (input, weights, bias): with cols the
-    tap-major columns of grad_out, grad_x = W'.reshape(ic, -1) @ cols with
-    W'[c, o, u, v] = W[o, c, kh-1-u, kw-1-v], and grad_w[o, c, u, v] =
-    (cols @ x.reshape(ic, -1).T)[o, kh-1-u, kw-1-v, c], x channel-major."""
+    """Gradients of conv2d w.r.t. (input, weights, bias).  With L the
+    lowering of grad_out, nw = n*w and m = h*nw: grad_x is the stacked GEMM
+    of the flipped kernel W'[c, o, u, v] = W[o, c, kh-1-u, kw-1-v] on L, and
+    grad_w[o, c, kh-1-u, kw-1-v] = (L[:, u*nw:u*nw + m] @ X.T)[o*kw + v, c],
+    with X x in (ic, h, n, w) order."""
     n, _, h, w = x.shape
     oc, ic, kh, kw = p.weights.shape
     if grad_out.shape != (n, oc, h, w):
         raise ShapeError(f"conv2d upstream gradient {grad_out.shape} does not match "
                          f"output shape {(n, oc, h, w)}")
-    cols = _fill_columns(np.empty((oc * kh * kw, n * h * w), dtype=grad_out.dtype),
-                         grad_out.transpose(1, 0, 2, 3), kh, kw,
-                         slice(0, n), slice(0, h), slice(0, w))
-    flipped = p.weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(ic, -1)
-    grad_x = (flipped @ cols).reshape(ic, n, h, w).transpose(1, 0, 2, 3)
-    taps = cols @ x.transpose(1, 0, 2, 3).reshape(ic, -1).T
-    grad_w = taps.reshape(oc, kh, kw, ic)[:, ::-1, ::-1].transpose(0, 3, 1, 2)
-    grad_b = grad_out.sum(axis=(0, 2, 3))
-    return grad_x, grad_w, grad_b
+    nw, m = n * w, h * n * w
+    planes = grad_out.transpose(1, 2, 0, 3)
+    if kh * kw == 1:
+        lowered = planes.reshape(oc, m)
+    else:
+        lowered = _lower(np.empty((oc * kw, m + (kh - 1) * nw), grad_out.dtype), planes, kh, kw,
+                         slice(0, h), slice(0, n), slice(0, w))
+    inputs = x.transpose(1, 2, 0, 3).reshape(ic, m)
+    taps = np.stack([lowered[:, u * nw:u * nw + m] @ inputs.T for u in range(kh)])
+    grad_w = taps.reshape(kh, oc, kw, ic)[::-1, :, ::-1].transpose(1, 3, 0, 2)
+    del inputs  # freed before grad_x, in case it is a copy
+    flipped = p.weights[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(kh * ic, oc * kw)
+    grad_x = np.empty((ic, h, n, w), dtype=np.result_type(flipped, grad_out))
+    _stacked_gemm(flipped, lowered, nw, grad_x.reshape(ic, m))
+    return grad_x.transpose(2, 0, 1, 3), grad_w, grad_out.sum(axis=(0, 2, 3))
 
 
 def maxpool2(x: np.ndarray):
     """2x2 max-pool with stride 2.
 
-    Returns the pooled tensor and the argmax index of each window in
-    row-major window order (0..3); ties resolve to the first maximum.
+    Returns the pooled tensor and the int8 argmax index of each window in
+    row-major window order (0..3); ties resolve to the first maximum, since
+    a later window entry wins only when it is strictly greater.
     """
     _check_tensor4(x)
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    hp, wp = h // 2, w // 2
-    windows = x.reshape(n, c, hp, 2, wp, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, hp, wp, 4)
-    idx = windows.argmax(axis=4)
-    out = np.take_along_axis(windows, idx[..., None], axis=4)[..., 0]
+    first, *rest = (x[:, :, k // 2::2, k % 2::2] for k in range(4))
+    out = first.copy(order="K")
+    idx = np.zeros_like(out, dtype=np.int8)
+    for k, entry in enumerate(rest, 1):
+        idx[entry > out] = k
+        np.maximum(entry, out, out=out)  # on ties numpy keeps the second operand
     return out, idx
 
 
@@ -198,10 +217,10 @@ def maxpool2_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
         raise ShapeError(f"pool indices {idx.shape} do not match upstream "
                          f"gradient {grad_out.shape}")
     n, c, hp, wp = idx.shape
-    spread = np.zeros((n, c, hp, wp, 4), dtype=grad_out.dtype)
-    np.put_along_axis(spread, idx[..., None], grad_out[..., None], axis=4)
-    windows = spread.reshape(n, c, hp, wp, 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    return windows.reshape(n, c, 2 * hp, 2 * wp)
+    grad = np.zeros((n, c, 2 * hp, 2 * wp), dtype=grad_out.dtype)
+    for k in range(4):
+        np.copyto(grad[:, :, k // 2::2, k % 2::2], grad_out, where=idx == k)
+    return grad
 
 
 def upconv2(x: np.ndarray, p: ConvParams) -> np.ndarray:
@@ -233,8 +252,10 @@ def upconv2_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
         raise ShapeError(f"upconv2 upstream gradient {grad_out.shape} does not match "
                          f"output shape {(n, oc, 2 * h, 2 * w)}")
     kernel = p.weights.transpose(1, 2, 3, 0).reshape(4 * oc, ic, 1, 1)
-    g = grad_out.reshape(n, oc, h, 2, w, 2).transpose(0, 1, 3, 5, 2, 4).reshape(n, 4 * oc, h, w)
-    grad_x, grad_w, _ = conv2d_backward(x, ConvParams(kernel, p.bias), g)
+    # one copy, straight into the (4*oc, h, n, w) order the 1x1 lowering reads as a view
+    g = np.ascontiguousarray(grad_out.reshape(n, oc, h, 2, w, 2).transpose(1, 3, 5, 2, 0, 4))
+    grad_x, grad_w, _ = conv2d_backward(x, ConvParams(kernel, p.bias),
+                                        g.reshape(4 * oc, h, n, w).transpose(2, 0, 1, 3))
     grad_b = grad_out.sum(axis=(0, 2, 3))
     return grad_x, grad_w.reshape(oc, 2, 2, ic).transpose(3, 0, 1, 2), grad_b
 

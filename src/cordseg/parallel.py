@@ -10,7 +10,8 @@ those sections, and for a single worker, the BLAS keeps its own count.
 OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so the count goes
 through its run-time setter, which works whatever imported numpy first.  A
 count the user chose with OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is left
-alone, and so is a process with no OpenBLAS, no setter or no /proc.
+alone, and so is a process with no OpenBLAS, no setter or no /proc; the
+default pool then shrinks to the cores that count leaves per worker.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ _SYMBOLS = tuple((f"{prefix}openblas_set_num_threads{suffix}",
                  for prefix in ("scipy_", "") for suffix in ("64_", ""))
 
 
+# the variables through which a user sets the BLAS thread count, in the
+# order OpenBLAS reads them
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
 # OpenBLAS's thread count is one per process, so are these: the parallel
 # sections now open, and the count the last of them to close restores
 _lock = threading.Lock()
@@ -39,6 +44,15 @@ def available_cores() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def default_workers() -> int:
+    """Tile workers when the caller names no count: one per available core,
+    or cores // b (at least one) when the user set the BLAS thread count b
+    (read as OpenBLAS reads it), so that workers times BLAS threads do not
+    exceed the cores."""
+    value = next((os.environ[name] for name in _BLAS_VARIABLES if name in os.environ), "")
+    return max(1, available_cores() // (int(value) if value.isdigit() and int(value) else 1))
 
 
 @cache
@@ -73,7 +87,7 @@ def share_cores(workers: int):
     may overlap, from one thread or several: the first to open sets the
     count and the last to close restores it."""
     global _open_sections, _restore_count
-    user_set = "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ
+    user_set = any(name in os.environ for name in _BLAS_VARIABLES)
     blas = None if workers < 2 or user_set else _openblas()
     if blas is None:
         yield

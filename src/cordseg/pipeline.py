@@ -25,8 +25,8 @@ def predict_frame(params: list[ConvParams], frame: np.ndarray,
                   threads: int | None = None):
     """Segment one grayscale frame; returns (binary mask, probability map),
     both with exactly the frame's dimensions.  threads caps the tile workers
-    (default: the available cores); there are never more workers than
-    tiles."""
+    (default: parallel.default_workers()); there are never more workers
+    than tiles."""
     unet.check_divisible("tile size", (tile_size,), unet.config_from_params(params).depth)
     if frame.ndim != 2:
         raise ShapeError(f"frame must be a 2-D grayscale image, got shape {frame.shape}")
@@ -38,7 +38,7 @@ def predict_frame(params: list[ConvParams], frame: np.ndarray,
         logits, _ = unet.forward(params, to_unit(tile)[None, None], record=False)
         return ops.sigmoid(logits)[0, 0]
 
-    workers = min(parallel.available_cores() if threads is None else threads, len(tiles))
+    workers = min(parallel.default_workers() if threads is None else threads, len(tiles))
     with parallel.share_cores(workers), ThreadPoolExecutor(workers) as pool:
         prob_tiles = list(pool.map(segment, tiles))
     probs = tiling.stitch(np.stack(prob_tiles), grid)

@@ -3,8 +3,10 @@
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -258,24 +260,52 @@ def test_predict_incompatible_tile_exits_2(tmp_path, trained, dataset_dir):
     assert "2" in res.stderr  # names the required divisor
 
 
-def test_predict_corrupt_png_exits_2(tmp_path, trained):
-    import struct
-    import zlib
-
+def _gray_png(side, idat):
+    """A PNG of one 8-bit grayscale side x side frame around the given IDAT body."""
     def chunk(ctype, body):
         return struct.pack(">I", len(body)) + ctype + body + struct.pack(">I", zlib.crc32(ctype + body))
 
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", side, side, 8, 0, 0, 0, 0))
+            + chunk(b"IDAT", idat) + chunk(b"IEND", b""))
+
+
+def test_predict_corrupt_png_exits_2(tmp_path, trained):
     # valid chunk framing and checksums around an IDAT that is not a zlib stream
     frame_path = tmp_path / "corrupt.png"
-    frame_path.write_bytes(b"\x89PNG\r\n\x1a\n"
-                           + chunk(b"IHDR", struct.pack(">IIBBBBB", 32, 32, 8, 0, 0, 0, 0))
-                           + chunk(b"IDAT", b"\x00not a zlib stream")
-                           + chunk(b"IEND", b""))
+    frame_path.write_bytes(_gray_png(32, b"\x00not a zlib stream"))
     ckpt, _ = trained
     res = run_cli("predict", "--model", str(ckpt), "--image", str(frame_path),
                   "--out", str(tmp_path / "m.pgm"))
     assert res.returncode == 2
     assert "PNG image data is corrupt" in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "m.pgm").exists()
+
+
+_UNDER_MEMORY_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from cordseg import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def test_predict_out_of_memory_exits_2_with_one_line(tmp_path, trained):
+    # a black 20000x20000 frame deflates to about 389 KB, and decoding it
+    # takes more than a child limited to 3 GB of address space may map
+    side, rows = 20000, 100
+    deflate = zlib.compressobj()
+    block = bytes((side + 1) * rows)  # filter byte 0, then a row of zeros
+    idat = b"".join([deflate.compress(block) for _ in range(side // rows)] + [deflate.flush()])
+    frame_path = tmp_path / "bomb.png"
+    frame_path.write_bytes(_gray_png(side, idat))
+    res = subprocess.run([sys.executable, "-c", _UNDER_MEMORY_LIMIT, "predict",
+                          "--model", str(trained[0]), "--image", str(frame_path),
+                          "--out", str(tmp_path / "m.pgm")], capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory"), res.stderr
     assert not (tmp_path / "m.pgm").exists()
 
 
@@ -368,6 +398,18 @@ def test_predict_threads_default_counts_cores_in_affinity_mask(monkeypatch):
     args = cli.build_parser().parse_args(["predict", "--model", "m", "--image", "i",
                                           "--out", "o"])
     assert args.threads == 1
+
+
+def test_predict_threads_default_leaves_cores_for_a_user_blas_count(monkeypatch):
+    # OPENBLAS_NUM_THREADS=2 on 2 cores: one tile worker, not 2 x 2 threads
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    argv = ["predict", "--model", "m", "--image", "i", "--out", "o"]
+    assert cli.build_parser().parse_args(argv).threads == 1
+    assert cli.build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    assert cli.build_parser().parse_args(argv).threads == 2
 
 
 def test_gradcheck_passes_and_prints_scientific(trained):

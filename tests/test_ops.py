@@ -82,35 +82,61 @@ def test_conv2d_matches_loop_oracle_on_random_shapes():
 
 
 def test_banded_conv2d_matches_loop_oracle_on_random_shapes(monkeypatch):
-    # a budget of a few columns splits every layer into many bands
-    budget = 256
-    monkeypatch.setattr(ops, "_BAND_BYTES", budget)
+    # budgets of a few columns split every 3x3 layer into many bands of
+    # whole rows, images of one row or part of a row
     kinds = set()
-    for x, p in random_conv_cases():
-        n, _, h, w = x.shape
-        column_bytes = p.weights[0].size * x.itemsize
-        bands = ops._bands(n, h, w, column_bytes)
-        if len(bands) > 1:
-            kinds.add("1x1" if p.weights.shape[-1] == 1 else "3x3")
-            kinds.add("n > 1" if n > 1 else "n = 1")
-        covered = np.zeros((n, h, w), int)
-        for images, rows, xs in bands:
-            covered[images, rows, xs] += 1
-            width = covered[images, rows, xs].size
-            assert width * column_bytes <= max(budget, column_bytes)
-            if images.stop - images.start > 1:
-                kinds.add("several images")
-            if (rows.stop, xs.stop) != (h, w):
-                kinds.add("ends mid-image")
-            if xs == slice(0, w) and h % (rows.stop - rows.start):
-                kinds.add("h not divisible by band height")
-            if xs != slice(0, w):
-                kinds.add("part of a row")
-        assert np.all(covered == 1)
-        np.testing.assert_allclose(ops.conv2d(x, p), conv2d_reference(x, p.weights, p.bias),
-                                   atol=1e-5)
-    assert kinds == {"1x1", "3x3", "n > 1", "n = 1", "several images", "ends mid-image",
-                     "h not divisible by band height", "part of a row"}
+    for budget in (256, 512, 4096):
+        monkeypatch.setattr(ops, "_BAND_BYTES", budget)
+        for x, p in random_conv_cases():
+            n, ic, h, w = x.shape
+            oc, _, kh, kw = p.weights.shape
+            if kh > 1:
+                column_bytes = (ic * kw + kh * oc) * x.itemsize
+                bands = ops._row_bands(n, h, w, column_bytes, kh - 1)
+                if len(bands) > 1:
+                    kinds.add("n > 1" if n > 1 else "n = 1")
+                covered = np.zeros((h, n, w), int)
+                for rows, images, xs in bands:
+                    covered[rows, images, xs] += 1
+                    nr, ni, nx = (s.stop - s.start for s in (rows, images, xs))
+                    assert (nr + kh - 1) * ni * nx * column_bytes <= max(budget,
+                                                                         kh * column_bytes)
+                    if nr > 1:
+                        kinds.add("several rows")
+                        if h % nr:
+                            kinds.add("h not divisible by band height")
+                    if ni > 1:
+                        kinds.add("several images of one row")
+                    if nx < w:
+                        kinds.add("part of a row")
+                assert np.all(covered == 1)
+            np.testing.assert_allclose(ops.conv2d(x, p), conv2d_reference(x, p.weights, p.bias),
+                                       atol=1e-5)
+    assert kinds == {"n > 1", "n = 1", "several rows", "h not divisible by band height",
+                     "several images of one row", "part of a row"}
+
+
+def test_conv2d_is_bitwise_independent_of_memory_layout():
+    # the same values stored NCHW-contiguous, as (c, n, h, w) and as (c, h, n, w)
+    def layouts(t):
+        return [np.ascontiguousarray(t),
+                np.ascontiguousarray(t.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3),
+                np.ascontiguousarray(t.transpose(1, 2, 0, 3)).transpose(2, 0, 1, 3)]
+
+    rng = SplitMix64(330)
+    for k in (3, 1):
+        x = random_tensor(rng, (3, 4, 6, 5))
+        p = conv_params(rng, 2, 4, k)
+        g = random_tensor(rng, (3, 2, 6, 5))
+        want = ops.conv2d(x, p), *ops.conv2d_backward(x, p, g)
+        for xs in layouts(x):
+            got = ops.conv2d(xs, p), *ops.conv2d_backward(xs, p, g)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for gs in layouts(g):
+            grad_x, grad_w, grad_b = ops.conv2d_backward(x, p, gs)
+            assert np.array_equal(grad_x, want[1]) and np.array_equal(grad_w, want[2])
+            # numpy's sum order follows the layout, so the bias gradient only rounds alike
+            np.testing.assert_allclose(grad_b, want[3], atol=1e-5)
 
 
 def test_conv2d_columns_stay_bounded_on_a_wide_tile():
@@ -312,15 +338,12 @@ def test_upconv2_matches_scatter_oracle_on_random_shapes():
 
 
 def test_banded_upconv2_matches_scatter_oracle_on_random_shapes(monkeypatch):
-    # the 1x1 conv inside upconv2 then runs in bands of a few columns
+    # the 1x1 conv inside upconv2 lowers nothing, so a budget of a few
+    # columns leaves it one GEMM on the input planes with the same result
     monkeypatch.setattr(ops, "_BAND_BYTES", 256)
-    banded = 0
     for x, p in random_upconv_cases():
-        n, ci, h, w = x.shape
-        banded += len(ops._bands(n, h, w, ci * x.itemsize)) > 1
         np.testing.assert_allclose(ops.upconv2(x, p),
                                    upconv2_reference(x, p.weights, p.bias), atol=1e-5)
-    assert banded > 15, banded  # most of the 30 cases run in several bands
 
 
 def test_upconv2_holds_one_output_sized_buffer_besides_its_output():
@@ -348,6 +371,24 @@ def assert_upconv2_backward_matches_oracle(rng, n, ci, co, h, w):
     for name, a, b in zip(("grad_x", "grad_w", "grad_b"), got, want):
         assert a.shape == b.shape and a.dtype == np.float64, name
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def test_upconv2_backward_holds_one_output_sized_copy():
+    # space-to-depth moves grad_out once, into the order the 1x1 backward reads
+    # as a view; besides that copy it holds x's channel-major copy, then
+    # grad_x, each half the size
+    rng = SplitMix64(430)
+    x = random_tensor(rng, (4, 16, 32, 32))
+    p = ConvParams(random_tensor(rng, (16, 8, 2, 2)), random_tensor(rng, (8,)))
+    g = random_tensor(rng, (4, 8, 64, 64))
+    tracemalloc.start()
+    try:
+        grad_x, _, _ = ops.upconv2_backward(x, p, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad_x.shape == x.shape
+    assert peak <= 2.0 * g.nbytes, peak / g.nbytes
 
 
 def test_upconv2_backward_matches_loop_oracle_on_random_shapes():
