@@ -14,15 +14,22 @@ image, column) order, a kh-th of im2col, and one GEMM of the stacked
 (kh*oc, ic*kw) kernel on L gives every tap row at once; row block u, read
 u padded rows on, is tap row u's share of the output.  The forward pass
 runs in bands of whole output rows, their kh-1 halo rows lowered again,
-so that L and the product stay under a byte budget; a layer that fits is
-one GEMM.  For a 1x1 kernel L is the input planes, a view where the layout
-allows.  The backward pass lowers grad_out once, unbanded, so the weight
-gradient's summation order is fixed (see conv2d_backward).  The 2x2
-stride-2 up-convolution is a 1x1 conv2d to four planes per output channel
-plus a depth-to-space move, since its output blocks do not overlap.
+so that L and the product P stay under a byte budget.  A narrow layer
+takes the per-core cache budget, so that L and P are still in cache when
+the tap rows are summed and the bias added, as long as its bands keep at
+least 8 output rows per halo row; a wider layer would lower and multiply
+its halo rows again too often, and takes the larger band budget, as one
+GEMM if it fits.  For a 1x1 kernel L is the input planes, a view where
+the layout allows.  The backward pass lowers grad_out once, unbanded, so
+the weight gradient's summation order is fixed (see conv2d_backward).
+The 2x2 stride-2 up-convolution is a 1x1 conv2d to four planes per output
+channel plus a depth-to-space move, since its output blocks do not overlap.
 
 Each forward kernel has a reverse-mode counterpart that maps the upstream
-gradient to gradients w.r.t. its inputs.  All kernels are pure functions:
+gradient to gradients w.r.t. its inputs; conv2d_weight_grads is
+conv2d_backward without the input gradient, which a first layer's caller
+never reads, and maxpool2_values is maxpool2 without the argmax index that
+only the backward pass reads.  All kernels are pure functions:
 reductions happen in a fixed order (numpy vectorization), so results do not
 depend on thread count.
 """
@@ -63,17 +70,24 @@ def _check_tensor4(x: np.ndarray, name: str = "input") -> None:
         raise ShapeError(f"{name} has an empty dimension: {x.shape}")
 
 
-# Each band's lowering and GEMM product stay under this many bytes together;
-# 12 MiB keeps every training-batch layer of the acceptance model one GEMM.
+# Each band's lowering and GEMM product stay under _BAND_BYTES together, and
+# under _CACHE_BYTES, one core's L2, where that leaves enough rows per band.
+# The L2 size is a constant: os.sysconf("SC_LEVEL2_CACHE_SIZE") is not
+# available on every platform.
 _BAND_BYTES = 12 << 20
+_CACHE_BYTES = 2 << 20
 
 
 def _row_bands(n: int, h: int, w: int, column_bytes: int, halo: int):
     """Split the (h, n, w) output grid, in order, into (rows, images, xs)
-    bands whose columns, halo rows included, take at most _BAND_BYTES at
+    bands whose columns, halo rows included, take at most the budget at
     column_bytes each (or one output pixel): whole rows across all images if
-    one fits, else images of one row, else part of one image's row."""
-    per = _BAND_BYTES // column_bytes
+    one fits, else images of one row, else part of one image's row.  The
+    budget is _CACHE_BYTES (if smaller) when its whole-row bands hold at
+    least 8 output rows per halo row, else _BAND_BYTES."""
+    cache = min(_CACHE_BYTES, _BAND_BYTES)
+    fits = cache // (column_bytes * n * w) - halo >= max(1, 8 * halo)
+    per = (cache if fits else _BAND_BYTES) // column_bytes
     if per >= (1 + halo) * n * w:
         k = per // (n * w) - halo
         return [(slice(r, min(r + k, h)), slice(0, n), slice(0, w)) for r in range(0, h, k)]
@@ -145,6 +159,7 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     out = np.empty((oc, h, n, w), dtype=np.result_type(kernel, x))
     if kh * kw == 1:
         np.matmul(kernel, planes.reshape(ic, -1), out=out.reshape(oc, -1))
+        out += p.bias[:, None, None, None]
     else:
         bands = _row_bands(n, h, w, (ic * kw + kh * oc) * out.itemsize, kh - 1)
         widest = max((r.stop - r.start + kh - 1) * (i.stop - i.start) * (s.stop - s.start)
@@ -159,16 +174,12 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
             size = target.shape[1] + (kh - 1) * stride
             band = _lower(lowered[:ic * kw * size].reshape(-1, size), planes, kh, kw, rows, images, xs)
             _stacked_gemm(kernel, band, stride, target, product[:kh * oc * size].reshape(-1, size))
-    out += p.bias[:, None, None, None]
+            target += p.bias[:, None]  # while the band is still in cache
     return out.transpose(2, 0, 1, 3)
 
 
-def conv2d_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
-    """Gradients of conv2d w.r.t. (input, weights, bias).  With L the
-    lowering of grad_out, nw = n*w and m = h*nw: grad_x is the stacked GEMM
-    of the flipped kernel W'[c, o, u, v] = W[o, c, kh-1-u, kw-1-v] on L, and
-    grad_w[o, c, kh-1-u, kw-1-v] = (L[:, u*nw:u*nw + m] @ X.T)[o*kw + v, c],
-    with X x in (ic, h, n, w) order."""
+def _weight_grads(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
+    """(lowering of grad_out, grad_w, grad_b) of conv2d; see conv2d_backward."""
     n, _, h, w = x.shape
     oc, ic, kh, kw = p.weights.shape
     if grad_out.shape != (n, oc, h, w):
@@ -181,14 +192,50 @@ def conv2d_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
     else:
         lowered = _lower(np.empty((oc * kw, m + (kh - 1) * nw), grad_out.dtype), planes, kh, kw,
                          slice(0, h), slice(0, n), slice(0, w))
-    inputs = x.transpose(1, 2, 0, 3).reshape(ic, m)
-    taps = np.stack([lowered[:, u * nw:u * nw + m] @ inputs.T for u in range(kh)])
+    inputs = x.transpose(1, 2, 0, 3).reshape(ic, m)  # freed on return, in case it is a copy
+    taps = np.stack([np.matmul(lowered[:, u * nw:u * nw + m], inputs.T) for u in range(kh)])
     grad_w = taps.reshape(kh, oc, kw, ic)[::-1, :, ::-1].transpose(1, 3, 0, 2)
-    del inputs  # freed before grad_x, in case it is a copy
+    return lowered, grad_w, grad_out.sum(axis=(0, 2, 3))
+
+
+def conv2d_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
+    """Gradients of conv2d w.r.t. (input, weights, bias).  With L the
+    lowering of grad_out, nw = n*w and m = h*nw: grad_x is the stacked GEMM
+    of the flipped kernel W'[c, o, u, v] = W[o, c, kh-1-u, kw-1-v] on L, and
+    grad_w[o, c, kh-1-u, kw-1-v] = (L[:, u*nw:u*nw + m] @ X.T)[o*kw + v, c],
+    with X x in (ic, h, n, w) order."""
+    lowered, grad_w, grad_b = _weight_grads(x, p, grad_out)
+    n, ic, h, w = x.shape
+    oc, _, kh, kw = p.weights.shape
     flipped = p.weights[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(kh * ic, oc * kw)
     grad_x = np.empty((ic, h, n, w), dtype=np.result_type(flipped, grad_out))
-    _stacked_gemm(flipped, lowered, nw, grad_x.reshape(ic, m))
-    return grad_x.transpose(2, 0, 1, 3), grad_w, grad_out.sum(axis=(0, 2, 3))
+    _stacked_gemm(flipped, lowered, n * w, grad_x.reshape(ic, -1))
+    return grad_x.transpose(2, 0, 1, 3), grad_w, grad_b
+
+
+def conv2d_weight_grads(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
+    """conv2d_backward without the input gradient: (grad_w, grad_b), for a
+    first layer, whose input gradient nothing reads."""
+    return _weight_grads(x, p, grad_out)[1:]
+
+
+def _pool_windows(x: np.ndarray) -> list[np.ndarray]:
+    """The four strided views of x's 2x2 windows, in row-major window order."""
+    _check_tensor4(x)
+    n, c, h, w = x.shape
+    if h % 2 or w % 2:
+        raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
+    return [x[:, :, k // 2::2, k % 2::2] for k in range(4)]
+
+
+def maxpool2_values(x: np.ndarray) -> np.ndarray:
+    """The pooled tensor of maxpool2, bitwise the same, without the argmax
+    index that only the backward pass reads."""
+    first, *rest = _pool_windows(x)
+    out = first.copy(order="K")
+    for entry in rest:
+        np.maximum(entry, out, out=out)
+    return out
 
 
 def maxpool2(x: np.ndarray):
@@ -198,11 +245,7 @@ def maxpool2(x: np.ndarray):
     row-major window order (0..3); ties resolve to the first maximum, since
     a later window entry wins only when it is strictly greater.
     """
-    _check_tensor4(x)
-    n, c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"maxpool2 needs even spatial dims, got {h}x{w}")
-    first, *rest = (x[:, :, k // 2::2, k % 2::2] for k in range(4))
+    first, *rest = _pool_windows(x)
     out = first.copy(order="K")
     idx = np.zeros_like(out, dtype=np.int8)
     for k, entry in enumerate(rest, 1):

@@ -161,7 +161,8 @@ def forward(params: list[ConvParams], batch: np.ndarray, record: bool = True):
     With record=False the pass is inference only: the cache keeps no
     per-layer records (its records list is empty and backward rejects it),
     so every activation except the encoder skips is freed as soon as the
-    next layer has read it.  The logits are bitwise the same in both modes.
+    next layer has read it, and the pools compute no argmax index.  The
+    logits are bitwise the same in both modes.
     """
     cfg = config_from_params(params)
     ops._check_tensor4(batch, "batch")
@@ -186,8 +187,11 @@ def forward(params: list[ConvParams], batch: np.ndarray, record: bool = True):
     for level in range(cfg.depth):
         t = conv_relu(conv_relu(t))
         skips.append(t)
-        t, idx = ops.maxpool2(t)
-        keep(("pool", level, idx))
+        if record:
+            t, idx = ops.maxpool2(t)
+            keep(("pool", level, idx))
+        else:
+            t = ops.maxpool2_values(t)
     t = conv_relu(conv_relu(t))
     for level in range(cfg.depth - 1, -1, -1):
         up = ops.upconv2(t, params[k])
@@ -230,6 +234,10 @@ def backward(params: list[ConvParams], cache: ActivationCache,
         else:  # conv, conv_relu or upconv: one parameter layer
             if tag == "conv_relu":
                 g = ops.relu_backward(record[2], g)
+            if k == 0:  # the image's gradient: nothing reads it
+                grads[k].weights[...], grads[k].bias[...] = ops.conv2d_weight_grads(
+                    record[1], params[k], g)
+                break
             kernel = ops.upconv2_backward if tag == "upconv" else ops.conv2d_backward
             g, grads[k].weights[...], grads[k].bias[...] = kernel(record[1], params[k], g)
             k -= 1

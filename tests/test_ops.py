@@ -154,6 +154,40 @@ def test_conv2d_columns_stay_bounded_on_a_wide_tile():
     assert peak < 96 * 2**20, peak
 
 
+def test_narrow_conv_bands_fit_one_core_cache():
+    for n, ic, oc, side in ((1, 8, 8, 256), (1, 16, 8, 256), (4, 8, 8, 64)):
+        column_bytes = (ic * 3 + 3 * oc) * 4
+        bands = ops._row_bands(n, side, side, column_bytes, 2)
+        assert len(bands) > 1
+        for rows, images, xs in bands:
+            assert (images, xs) == (slice(0, n), slice(0, side))
+            assert (rows.stop - rows.start + 2) * n * side * column_bytes <= ops._CACHE_BYTES
+        # at least 8 output rows per halo row, so the halo is redone at most a quarter over
+        assert all(rows.stop - rows.start >= 16 for rows, _, _ in bands[:-1])
+
+
+def test_wide_conv_bands_keep_the_band_budget():
+    for n, ic, oc, side in ((1, 64, 64, 256), (1, 128, 64, 256)):
+        column_bytes = (ic * 3 + 3 * oc) * 4
+        k = ops._BAND_BYTES // column_bytes // (n * side) - 2
+        want = [(slice(r, min(r + k, side)), slice(0, n), slice(0, side))
+                for r in range(0, side, k)]
+        assert ops._row_bands(n, side, side, column_bytes, 2) == want
+
+
+def test_narrow_conv2d_scratch_fits_the_cache_budget():
+    rng = SplitMix64(120)
+    x = random_tensor(rng, (1, 8, 256, 256))
+    p = conv_params(rng, 8, 8, 3)
+    tracemalloc.start()
+    try:
+        out = ops.conv2d(x, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 3 * 2**20, peak
+
+
 def test_conv2d_linear_in_input():
     rng = SplitMix64(200)
     p = conv_params(rng, 2, 3, 3)
@@ -264,6 +298,21 @@ def test_maxpool2_matches_enumeration_oracle():
         np.testing.assert_allclose(out, want_out, atol=0)
         assert np.array_equal(idx, want_idx)
         assert set(np.unique(idx)) <= {0, 1, 2, 3}
+
+
+def test_maxpool2_values_is_bitwise_the_pooled_tensor_of_maxpool2():
+    rng = SplitMix64(310)
+    for trial in range(20):
+        # few distinct values, signed zeros and a NaN, stored NCHW or channel-major
+        values = np.array([-1.0, -0.0, 0.0, 1.0, 2.0, np.nan], np.float32)
+        x = values[(rng.f64_array(2 * 3 * 6 * 8) * 5.02).astype(int)].reshape(2, 3, 6, 8)
+        if trial % 2:
+            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+        got, (want, _) = ops.maxpool2_values(x), ops.maxpool2(x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ShapeError):
+        ops.maxpool2_values(np.zeros((1, 1, 3, 4), np.float32))
 
 
 def test_maxpool2_backward_routes_to_argmax():

@@ -317,6 +317,29 @@ def test_train_same_seed_identical_history_and_params():
         assert np.array_equal(a.bias, b.bias)
 
 
+def test_cache_sized_bands_leave_training_bytes_unchanged(monkeypatch):
+    samples = data.gen_synthetic(12, 64, 1)
+    cfg = TrainConfig(epochs=2, seed=3)
+    net_cfg = UNetConfig(depth=2, base_channels=8)
+    row_bands = ops._row_bands
+    band_counts = []
+
+    def counted(*args):
+        bands = row_bands(*args)
+        band_counts.append(len(bands))
+        return bands
+
+    monkeypatch.setattr(ops, "_row_bands", counted)
+    p1, h1 = training.train(cfg, samples, net_cfg)
+    cached = band_counts[:]
+    band_counts.clear()
+    monkeypatch.setattr(ops, "_CACHE_BYTES", 0)  # the band budget alone
+    p2, h2 = training.train(cfg, samples, net_cfg)
+    assert cached != band_counts  # some layers did run in cache-sized bands
+    assert h1 == h2
+    assert np.array_equal(unet.flatten_params(p1), unet.flatten_params(p2))
+
+
 def test_on_epoch_sees_each_record_before_train_returns():
     class Stop(Exception):
         pass

@@ -142,6 +142,19 @@ def test_forward_with_tiny_column_bands_matches_default(monkeypatch):
     np.testing.assert_allclose(got, want, atol=1e-5)
 
 
+def test_forward_without_record_computes_no_pool_index(monkeypatch):
+    params = unet.init_params(UNetConfig(depth=2, base_channels=4), 42)
+    x = small_input(13, n=2, side=16)
+    want, _ = unet.forward(params, x)
+
+    def no_index(_):
+        raise AssertionError("an inference forward computed a pool argmax index")
+
+    monkeypatch.setattr(ops, "maxpool2", no_index)
+    got, _ = unet.forward(params, x, record=False)
+    assert np.array_equal(got, want)
+
+
 def test_forward_without_record_keeps_no_records():
     params = unet.init_params(UNetConfig(depth=2, base_channels=4), 42)
     logits, cache = unet.forward(params, small_input(10, side=16), record=False)
@@ -205,6 +218,26 @@ def test_backward_consumes_cache_once():
     assert cache.records == []  # each activation is freed once its gradient is computed
     with pytest.raises(DomainError):
         unet.backward(params, cache, np.zeros_like(logits))
+
+
+def test_backward_skips_the_image_gradient(monkeypatch):
+    cfg = UNetConfig(depth=2, base_channels=4)
+    params = unet.init_params(cfg, 8)
+    logits, cache = unet.forward(params, small_input(14, side=16))
+    calls = []
+    matmul = np.matmul
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    unet.backward(params, cache, np.ones_like(logits))
+    # a kh x kw conv's backward runs kh weight-gradient GEMMs and one input-gradient
+    # GEMM (an upconv is a 1x1 conv); layer 0's input gradient is the image's and is skipped
+    want = sum(1 + (k if kind == "conv" else 1) for kind, _, _, k in unet.layer_plan(cfg)) - 1
+    assert len(calls) == want
+    assert (3 * cfg.in_channels, 3 * cfg.base_channels) not in calls  # layer 0's flipped kernel
 
 
 def test_backward_rejects_wrong_gradient_shape():
