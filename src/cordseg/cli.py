@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import data, metrics, parallel, pipeline, tiling, training, unet
+from . import data, metrics, pipeline, tiling, training, unet
 from .errors import CordsegError, NumericError
 
 
@@ -61,7 +61,7 @@ def run_train(args) -> int:
         last = history[-1]
         print(metrics.report_line(last.test_iou, last.test_pixel_acc, last.test_counts))
     else:
-        report = training.evaluate(params, test_set, threshold=0.5)
+        report = training.evaluate(params, test_set)
         print(metrics.report_line(report.mean_iou, report.pixel_accuracy, report.counts))
     return 0
 
@@ -91,12 +91,8 @@ def run_eval(args) -> int:
 
 def run_gradcheck(args) -> int:
     tolerance = 1e-3
-    cfg = unet.UNetConfig(depth=1, base_channels=2)
     started = time.perf_counter()
-    error, worst = unet.gradient_check(cfg, side=8, seed=args.seed, step=args.step)
-    if args.sabotage_index is not None:
-        # negative-control hook: pretend one analytic gradient had the wrong sign
-        error, worst = max(error, 1.0), args.sabotage_index
+    error, worst = unet.gradient_check(seed=args.seed, step=args.step)
     _log(f"checked every parameter of a depth-1 base-2 model on an 8x8 input "
          f"in {time.perf_counter() - started:.1f}s")
     print(f"max_rel_error={error:.6e} worst_index={worst}")
@@ -172,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tile", type=int, default=256, help="tile side in pixels (default 256)")
     p.add_argument("--threshold", type=_probability, default=0.5,
                    help="foreground threshold on probabilities (default 0.5)")
-    p.add_argument("--threads", type=_positive_int, default=parallel.default_workers(),
+    p.add_argument("--threads", type=_positive_int, default=None,
                    help="tile inference workers (default: available cores, divided by "
                         "OPENBLAS_NUM_THREADS or OMP_NUM_THREADS when set)")
     p.set_defaults(func=run_predict)
@@ -189,7 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42, help="model/input seed (default 42)")
     p.add_argument("--step", type=_positive_float, default=1e-5,
                    help="central-difference step (default 1e-5)")
-    p.add_argument("--sabotage-index", type=int, default=None, help=argparse.SUPPRESS)
     p.set_defaults(func=run_gradcheck)
 
     p = sub.add_parser("synth", help="generate a synthetic cord dataset")

@@ -385,6 +385,8 @@ def gen_synthetic(count: int, size: int, seed: int) -> list[Sample]:
     """
     if size < 32:
         raise DomainError(f"size must be at least 32, got {size}")
+    if 8 * size * size > np.iinfo(np.intp).max:  # a float64 frame is drawn
+        raise DomainError(f"size {size} gives a frame too large for numpy to index")
     if count < 1:
         raise DomainError(f"count must be positive, got {count}")
     samples = []

@@ -7,17 +7,18 @@ parallel section the OpenBLAS that numpy loaded gets cores // workers
 threads (at least one), and gets its old count back afterwards.  Outside
 those sections, and for a single worker, the BLAS keeps its own count.
 
-OpenBLAS reads OPENBLAS_NUM_THREADS when it loads, so the count goes
+OpenBLAS reads its thread variables when it loads, so the count goes
 through its run-time setter, which works whatever imported numpy first.  A
-count the user chose with OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is left
-alone, and so is a process with no OpenBLAS, no setter or no /proc; the
-default pool then shrinks to the cores that count leaves per worker.
+count the user chose through those variables is left alone, and so is a
+process with no OpenBLAS, no setter or no /proc; the default pool then
+shrinks to the cores that count leaves per worker.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import re
 import threading
 from contextlib import contextmanager
 from functools import cache
@@ -29,8 +30,9 @@ _SYMBOLS = tuple((f"{prefix}openblas_set_num_threads{suffix}",
 
 
 # the variables through which a user sets the BLAS thread count, in the
-# order OpenBLAS reads them
-_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+# order OpenBLAS reads them, and the leading integer C's atoi reads from each
+_BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_LEADING_INT = re.compile(r"\s*([+-]?\d+)", re.ASCII)
 
 # OpenBLAS's thread count is one per process, so are these: the parallel
 # sections now open, and the count the last of them to close restores
@@ -46,13 +48,21 @@ def available_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _user_blas_threads() -> int | None:
+    """The BLAS thread count the user set, read as OpenBLAS reads it: the
+    first variable whose leading integer is positive; None when none is."""
+    for name in _BLAS_VARIABLES:
+        match = _LEADING_INT.match(os.environ.get(name, ""))
+        if match and int(match[1]) > 0:
+            return int(match[1])
+    return None
+
+
 def default_workers() -> int:
     """Tile workers when the caller names no count: one per available core,
-    or cores // b (at least one) when the user set the BLAS thread count b
-    (read as OpenBLAS reads it), so that workers times BLAS threads do not
-    exceed the cores."""
-    value = next((os.environ[name] for name in _BLAS_VARIABLES if name in os.environ), "")
-    return max(1, available_cores() // (int(value) if value.isdigit() and int(value) else 1))
+    or cores // b (at least one) when the user set the BLAS thread count b,
+    so that workers times BLAS threads do not exceed the cores."""
+    return max(1, available_cores() // (_user_blas_threads() or 1))
 
 
 @cache
@@ -87,8 +97,7 @@ def share_cores(workers: int):
     may overlap, from one thread or several: the first to open sets the
     count and the last to close restores it."""
     global _open_sections, _restore_count
-    user_set = any(name in os.environ for name in _BLAS_VARIABLES)
-    blas = None if workers < 2 or user_set else _openblas()
+    blas = None if workers < 2 or _user_blas_threads() else _openblas()
     if blas is None:
         yield
         return

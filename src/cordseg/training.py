@@ -20,6 +20,11 @@ from .metrics import ConfusionCounts
 from .ops import ConvParams
 from .rng import SplitMix64, derive
 
+# Adam's moment decays and denominator guard, as Kingma & Ba 2015 fix them
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+# samples per evaluation forward pass; bounds evaluation memory
+_EVAL_BATCH = 8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -29,9 +34,6 @@ class TrainConfig:
     seed: int = 42
     split_ratio: float = 0.8
     augment: bool = True
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.epochs < 0:
@@ -90,12 +92,8 @@ def apply_dihedral(arr: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(out)
 
 
-def dihedral_augment(image: np.ndarray, mask: np.ndarray, seed):
-    """Apply one uniformly drawn dihedral transform to an (image, mask) pair.
-
-    seed may be an integer or an already-running SplitMix64 stream.
-    """
-    rng = seed if isinstance(seed, SplitMix64) else SplitMix64(seed)
+def dihedral_augment(image: np.ndarray, mask: np.ndarray, rng: SplitMix64):
+    """Apply one transform, drawn uniformly from rng, to an (image, mask) pair."""
     k = rng.randbelow(8)
     return apply_dihedral(image, k), apply_dihedral(mask, k)
 
@@ -121,18 +119,18 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
     if not np.all(np.isfinite(grad)):
         raise NumericError("non-finite gradient; aborting the update step")
     state.t += 1
-    bias1 = 1.0 - cfg.beta1 ** state.t
-    bias2 = 1.0 - cfg.beta2 ** state.t
-    state.m *= cfg.beta1
-    state.m += (1.0 - cfg.beta1) * grad
-    state.v *= cfg.beta2
-    state.v += (1.0 - cfg.beta2) * np.square(grad)
+    bias1 = 1.0 - _BETA1 ** state.t
+    bias2 = 1.0 - _BETA2 ** state.t
+    state.m *= _BETA1
+    state.m += (1.0 - _BETA1) * grad
+    state.v *= _BETA2
+    state.v += (1.0 - _BETA2) * np.square(grad)
     # lr * (m / bias1) / (sqrt(v / bias2) + eps), in two scratch vectors
     step = state.m / bias1
     step *= cfg.learning_rate
     denom = state.v / bias2
     np.sqrt(denom, out=denom)
-    denom += cfg.eps
+    denom += _EPS
     step /= denom
     theta -= step
 
@@ -144,14 +142,14 @@ def _batch_arrays(samples: list[Sample]):
 
 
 def evaluate(params: list[ConvParams], samples: list[Sample],
-             threshold: float = 0.5, batch_size: int = 8) -> EvalReport:
+             threshold: float = 0.5) -> EvalReport:
     """Forward + sigmoid + binarize every sample and score against truth."""
     if not samples:
         raise DomainError("cannot evaluate on an empty sample list")
     per_image = []
     pooled = ConfusionCounts(0, 0, 0, 0)
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
+    for start in range(0, len(samples), _EVAL_BATCH):
+        chunk = samples[start:start + _EVAL_BATCH]
         x, _ = _batch_arrays(chunk)
         logits, _ = unet.forward(params, x, record=False)
         probs = ops.sigmoid(logits)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -44,6 +45,13 @@ class UNetConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise DomainError(f"{name} must be a positive integer, got {v!r}")
+        # base_channels << depth is a stored dimension; bit lengths build no huge int
+        if self.base_channels.bit_length() + self.depth >= _MAX_DIM.bit_length():
+            raise DomainError(f"bottleneck width {self.base_channels} << {self.depth} "
+                              f"does not fit a stored dimension")
+        if 4 * _parameter_total(self) > np.iinfo(np.intp).max:
+            raise DomainError(f"{self} has more float32 parameter bytes than numpy "
+                              f"can index")
 
 
 def layer_plan(cfg: UNetConfig) -> list[tuple[str, int, int, int]]:
@@ -84,6 +92,11 @@ def check_divisible(what: str, sides: tuple[int, ...], depth: int) -> None:
                          f"{divisor} (2^depth for depth {depth})")
 
 
+@cache  # every forward and backward builds its config again
+def _parameter_total(cfg: UNetConfig) -> int:
+    return sum(math.prod(w) + math.prod(b) for w, b in param_shapes(cfg))
+
+
 def init_params(cfg: UNetConfig, seed: int) -> list[ConvParams]:
     """He-initialized parameters, bit-reproducible for a given (cfg, seed).
 
@@ -94,8 +107,7 @@ def init_params(cfg: UNetConfig, seed: int) -> list[ConvParams]:
     convolution.  The layers are views into one float32 vector.
     """
     stream = SplitMix64(seed)
-    size = sum(math.prod(w) + math.prod(b) for w, b in param_shapes(cfg))
-    params = unflatten_params(np.zeros(size, dtype=np.float32), cfg)
+    params = unflatten_params(np.zeros(_parameter_total(cfg), dtype=np.float32), cfg)
     for (kind, c_in, _, k), p in zip(layer_plan(cfg), params):
         fan_in = c_in if kind == "upconv" else c_in * k * k
         draws = stream.normal_array(p.weights.size) * np.sqrt(2.0 / fan_in)
@@ -152,7 +164,6 @@ class ActivationCache:
 
     records: list = field(repr=False)
     logits_shape: tuple
-    consumed: bool = False
 
 
 def forward(params: list[ConvParams], batch: np.ndarray, record: bool = True):
@@ -209,10 +220,9 @@ def backward(params: list[ConvParams], cache: ActivationCache,
              grad_logits: np.ndarray) -> np.ndarray:
     """Exact reverse traversal of forward; returns the gradient as one flat
     vector in canonical order and in the parameters' dtype."""
-    if cache.consumed:
-        raise DomainError("activation cache was already consumed by a backward pass")
     if not cache.records:
-        raise DomainError("activation cache holds no records: forward ran with record=False")
+        raise DomainError("activation cache holds no records: forward ran with "
+                          "record=False, or a backward pass already consumed it")
     if grad_logits.shape != cache.logits_shape:
         raise ShapeError(f"grad_logits {grad_logits.shape} does not match the "
                          f"cached logits shape {cache.logits_shape}")
@@ -221,7 +231,6 @@ def backward(params: list[ConvParams], cache: ActivationCache,
     k = len(params) - 1
     g = grad_logits
     skip_grads: dict[int, np.ndarray] = {}
-    cache.consumed = True
     while cache.records:  # popping frees each activation once it is used
         record = cache.records.pop()
         tag = record[0]
@@ -389,10 +398,10 @@ def load_checkpoint(path):
     header = [reader.u32(f) for f in ("depth", "base_channels", "in_channels", "out_channels")]
     if any(v < 1 or v > 0xFFFF for v in header):
         raise CheckpointDimError(f"config fields out of range: {header}")
-    cfg = UNetConfig(*header)
-    if cfg.base_channels << cfg.depth >= _MAX_DIM:  # the bottleneck width is a stored dim
-        raise CheckpointDimError(f"bottleneck width {cfg.base_channels} << {cfg.depth} "
-                                 f"does not fit a stored dimension")
+    try:
+        cfg = UNetConfig(*header)
+    except DomainError as exc:
+        raise CheckpointDimError(str(exc)) from None
     values = []
     for i, expect in enumerate(shape for pair in param_shapes(cfg) for shape in pair):
         rank = reader.u32(f"tensor {i} rank")

@@ -1,5 +1,7 @@
-"""End-to-end checks of the command-line interface via subprocesses."""
+"""End-to-end checks of the command-line interface, mostly via subprocesses."""
 
+import contextlib
+import inspect
 import json
 import os
 import re
@@ -11,7 +13,7 @@ import zlib
 import numpy as np
 import pytest
 
-from cordseg import cli, data
+from cordseg import cli, data, parallel, pipeline, training, unet
 
 REPORT_RE = re.compile(
     r"^iou=\d\.\d{6} pixel_acc=\d\.\d{6} tp=\d+ fp=\d+ fn=\d+ tn=\d+$")
@@ -155,7 +157,7 @@ def _env_with_blas_threads(threads):
     """os.environ without the BLAS thread variables, plus OPENBLAS_NUM_THREADS
     when threads is given."""
     env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     return env if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
 
 
@@ -324,7 +326,6 @@ def test_eval_missing_model_exits_2(tmp_path, dataset_dir):
 def test_eval_perfect_predictions_print_iou_one(tmp_path):
     # a strongly negative head bias predicts all-background, which matches
     # an all-background dataset exactly
-    from cordseg import unet
     from cordseg.ops import ConvParams
 
     cfg = unet.UNetConfig(depth=1, base_channels=2)
@@ -393,23 +394,83 @@ def test_gradcheck_non_positive_or_non_finite_step_exits_2(step):
     assert res.stdout == ""
 
 
-def test_predict_threads_default_counts_cores_in_affinity_mask(monkeypatch):
+def _predict_workers(monkeypatch, tmp_path, trained, dataset_dir, *flags):
+    """The tile workers an in-process `cordseg predict` runs on a frame of
+    2x3 tiles of 32."""
+    frame_path = tmp_path / "frame.pgm"
+    frame_path.write_bytes(data.encode_pgm(np.tile(data.load_dataset(dataset_dir)[2].image,
+                                                   (2, 3))))
+    seen = []
+
+    def spy(workers):
+        seen.append(workers)
+        return contextlib.nullcontext()
+
+    monkeypatch.setattr(parallel, "share_cores", spy)
+    assert cli.main(["predict", "--model", str(trained[0]), "--image", str(frame_path),
+                     "--out", str(tmp_path / "mask.pgm"), "--tile", "32", *flags]) == 0
+    return seen.pop()
+
+
+def test_predict_threads_default_counts_cores_in_affinity_mask(
+        monkeypatch, tmp_path, trained, dataset_dir):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    args = cli.build_parser().parse_args(["predict", "--model", "m", "--image", "i",
-                                          "--out", "o"])
-    assert args.threads == 1
+    assert _predict_workers(monkeypatch, tmp_path, trained, dataset_dir) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    assert _predict_workers(monkeypatch, tmp_path, trained, dataset_dir) == 3
 
 
-def test_predict_threads_default_leaves_cores_for_a_user_blas_count(monkeypatch):
+def test_predict_threads_default_leaves_cores_for_a_user_blas_count(
+        monkeypatch, tmp_path, trained, dataset_dir):
     # OPENBLAS_NUM_THREADS=2 on 2 cores: one tile worker, not 2 x 2 threads
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("GOTO_NUM_THREADS", raising=False)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-    argv = ["predict", "--model", "m", "--image", "i", "--out", "o"]
-    assert cli.build_parser().parse_args(argv).threads == 1
-    assert cli.build_parser().parse_args(argv + ["--threads", "2"]).threads == 2
+    assert _predict_workers(monkeypatch, tmp_path, trained, dataset_dir) == 1
+    assert _predict_workers(monkeypatch, tmp_path, trained, dataset_dir,
+                            "--threads", "2") == 2
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-    assert cli.build_parser().parse_args(argv).threads == 2
+    assert _predict_workers(monkeypatch, tmp_path, trained, dataset_dir) == 2
+
+
+def test_cli_defaults_match_the_library_defaults():
+    parser = cli.build_parser()
+    train = parser.parse_args(["train", "--data", "d", "--out", "o"])
+    net, cfg = unet.UNetConfig(), training.TrainConfig(epochs=1)
+    assert (train.depth, train.base_channels) == (net.depth, net.base_channels)
+    assert (train.lr, train.batch, train.seed, train.split, train.augment) == (
+        cfg.learning_rate, cfg.batch_size, cfg.seed, cfg.split_ratio, cfg.augment)
+    predict = parser.parse_args(["predict", "--model", "m", "--image", "i", "--out", "o"])
+    frame_defaults = inspect.signature(pipeline.predict_frame).parameters
+    assert (predict.tile, predict.threshold, predict.threads) == tuple(
+        frame_defaults[name].default for name in ("tile_size", "threshold", "threads"))
+    scored = parser.parse_args(["eval", "--model", "m", "--data", "d"])
+    assert scored.threshold == inspect.signature(training.evaluate).parameters[
+        "threshold"].default
+
+
+def _assert_one_error_line(res):
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1 and res.stderr.startswith("error: "), res.stderr
+
+
+def test_train_base_channels_too_large_for_numpy_exits_2(tmp_path, dataset_dir):
+    ckpt = tmp_path / "m.ckpt"
+    _assert_one_error_line(run_cli("train", "--data", str(dataset_dir), "--out", str(ckpt),
+                                   "--depth", "3", "--base-channels", "100000000",
+                                   "--epochs", "1"))
+    assert not ckpt.exists()
+
+
+def test_synth_size_too_large_for_numpy_exits_2(tmp_path):
+    out = tmp_path / "d"
+    _assert_one_error_line(run_cli("synth", "--out", str(out), "--count", "1",
+                                   "--size", "10000000000"))
+    assert not out.exists()
 
 
 def test_gradcheck_passes_and_prints_scientific(trained):
@@ -425,10 +486,13 @@ def test_gradcheck_seed_independence():
         assert res.returncode == 0, (seed, res.stdout, res.stderr)
 
 
-def test_gradcheck_sabotage_negative_control():
-    res = run_cli("gradcheck", "--seed", "42", "--sabotage-index", "3")
-    assert res.returncode == 1
-    assert "worst_index=3" in res.stdout
+def test_gradcheck_sabotage_negative_control(monkeypatch, capsys):
+    # pretend the analytic gradient at flat index 3 had the wrong sign
+    monkeypatch.setattr(unet, "gradient_check", lambda **kwargs: (1.0, 3))
+    assert cli.main(["gradcheck", "--seed", "42"]) == 1
+    out, err = capsys.readouterr()
+    assert "worst_index=3" in out
+    assert "FAIL:" in err
 
 
 def test_unknown_flag_exits_2():

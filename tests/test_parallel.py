@@ -10,10 +10,37 @@ import pytest
 from cordseg import parallel
 
 
+# (environment, BLAS count the user set, cores, default workers); OpenBLAS
+# takes the first of OPENBLAS_, GOTO_ and OMP_NUM_THREADS whose leading
+# integer, as C's atoi reads it, is positive
+USER_COUNTS = [
+    pytest.param({}, None, 4, 4, id="unset"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "2"}, 2, 4, 2, id="openblas2"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "8"}, 8, 4, 1, id="more_than_cores"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 1, 4, 4,
+                 id="openblas_before_omp"),
+    pytest.param({"OMP_NUM_THREADS": "2"}, 2, 4, 2, id="omp2"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "2"}, 2, 2, 1,
+                 id="openblas0_omp2"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "2x"}, 2, 2, 1, id="openblas_2x"),
+    pytest.param({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1, 2, 2,
+                 id="goto1_omp2"),
+    pytest.param({"OPENBLAS_NUM_THREADS": "0"}, None, 2, 2, id="openblas0"),
+    pytest.param({"OMP_NUM_THREADS": " +3"}, 3, 4, 1, id="omp_space_plus3"),
+    pytest.param({"OMP_NUM_THREADS": "-1"}, None, 4, 4, id="omp_negative"),
+]
+
+
+def set_user_counts(monkeypatch, env):
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+
 @pytest.fixture
 def blas(monkeypatch):
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    set_user_counts(monkeypatch, {})
     found = parallel._openblas()
     if found is None:
         pytest.skip("no OpenBLAS thread-count symbols in this numpy")
@@ -82,3 +109,24 @@ def test_overlapping_sections_restore_the_count_once_all_close(blas, monkeypatch
 def test_available_cores_counts_the_affinity_mask(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
     assert parallel.available_cores() == 3
+
+
+@pytest.mark.parametrize("env, count, cores, workers", USER_COUNTS)
+def test_default_workers_divide_the_cores_by_the_blas_count_openblas_reads(
+        monkeypatch, env, count, cores, workers):
+    set_user_counts(monkeypatch, env)
+    monkeypatch.setattr(parallel, "available_cores", lambda: cores)
+    assert parallel._user_blas_threads() == count
+    assert parallel.default_workers() == workers
+
+
+@pytest.mark.parametrize("env, count, cores, workers", USER_COUNTS)
+def test_share_cores_leaves_the_blas_alone_exactly_when_the_user_set_a_count(
+        blas, monkeypatch, env, count, cores, workers):
+    setter, getter = blas
+    set_user_counts(monkeypatch, env)
+    monkeypatch.setattr(parallel, "available_cores", lambda: cores)
+    before = getter()  # 3, which no share of 2 or 4 cores between 2 workers equals
+    with parallel.share_cores(2):
+        assert (getter() == before) == (count is not None)
+    assert getter() == before

@@ -98,10 +98,10 @@ def test_augment_applies_same_transform_to_both():
         np.testing.assert_array_equal((a_img % 3 == 0).astype(np.uint8), a_mask)
 
 
-def test_augment_int_seed_is_deterministic():
+def test_augment_seeded_stream_is_deterministic():
     img = np.arange(16, dtype=np.uint8).reshape(4, 4)
-    a = training.dihedral_augment(img, img, 123)
-    b = training.dihedral_augment(img, img, 123)
+    a = training.dihedral_augment(img, img, SplitMix64(123))
+    b = training.dihedral_augment(img, img, SplitMix64(123))
     assert np.array_equal(a[0], b[0])
 
 
@@ -165,10 +165,11 @@ def test_adam_in_place_update_is_bitwise_the_out_of_place_formula():
     stream = SplitMix64(17)
     for t in range(1, 5):
         g = stream.normal_array(theta.size).astype(np.float32)
-        want_m = cfg.beta1 * want_m + (1.0 - cfg.beta1) * g
-        want_v = cfg.beta2 * want_v + (1.0 - cfg.beta2) * np.square(g)
-        want_theta = want_theta - cfg.learning_rate * (want_m / (1.0 - cfg.beta1 ** t)) / (
-            np.sqrt(want_v / (1.0 - cfg.beta2 ** t)) + cfg.eps)
+        # beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, as Kingma & Ba 2015 fix them
+        want_m = 0.9 * want_m + (1.0 - 0.9) * g
+        want_v = 0.999 * want_v + (1.0 - 0.999) * np.square(g)
+        want_theta = want_theta - cfg.learning_rate * (want_m / (1.0 - 0.9 ** t)) / (
+            np.sqrt(want_v / (1.0 - 0.999 ** t)) + 1e-8)
         assert adam_step(theta, g, state, cfg) is None
         assert state.m is m and state.v is v and state.t == t
         assert want_theta.dtype == theta.dtype == np.float32

@@ -19,6 +19,12 @@ def test_config_validation():
         UNetConfig(depth=0)
     with pytest.raises(DomainError):
         UNetConfig(base_channels=0)
+    # more parameter bytes than numpy can index, or a bottleneck width of
+    # 2^31 or more, which a depth of 10**18 must not build as an int
+    for depth, base in ((3, 10**8), (31, 1), (10**18, 1)):
+        with pytest.raises(DomainError):
+            UNetConfig(depth=depth, base_channels=base)
+    UNetConfig(depth=20, base_channels=1)  # 2^20 bottleneck channels still fit
 
 
 def test_init_params_deterministic_bitwise():
