@@ -170,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="foreground threshold on probabilities (default 0.5)")
     p.add_argument("--threads", type=_positive_int, default=None,
                    help="tile inference workers (default: available cores, divided by "
-                        "OPENBLAS_NUM_THREADS or OMP_NUM_THREADS when set)")
+                        "the first positive one of OPENBLAS_NUM_THREADS, "
+                        "GOTO_NUM_THREADS and OMP_NUM_THREADS)")
     p.set_defaults(func=run_predict)
 
     p = sub.add_parser("eval", help="score a model against a paired dataset")

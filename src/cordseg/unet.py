@@ -16,11 +16,20 @@ weights then bias in that order; `unflatten_params` cuts it into per-layer
 views.  `backward` returns the gradient as such a vector, Adam updates the
 parameter vector in place, the gradient checker perturbs a float64 copy of
 it, and checkpoints store its tensors in the same order.
+
+Each weight view has its checkpoint shape, (oc, ic, kh, kw) for a conv and
+(ic, oc, 2, 2) for an upconv, over a block of the vector stored in the
+order the kernels in `ops` multiply by: (kh, oc, ic, kw) for a conv and
+(oc, 2, 2, ic) for an upconv.  Their GEMM kernels are then views of the
+vector, not copies made on every call.  Only the vector's order follows
+this rule: checkpoints, the init draws and the gradient checker's
+`worst_index` count in checkpoint order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cache
@@ -140,21 +149,31 @@ def config_from_params(params: list[ConvParams]) -> UNetConfig:
 
 
 def flatten_params(params: list[ConvParams]) -> np.ndarray:
-    """All parameters as one vector in canonical order, in their own dtype."""
-    return np.concatenate([t.ravel() for p in params for t in (p.weights, p.bias)])
+    """All parameters as one vector, laid out as `unflatten_params` reads
+    it, in their own dtype."""
+    vector = np.empty(parameter_count(params),
+                      np.result_type(*{t.dtype for p in params for t in (p.weights, p.bias)}))
+    for view, p in zip(unflatten_params(vector, config_from_params(params)), params):
+        view.weights[...], view.bias[...] = p.weights, p.bias
+    return vector
 
 
 def unflatten_params(vector: np.ndarray, cfg: UNetConfig) -> list[ConvParams]:
-    """Per-layer views into a flat canonical-order vector; nothing is copied."""
+    """Per-layer views into a flat canonical-order vector; nothing is copied.
+    Each weight's block is stored in the order its `ops` kernel reads it (see
+    the module docstring)."""
+    if vector.size != _parameter_total(cfg):
+        raise ShapeError(f"vector of length {vector.size} does not match "
+                         f"parameter count {_parameter_total(cfg)}")
     params, pos = [], 0
-    for w, b in param_shapes(cfg):
+    for (kind, *_), (w, b) in zip(layer_plan(cfg), param_shapes(cfg)):
+        # the block's axes as a permutation of the checkpoint axes
+        axes = (1, 2, 3, 0) if kind == "upconv" else (2, 0, 1, 3)
         n_w, n_b = math.prod(w), math.prod(b)
-        params.append(ConvParams(vector[pos:pos + n_w].reshape(w),
+        block = vector[pos:pos + n_w].reshape([w[a] for a in axes])
+        params.append(ConvParams(block.transpose(np.argsort(axes)),
                                  vector[pos + n_w:pos + n_w + n_b]))
         pos += n_w + n_b
-    if pos != vector.size:
-        raise ShapeError(f"vector of length {vector.size} does not match "
-                         f"parameter count {pos}")
     return params
 
 
@@ -171,9 +190,11 @@ def forward(params: list[ConvParams], batch: np.ndarray, record: bool = True):
 
     With record=False the pass is inference only: the cache keeps no
     per-layer records (its records list is empty and backward rejects it),
-    so every activation except the encoder skips is freed as soon as the
-    next layer has read it, and the pools compute no argmax index.  The
-    logits are bitwise the same in both modes.
+    so each activation is freed after its last reader: relu runs in place on
+    the conv output, a block's input goes before its second conv, and a
+    decoder level drops its skip and upconv output once they are
+    concatenated.  The pools compute no argmax index.  The logits are
+    bitwise the same in both modes.
     """
     cfg = config_from_params(params)
     ops._check_tensor4(batch, "batch")
@@ -189,28 +210,34 @@ def forward(params: list[ConvParams], batch: np.ndarray, record: bool = True):
     def conv_relu(t):
         nonlocal k
         z = ops.conv2d(t, params[k])
-        keep(("conv_relu", t, z))
         k += 1
+        if not record:
+            return np.maximum(z, 0, out=z)
+        records.append(("conv_relu", t, z))
         return ops.relu(z)
 
+    # one layer per statement, so that nothing holds a layer's input past it
     skips = []
     t = batch
     for level in range(cfg.depth):
-        t = conv_relu(conv_relu(t))
+        t = conv_relu(t)
+        t = conv_relu(t)
         skips.append(t)
         if record:
             t, idx = ops.maxpool2(t)
             keep(("pool", level, idx))
         else:
             t = ops.maxpool2_values(t)
-    t = conv_relu(conv_relu(t))
+    t = conv_relu(t)
+    t = conv_relu(t)
     for level in range(cfg.depth - 1, -1, -1):
-        up = ops.upconv2(t, params[k])
         keep(("upconv", t))
+        t = ops.upconv2(t, params[k])
         k += 1
-        t = ops.concat_channels(up, skips[level])
-        keep(("concat", level, up.shape[1]))
-        t = conv_relu(conv_relu(t))
+        keep(("concat", level, t.shape[1]))
+        t = ops.concat_channels(t, skips.pop())
+        t = conv_relu(t)
+        t = conv_relu(t)
     logits = ops.conv2d(t, params[k])
     keep(("conv", t))
     return logits, ActivationCache(records, logits.shape)
@@ -288,8 +315,8 @@ def gradient_check(cfg: UNetConfig | None = None, side: int = 8, seed: int = 42,
     drawn by deterministic rejection until the forward pass sits at least a
     small margin away from every relu/pool kink, so the comparison happens
     where the loss is actually differentiable; with the margin in place the
-    small step cannot cross a kink.  Returns (max relative error, flat
-    index of the worst coordinate).
+    small step cannot cross a kink.  Returns (max relative error, index of
+    the worst coordinate in checkpoint order).
     """
     cfg = cfg or UNetConfig(depth=1, base_channels=2)
     theta = flatten_params(init_params(cfg, seed)).astype(np.float64)
@@ -313,7 +340,9 @@ def gradient_check(cfg: UNetConfig | None = None, side: int = 8, seed: int = 42,
         loss = ops.bce_with_logits(logits, y)
         return loss, backward(ps, cache, ops.bce_with_logits_backward(logits, y))
 
-    errors = ops.finite_diff_errors(f, theta, step)
+    # the worst index counts in checkpoint order, the order the tensors are saved in
+    errors = np.concatenate([t.ravel() for p in unflatten_params(
+        ops.finite_diff_errors(f, theta, step), cfg) for t in (p.weights, p.bias)])
     worst = int(errors.argmax())
     return float(errors[worst]), worst
 
@@ -366,15 +395,24 @@ def save_checkpoint(params: list[ConvParams], cfg: UNetConfig, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
+    """Reads a file in order, never past the size it had when opened."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
 
-    def take(self, count: int, what: str) -> memoryview:
-        if self.pos + count > len(self.data):
+    def take(self, count: int, what: str, skip: bool = False) -> bytes | None:
+        """The next count bytes; with skip, seek past them and return None."""
+        if self.pos + count > self.size:
             raise CheckpointTruncatedError(f"file ends inside {what}")
-        chunk = self.data[self.pos:self.pos + count]
         self.pos += count
+        if skip:
+            self.fh.seek(self.pos)
+            return None
+        chunk = self.fh.read(count)
+        if len(chunk) != count:
+            raise CheckpointTruncatedError(f"file ends inside {what}")
         return chunk
 
     def u32(self, what: str) -> int:
@@ -385,35 +423,45 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (params, cfg). Round trip is bitwise exact.
 
     Each tensor's dims must be the ones the header's config implies; the
-    returned layers are views into one float32 vector.
+    returned layers are views into one float32 vector.  The file is read one
+    tensor at a time into the vector, which is allocated only when the file
+    holds exactly the bytes its header declares; any other file is walked
+    without reading its data, to name what is wrong with it.
     """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
-    magic = bytes(reader.take(4, "magic"))
-    if magic != CHECKPOINT_MAGIC:
-        raise CheckpointMagicError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
-    version = reader.u32("version")
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointVersionError(f"unsupported version {version}")
-    header = [reader.u32(f) for f in ("depth", "base_channels", "in_channels", "out_channels")]
-    if any(v < 1 or v > 0xFFFF for v in header):
-        raise CheckpointDimError(f"config fields out of range: {header}")
-    try:
-        cfg = UNetConfig(*header)
-    except DomainError as exc:
-        raise CheckpointDimError(str(exc)) from None
-    values = []
-    for i, expect in enumerate(shape for pair in param_shapes(cfg) for shape in pair):
-        rank = reader.u32(f"tensor {i} rank")
-        if rank != len(expect):
-            raise CheckpointDimError(f"tensor {i} has rank {rank}, expected {len(expect)}")
-        dims = tuple(reader.u32(f"tensor {i} dims") for _ in range(rank))
-        if dims != expect:
-            raise CheckpointDimError(f"tensor {i} has dims {dims}, expected {expect} "
-                                     f"for the declared config")
-        values.append(np.frombuffer(reader.take(4 * math.prod(dims), f"tensor {i} data"),
-                                    dtype="<f4"))
-    if reader.pos != len(reader.data):
-        extra = len(reader.data) - reader.pos
-        raise CheckpointError(f"{extra} trailing bytes after the last tensor")
-    return unflatten_params(np.concatenate(values).astype(np.float32, copy=False), cfg), cfg
+        reader = _Reader(fh)
+        magic = reader.take(4, "magic")
+        if magic != CHECKPOINT_MAGIC:
+            raise CheckpointMagicError(f"bad magic {magic!r}, expected {CHECKPOINT_MAGIC!r}")
+        version = reader.u32("version")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointVersionError(f"unsupported version {version}")
+        header = [reader.u32(f) for f in ("depth", "base_channels", "in_channels",
+                                          "out_channels")]
+        if any(v < 1 or v > 0xFFFF for v in header):
+            raise CheckpointDimError(f"config fields out of range: {header}")
+        try:
+            cfg = UNetConfig(*header)
+        except DomainError as exc:
+            raise CheckpointDimError(str(exc)) from None
+        shapes = [shape for pair in param_shapes(cfg) for shape in pair]
+        declared = reader.pos + sum(4 * (1 + len(s) + math.prod(s)) for s in shapes)
+        params, views = None, [None] * len(shapes)
+        if reader.size == declared:  # no other file can hold a model
+            params = unflatten_params(np.empty(_parameter_total(cfg), np.float32), cfg)
+            views = [t for p in params for t in (p.weights, p.bias)]
+        for i, (expect, view) in enumerate(zip(shapes, views)):
+            rank = reader.u32(f"tensor {i} rank")
+            if rank != len(expect):
+                raise CheckpointDimError(f"tensor {i} has rank {rank}, expected {len(expect)}")
+            dims = tuple(reader.u32(f"tensor {i} dims") for _ in range(rank))
+            if dims != expect:
+                raise CheckpointDimError(f"tensor {i} has dims {dims}, expected {expect} "
+                                         f"for the declared config")
+            data = reader.take(4 * math.prod(dims), f"tensor {i} data", skip=view is None)
+            if view is not None:
+                view[...] = np.frombuffer(data, dtype="<f4").reshape(dims)
+        if reader.pos != reader.size:
+            raise CheckpointError(f"{reader.size - reader.pos} trailing bytes after the "
+                                  f"last tensor")
+    return params, cfg

@@ -170,3 +170,35 @@ def test_checkpoint_fuzz_returns_model_or_cordseg_error(tmp_path):
         assert unet.config_from_params(params) == loaded_cfg, case
         outcomes["model"] += 1
     assert min(outcomes.values()) > 100, outcomes
+
+
+def test_load_holds_the_parameters_and_one_tensor_at_most(tmp_path):
+    # reading the whole file, or gathering its tensors before joining them,
+    # peaks near twice the parameter bytes
+    cfg = UNetConfig(depth=3, base_channels=32)
+    path = tmp_path / "model.ckpt"
+    unet.save_checkpoint(unet.init_params(cfg, 5), cfg, path)
+    param_bytes = 4 * unet.parameter_count(unet.init_params(cfg, 5))
+    tracemalloc.start()
+    try:
+        params, _ = unet.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert unet.config_from_params(params) == cfg
+    assert peak < 1.5 * param_bytes, peak / param_bytes
+
+
+def test_short_file_with_a_large_valid_config_allocates_no_model(tmp_path):
+    # depth 14 from one base channel is a valid config of 32 GB of parameters
+    path = tmp_path / "short.ckpt"
+    path.write_bytes(b"UNET" + struct.pack("<5I", 1, 14, 1, 1, 1)
+                     + struct.pack("<5I", 4, 1, 1, 3, 3))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointTruncatedError, match="tensor 0 data"):
+            unet.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak

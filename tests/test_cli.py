@@ -153,6 +153,14 @@ def test_predict_threads_do_not_change_output(tmp_path, trained, dataset_dir):
     assert masks[0] == masks[1]
 
 
+def test_predict_threads_help_names_every_blas_variable(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["predict", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    for name in parallel._BLAS_VARIABLES:
+        assert name in text
+
+
 def _env_with_blas_threads(threads):
     """os.environ without the BLAS thread variables, plus OPENBLAS_NUM_THREADS
     when threads is given."""

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,29 @@ def test_unflatten_params_returns_views_of_the_vector():
     assert again.tobytes() == vector.tobytes()
 
 
+def gemm_kernels(params):
+    """Each layer's GEMM kernel, reshaped the way ops.conv2d and ops.upconv2 reshape it."""
+    for (kind, *_), p in zip(unet.layer_plan(unet.config_from_params(params)), params):
+        if kind == "upconv":
+            ic, oc, _, _ = p.weights.shape
+            yield p.weights.transpose(1, 2, 3, 0).reshape(4 * oc, ic)
+        else:
+            oc, ic, kh, kw = p.weights.shape
+            yield p.weights.transpose(2, 0, 1, 3).reshape(kh * oc, ic * kw)
+
+
+def test_gemm_kernels_are_views_of_the_parameter_vector(tmp_path):
+    cfg = UNetConfig(depth=2, base_channels=4, in_channels=2, out_channels=3)
+    path = tmp_path / "model.ckpt"
+    unet.save_checkpoint(unet.init_params(cfg, 5), cfg, path)
+    for params in (unet.init_params(cfg, 5), unet.load_checkpoint(path)[0]):
+        vector = params[0].weights.base
+        kernels = list(gemm_kernels(params))
+        assert len(kernels) == len(params)
+        for kernel in kernels:
+            assert np.shares_memory(kernel, vector)
+
+
 def test_unflatten_params_rejects_wrong_length():
     cfg = UNetConfig(depth=1, base_channels=2)
     with pytest.raises(ShapeError):
@@ -159,6 +184,35 @@ def test_forward_without_record_computes_no_pool_index(monkeypatch):
     monkeypatch.setattr(ops, "maxpool2", no_index)
     got, _ = unet.forward(params, x, record=False)
     assert np.array_equal(got, want)
+
+
+def forward_peak(params, x):
+    tracemalloc.start()
+    try:
+        unet.forward(params, x, record=False)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_inference_forward_frees_each_activation_after_its_last_reader():
+    # at most the top-level skip, the upconv output, their concatenation and
+    # a conv output are alive at once; holding every block input and skip
+    # past its last reader peaks near 7.5 of the largest activations
+    params = unet.init_params(UNetConfig(depth=2, base_channels=8), 42)
+    x = small_input(14, side=256)
+    largest = 8 * 256 * 256 * 4
+    peak = forward_peak(params, x)
+    assert peak < 5 * largest, peak / largest
+
+
+def test_inference_forward_copies_no_kernel():
+    # on a tiny tile the activations are small beside the widest kernel,
+    # which a per-call copy of the kernel would have to allocate
+    params = unet.init_params(UNetConfig(depth=2, base_channels=64), 42)
+    largest = max(p.weights.nbytes for p in params)
+    peak = forward_peak(params, small_input(15, side=16))
+    assert peak < largest, peak / largest
 
 
 def test_forward_without_record_keeps_no_records():
@@ -262,6 +316,29 @@ def test_gradient_check_other_seeds_pass_too():
     for seed in (7, 8):
         err, _ = unet.gradient_check(seed=seed)
         assert err < 1e-3, f"seed {seed}: {err}"
+
+
+def test_gradient_check_reports_the_worst_index_in_checkpoint_order(monkeypatch):
+    # flip the analytic gradient of one conv weight whose place in the
+    # parameter vector differs from its place in the checkpoint
+    cfg = UNetConfig(depth=1, base_channels=2)
+    layer, coord = 1, (1, 0, 0, 2)  # encoder conv2, (oc, ic, kh, kw)
+    shapes = unet.param_shapes(cfg)
+    offset = sum(np.prod(w) + np.prod(b) for w, b in shapes[:layer])
+    want = int(offset + np.ravel_multi_index(coord, shapes[layer][0]))
+    index = unet.unflatten_params(np.arange(unet._parameter_total(cfg)), cfg)
+    assert index[layer].weights[coord] != want
+    backward = unet.backward
+
+    def sabotaged(params, cache, grad_logits):
+        grad = backward(params, cache, grad_logits)
+        unet.unflatten_params(grad, cfg)[layer].weights[coord] *= -1
+        return grad
+
+    monkeypatch.setattr(unet, "backward", sabotaged)
+    err, worst = unet.gradient_check(cfg, side=8, seed=42)
+    assert err > 0.5
+    assert worst == want
 
 
 def test_gradient_check_depth2():
