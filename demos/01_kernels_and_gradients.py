@@ -59,6 +59,6 @@ def lying(theta):
     return float(theta[0] ** 2), np.array([-2.0 * theta[0]])
 
 print(f"honest f(t)=t^2 at t=3: max rel error "
-      f"{ops.finite_diff_check(honest, np.array([3.0])):.2e}")
+      f"{ops.finite_diff_errors(honest, np.array([3.0])).max():.2e}")
 print(f"sign-flipped gradient is caught immediately: "
-      f"{ops.finite_diff_check(lying, np.array([3.0])):.2f}")
+      f"{ops.finite_diff_errors(lying, np.array([3.0])).max():.2f}")

@@ -16,14 +16,14 @@ net_cfg = UNetConfig(depth=1, base_channels=8)
 train_set, test_set = training.split_dataset(samples, cfg.split_ratio, cfg.seed)
 print(f"dataset: {len(samples)} samples -> train={len(train_set)} test={len(test_set)}")
 print(f"model: depth={net_cfg.depth} base={net_cfg.base_channels} "
-      f"({unet.parameter_count(unet.init_params(net_cfg, 0)):,} parameters)\n")
+      f"({unet.init_params(net_cfg, 0).theta.size:,} parameters)\n")
 
-params, history = training.train(cfg, samples, net_cfg)
+model, history = training.train(cfg, samples, net_cfg)
 for r in history:
     bar = "#" * int(40 * r.test_iou)
     print(f"epoch {r.epoch:2d}  loss={r.train_loss:.4f}  iou={r.test_iou:.3f} {bar}")
 
-report = training.evaluate(params, test_set, threshold=0.5)
+report = training.evaluate(model, test_set, threshold=0.5)
 print("\nheld-out metrics (per-image mean IoU, pooled pixel accuracy):")
 print("   " + metrics.report_line(report.mean_iou, report.pixel_accuracy, report.counts))
 print(f"   pooled IoU for comparison: {report.pooled_iou:.6f}")

@@ -15,7 +15,7 @@ from cordseg.unet import UNetConfig
 
 print("training a quick tile model on synthetic cords...")
 samples = data.gen_synthetic(count=24, size=64, seed=5)
-params, history = training.train(
+model, history = training.train(
     TrainConfig(epochs=10, seed=42, batch_size=2, learning_rate=3e-3),
     samples, UNetConfig(depth=1, base_channels=8))
 print(f"   after {len(history)} epochs: tile-level test IoU {history[-1].test_iou:.3f}")
@@ -30,7 +30,7 @@ grid = tiling.compute_grid(frame.shape[1], frame.shape[0], 64)
 print(f"grid: {grid.cols} cols x {grid.rows} rows = {grid.tile_count} tiles of 64, "
       f"padded to {grid.padded_width}x{grid.padded_height}")
 
-mask, probs = pipeline.predict_frame(params, frame, tile_size=64, threads=2)
+mask, probs = pipeline.predict_frame(model, frame, tile_size=64, threads=2)
 print(f"predicted mask: {mask.shape[1]}x{mask.shape[0]} "
       f"(equals the input exactly: {mask.shape == frame.shape})")
 
@@ -38,7 +38,7 @@ counts = metrics.confusion(mask, truth)
 print("\nscore against the generator's truth:")
 print("   " + metrics.report_line(metrics.iou(counts), metrics.pixel_accuracy(counts), counts))
 
-single = pipeline.predict_frame(params, frame, tile_size=64, threads=1)[0]
+single = pipeline.predict_frame(model, frame, tile_size=64, threads=1)[0]
 print("\nthread count never changes the output:",
       bool(np.array_equal(mask, single)))
 

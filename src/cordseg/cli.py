@@ -51,8 +51,8 @@ def run_train(args) -> int:
              f"wall_s={now - last:.2f}")
         last = now
 
-    params, history = training.train(cfg, samples, net_cfg, on_epoch=log_epoch)
-    unet.save_checkpoint(params, net_cfg, args.out)
+    model, history = training.train(cfg, samples, net_cfg, on_epoch=log_epoch)
+    unet.save_checkpoint(model, args.out)
     history_path = _history_path(args.out)
     history_path.write_text(training.history_csv(history))
     _log(f"trained {cfg.epochs} epochs in {time.perf_counter() - started:.1f}s; "
@@ -61,29 +61,29 @@ def run_train(args) -> int:
         last = history[-1]
         print(metrics.report_line(last.test_iou, last.test_pixel_acc, last.test_counts))
     else:
-        report = training.evaluate(params, test_set)
+        report = training.evaluate(model, test_set)
         print(metrics.report_line(report.mean_iou, report.pixel_accuracy, report.counts))
     return 0
 
 
 def run_predict(args) -> int:
-    params, cfg = unet.load_checkpoint(args.model)
+    model = unet.load_checkpoint(args.model)
     frame = data.load_grayscale(args.image)
     started = time.perf_counter()
-    mask, _ = pipeline.predict_frame(params, frame, tile_size=args.tile,
+    mask, _ = pipeline.predict_frame(model, frame, tile_size=args.tile,
                                      threshold=args.threshold, threads=args.threads)
     grid = tiling.compute_grid(frame.shape[1], frame.shape[0], args.tile)
     data.save_mask(args.out, mask)
     _log(f"frame {frame.shape[1]}x{frame.shape[0]}: tiles={grid.tile_count} of "
-         f"{args.tile} (depth {cfg.depth}) in {time.perf_counter() - started:.1f}s")
+         f"{args.tile} (depth {model.cfg.depth}) in {time.perf_counter() - started:.1f}s")
     _log(f"mask written to {args.out}")
     return 0
 
 
 def run_eval(args) -> int:
-    params, _ = unet.load_checkpoint(args.model)
+    model = unet.load_checkpoint(args.model)
     samples = data.load_dataset(args.data)
-    report = training.evaluate(params, samples, threshold=args.threshold)
+    report = training.evaluate(model, samples, threshold=args.threshold)
     _log(f"evaluated {len(samples)} samples (pooled iou {report.pooled_iou:.6f})")
     print(metrics.report_line(report.mean_iou, report.pixel_accuracy, report.counts))
     return 0

@@ -303,11 +303,6 @@ def upconv2_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
     return grad_x, grad_w.reshape(oc, 2, 2, ic).transpose(3, 0, 1, 2), grad_b
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(x, 0)."""
-    return np.maximum(x, 0)
-
-
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Pass the gradient where x > 0; the derivative at exactly 0 is 0."""
     return grad_out * (x > 0)
@@ -389,9 +384,3 @@ def finite_diff_errors(f, theta: np.ndarray, step: float = 1e-3) -> np.ndarray:
             raise NumericError(f"loss is not finite near coordinate {i}")
         numeric[i] = (hi - lo) / (2.0 * step)
     return np.abs(grad - numeric) / np.maximum(1e-8, np.abs(grad) + np.abs(numeric))
-
-
-def finite_diff_check(f, theta: np.ndarray, step: float = 1e-3) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    errors = finite_diff_errors(f, theta, step)
-    return float(errors.max()) if errors.size else 0.0

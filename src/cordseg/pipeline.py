@@ -17,17 +17,16 @@ import numpy as np
 from . import metrics, ops, parallel, tiling, unet
 from .data import to_unit
 from .errors import ShapeError
-from .ops import ConvParams
 
 
-def predict_frame(params: list[ConvParams], frame: np.ndarray,
+def predict_frame(model: unet.Model, frame: np.ndarray,
                   tile_size: int = 256, threshold: float = 0.5,
                   threads: int | None = None):
     """Segment one grayscale frame; returns (binary mask, probability map),
     both with exactly the frame's dimensions.  threads caps the tile workers
     (default: parallel.default_workers()); there are never more workers
     than tiles."""
-    unet.check_divisible("tile size", (tile_size,), unet.config_from_params(params).depth)
+    unet.check_divisible("tile size", (tile_size,), model.cfg.depth)
     if frame.ndim != 2:
         raise ShapeError(f"frame must be a 2-D grayscale image, got shape {frame.shape}")
     height, width = frame.shape
@@ -35,7 +34,7 @@ def predict_frame(params: list[ConvParams], frame: np.ndarray,
     tiles = tiling.split_image(tiling.pad_image(frame, grid), grid)
 
     def segment(tile: np.ndarray) -> np.ndarray:
-        logits, _ = unet.forward(params, to_unit(tile)[None, None], record=False)
+        logits, _ = unet.forward(model, to_unit(tile)[None, None], record=False)
         return ops.sigmoid(logits)[0, 0]
 
     workers = min(parallel.default_workers() if threads is None else threads, len(tiles))

@@ -17,7 +17,6 @@ from . import metrics, ops, unet
 from .data import Sample, to_unit
 from .errors import DomainError, NumericError, ShapeError
 from .metrics import ConfusionCounts
-from .ops import ConvParams
 from .rng import SplitMix64, derive
 
 # Adam's moment decays and denominator guard, as Kingma & Ba 2015 fix them
@@ -141,7 +140,7 @@ def _batch_arrays(samples: list[Sample]):
     return x, y
 
 
-def evaluate(params: list[ConvParams], samples: list[Sample],
+def evaluate(model: unet.Model, samples: list[Sample],
              threshold: float = 0.5) -> EvalReport:
     """Forward + sigmoid + binarize every sample and score against truth."""
     if not samples:
@@ -151,7 +150,7 @@ def evaluate(params: list[ConvParams], samples: list[Sample],
     for start in range(0, len(samples), _EVAL_BATCH):
         chunk = samples[start:start + _EVAL_BATCH]
         x, _ = _batch_arrays(chunk)
-        logits, _ = unet.forward(params, x, record=False)
+        logits, _ = unet.forward(model, x, record=False)
         probs = ops.sigmoid(logits)
         for i, s in enumerate(chunk):
             pred = metrics.binarize(probs[i, 0], threshold)
@@ -179,29 +178,27 @@ def _check_tiles(samples: list[Sample], depth: int) -> int:
 
 def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
           on_epoch: Callable[[EpochRecord], None] | None = None):
-    """Full training run; returns (params, per-epoch history).
+    """Full training run; returns (model, per-epoch history).
 
     Per epoch: seeded reshuffle, batches of batch_size with the last partial
     batch kept, optional per-sample dihedral augmentation, forward, BCE,
-    backward to one flat gradient, Adam in place on the flat parameter
-    vector that the layers view; then an evaluation pass over the held-out
-    split, whose record goes to on_epoch as soon as it is made.
+    backward to one flat gradient, Adam in place on model.theta, which the
+    layers view; then an evaluation pass over the held-out split, whose
+    record goes to on_epoch as soon as it is made.
     Deterministic for a fixed (cfg, samples, net_cfg).
     """
     if not samples:
         raise DomainError("cannot train on an empty dataset")
     _check_tiles(samples, net_cfg.depth)
     train_set, test_set = split_dataset(samples, cfg.split_ratio, cfg.seed)
-    params = unet.init_params(net_cfg, cfg.seed)
+    model = unet.init_params(net_cfg, cfg.seed)
     history: list[EpochRecord] = []
     if cfg.epochs == 0:
-        return params, history
+        return model, history
     if not train_set:
         raise DomainError(f"training split is empty for ratio {cfg.split_ratio} "
                           f"over {len(samples)} samples")
-    theta = unet.flatten_params(params)
-    params = unet.unflatten_params(theta, net_cfg)
-    state = AdamState.zeros(theta)
+    state = AdamState.zeros(model.theta)
     for epoch in range(1, cfg.epochs + 1):
         stream = SplitMix64(derive(cfg.seed, 0xE90C, epoch))
         order = stream.permutation(len(train_set))
@@ -213,18 +210,18 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
                 picked = [Sample(s.name, *dihedral_augment(s.image, s.mask, stream))
                           for s in picked]
             x, y = _batch_arrays(picked)
-            logits, cache = unet.forward(params, x)
+            logits, cache = unet.forward(model, x)
             loss = ops.bce_with_logits(logits, y)
             grad_logits = ops.bce_with_logits_backward(logits, y)
-            adam_step(theta, unet.backward(params, cache, grad_logits), state, cfg)
+            adam_step(model.theta, unet.backward(model, cache, grad_logits), state, cfg)
             loss_sum += loss * len(picked)
             seen += len(picked)
-        report = evaluate(params, test_set)
+        report = evaluate(model, test_set)
         history.append(EpochRecord(epoch, loss_sum / seen, report.mean_iou,
                                    report.pixel_accuracy, report.counts))
         if on_epoch is not None:
             on_epoch(history[-1])
-    return params, history
+    return model, history
 
 
 def history_csv(history: list[EpochRecord]) -> str:

@@ -10,12 +10,15 @@ spatial size equal to the input everywhere, so masks align with tiles.
 
 Parameters live in one canonical order: encoder blocks top-down (conv1,
 conv2 per level), bottleneck (conv1, conv2), decoder blocks bottom-up
-(upconv, conv1, conv2 per level), final 1x1 conv.  The model is a
-list[ConvParams] whose one other form is a flat vector of every layer's
-weights then bias in that order; `unflatten_params` cuts it into per-layer
-views.  `backward` returns the gradient as such a vector, Adam updates the
-parameter vector in place, the gradient checker perturbs a float64 copy of
-it, and checkpoints store its tensors in the same order.
+(upconv, conv1, conv2 per level), final 1x1 conv.  A `Model` is the
+network's one form: its `UNetConfig`, the flat vector `theta` of every
+layer's weights then bias in that order, and `layers`, the per-layer views
+that `unflatten_params` cuts from theta once, when the model is built.
+`init_params` and `load_checkpoint` return a Model; `forward`, `backward`
+and `save_checkpoint` take one.  `backward` returns the gradient as a
+vector laid out like theta, Adam updates theta in place, the gradient
+checker builds Models over a float64 copy of it, and checkpoints store its
+tensors in the same order.
 
 Each weight view has its checkpoint shape, (oc, ic, kh, kw) for a conv and
 (ic, oc, 2, 2) for an upconv, over a block of the vector stored in the
@@ -32,7 +35,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import cache
 
 import numpy as np
 
@@ -101,61 +103,26 @@ def check_divisible(what: str, sides: tuple[int, ...], depth: int) -> None:
                          f"{divisor} (2^depth for depth {depth})")
 
 
-@cache  # every forward and backward builds its config again
 def _parameter_total(cfg: UNetConfig) -> int:
     return sum(math.prod(w) + math.prod(b) for w, b in param_shapes(cfg))
 
 
-def init_params(cfg: UNetConfig, seed: int) -> list[ConvParams]:
-    """He-initialized parameters, bit-reproducible for a given (cfg, seed).
+def init_params(cfg: UNetConfig, seed: int) -> Model:
+    """He-initialized model, bit-reproducible for a given (cfg, seed).
 
     Weights are normal draws with std sqrt(2/fan_in) consumed from one
     splitmix64 stream in canonical parameter order; biases start at zero.
     fan_in counts the inputs feeding one output unit: in_channels*kh*kw for
     a convolution, in_channels for the non-overlapping transposed
-    convolution.  The layers are views into one float32 vector.
+    convolution.  theta is float32.
     """
     stream = SplitMix64(seed)
-    params = unflatten_params(np.zeros(_parameter_total(cfg), dtype=np.float32), cfg)
-    for (kind, c_in, _, k), p in zip(layer_plan(cfg), params):
+    model = Model(cfg, np.zeros(_parameter_total(cfg), dtype=np.float32))
+    for (kind, c_in, _, k), p in zip(layer_plan(cfg), model.layers):
         fan_in = c_in if kind == "upconv" else c_in * k * k
         draws = stream.normal_array(p.weights.size) * np.sqrt(2.0 / fan_in)
         p.weights[...] = draws.reshape(p.weights.shape)
-    return params
-
-
-def parameter_count(params: list[ConvParams]) -> int:
-    return sum(p.weights.size + p.bias.size for p in params)
-
-
-def config_from_params(params: list[ConvParams]) -> UNetConfig:
-    """Recover the structural config from a canonical parameter list."""
-    n = len(params)
-    if n < 8 or (n - 3) % 5:
-        raise ShapeError(f"parameter list of length {n} does not match any "
-                         f"U-Net plan (expected 5*depth + 3 layers)")
-    depth = (n - 3) // 5
-    cfg = UNetConfig(
-        depth=depth,
-        base_channels=params[0].weights.shape[0],
-        in_channels=params[0].weights.shape[1],
-        out_channels=params[-1].weights.shape[0],
-    )
-    for i, ((w, b), p) in enumerate(zip(param_shapes(cfg), params)):
-        if p.weights.shape != w or p.bias.shape != b:
-            raise ShapeError(f"layer {i} has shapes {p.weights.shape}/{p.bias.shape}, "
-                             f"expected {w}/{b} for the canonical plan")
-    return cfg
-
-
-def flatten_params(params: list[ConvParams]) -> np.ndarray:
-    """All parameters as one vector, laid out as `unflatten_params` reads
-    it, in their own dtype."""
-    vector = np.empty(parameter_count(params),
-                      np.result_type(*{t.dtype for p in params for t in (p.weights, p.bias)}))
-    for view, p in zip(unflatten_params(vector, config_from_params(params)), params):
-        view.weights[...], view.bias[...] = p.weights, p.bias
-    return vector
+    return model
 
 
 def unflatten_params(vector: np.ndarray, cfg: UNetConfig) -> list[ConvParams]:
@@ -177,6 +144,20 @@ def unflatten_params(vector: np.ndarray, cfg: UNetConfig) -> list[ConvParams]:
     return params
 
 
+@dataclass(frozen=True, eq=False)
+class Model:
+    """A U-Net: its config, its flat parameter vector, and that vector's
+    per-layer views.  Building one cuts the views, so a theta of the wrong
+    length raises ShapeError here; updates to theta in place reach them."""
+
+    cfg: UNetConfig
+    theta: np.ndarray = field(repr=False)
+    layers: list[ConvParams] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "layers", unflatten_params(self.theta, self.cfg))
+
+
 @dataclass
 class ActivationCache:
     """Intermediates recorded by one forward pass, consumed by one backward."""
@@ -185,18 +166,22 @@ class ActivationCache:
     logits_shape: tuple
 
 
-def forward(params: list[ConvParams], batch: np.ndarray, record: bool = True):
+def forward(model: Model, batch: np.ndarray, record: bool = True):
     """Run the network; returns (logits, cache for the matching backward).
+
+    relu runs in place on each conv output, so a conv_relu record holds the
+    layer's input and its activated output, which is also the next layer's
+    input; relu_backward reads the same mask from it, since the output is
+    positive exactly where the pre-activation was.
 
     With record=False the pass is inference only: the cache keeps no
     per-layer records (its records list is empty and backward rejects it),
-    so each activation is freed after its last reader: relu runs in place on
-    the conv output, a block's input goes before its second conv, and a
-    decoder level drops its skip and upconv output once they are
-    concatenated.  The pools compute no argmax index.  The logits are
-    bitwise the same in both modes.
+    so each activation is freed after its last reader: a block's input goes
+    before its second conv, and a decoder level drops its skip and upconv
+    output once they are concatenated.  The pools compute no argmax index.
+    The logits are bitwise the same in both modes.
     """
-    cfg = config_from_params(params)
+    cfg, params = model.cfg, model.layers
     ops._check_tensor4(batch, "batch")
     n, c, h, w = batch.shape
     if c != cfg.in_channels:
@@ -210,11 +195,10 @@ def forward(params: list[ConvParams], batch: np.ndarray, record: bool = True):
     def conv_relu(t):
         nonlocal k
         z = ops.conv2d(t, params[k])
+        np.maximum(z, 0, out=z)
         k += 1
-        if not record:
-            return np.maximum(z, 0, out=z)
-        records.append(("conv_relu", t, z))
-        return ops.relu(z)
+        keep(("conv_relu", t, z))
+        return z
 
     # one layer per statement, so that nothing holds a layer's input past it
     skips = []
@@ -243,18 +227,18 @@ def forward(params: list[ConvParams], batch: np.ndarray, record: bool = True):
     return logits, ActivationCache(records, logits.shape)
 
 
-def backward(params: list[ConvParams], cache: ActivationCache,
-             grad_logits: np.ndarray) -> np.ndarray:
+def backward(model: Model, cache: ActivationCache, grad_logits: np.ndarray) -> np.ndarray:
     """Exact reverse traversal of forward; returns the gradient as one flat
-    vector in canonical order and in the parameters' dtype."""
+    vector laid out like model.theta and in its dtype."""
     if not cache.records:
         raise DomainError("activation cache holds no records: forward ran with "
                           "record=False, or a backward pass already consumed it")
     if grad_logits.shape != cache.logits_shape:
         raise ShapeError(f"grad_logits {grad_logits.shape} does not match the "
                          f"cached logits shape {cache.logits_shape}")
-    grad = np.empty(parameter_count(params), dtype=params[0].weights.dtype)
-    grads = unflatten_params(grad, config_from_params(params))
+    params = model.layers
+    grad = np.empty_like(model.theta)
+    grads = unflatten_params(grad, model.cfg)
     k = len(params) - 1
     g = grad_logits
     skip_grads: dict[int, np.ndarray] = {}
@@ -280,23 +264,26 @@ def backward(params: list[ConvParams], cache: ActivationCache,
     return grad
 
 
-def _kink_margin(cache: ActivationCache) -> float:
+def _kink_margin(model: Model, cache: ActivationCache) -> float:
     """Distance from the nearest non-smooth point of the forward pass.
 
-    Covers the two kink sources: relu pre-activations near 0, and pool
-    windows whose top two values nearly tie (which would flip the argmax
-    routing under perturbation).
+    Covers the two kink sources: relu pre-activations near 0 (recomputed
+    from each conv_relu record's input, since the record keeps only the
+    activated output), and pool windows whose top two values nearly tie
+    (which would flip the argmax routing under perturbation).
     """
     margin = np.inf
-    prev_z = None
+    layers = iter(model.layers)
     for record in cache.records:
-        if record[0] == "conv_relu":
-            prev_z = record[2]
-            margin = min(margin, float(np.abs(prev_z).min()))
-        elif record[0] == "pool":
-            pooled_in = ops.relu(prev_z)
-            n, c, h, w = pooled_in.shape
-            windows = pooled_in.reshape(n, c, h // 2, 2, w // 2, 2)
+        tag = record[0]
+        if tag in ("conv_relu", "upconv", "conv"):
+            layer = next(layers)
+        if tag == "conv_relu":
+            activated = record[2]
+            margin = min(margin, float(np.abs(ops.conv2d(record[1], layer)).min()))
+        elif tag == "pool":
+            n, c, h, w = activated.shape
+            windows = activated.reshape(n, c, h // 2, 2, w // 2, 2)
             windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
             top2 = np.sort(windows, axis=1)[:, -2:]
             gaps = top2[:, 1] - top2[:, 0]
@@ -319,8 +306,8 @@ def gradient_check(cfg: UNetConfig | None = None, side: int = 8, seed: int = 42,
     the worst coordinate in checkpoint order).
     """
     cfg = cfg or UNetConfig(depth=1, base_channels=2)
-    theta = flatten_params(init_params(cfg, seed)).astype(np.float64)
-    params = unflatten_params(theta, cfg)
+    theta = init_params(cfg, seed).theta.astype(np.float64)
+    model = Model(cfg, theta)
     margin_needed = 200.0 * step
     for attempt in range(500):
         stream = SplitMix64(derive(seed, 0xDA7A, attempt))
@@ -328,17 +315,17 @@ def gradient_check(cfg: UNetConfig | None = None, side: int = 8, seed: int = 42,
         x = x.reshape(1, cfg.in_channels, side, side)
         y = (stream.f64_array(cfg.out_channels * side * side) < 0.5).astype(np.float64)
         y = y.reshape(1, cfg.out_channels, side, side)
-        _, cache = forward(params, x)
-        if _kink_margin(cache) >= margin_needed:
+        _, cache = forward(model, x)
+        if _kink_margin(model, cache) >= margin_needed:
             break
     else:
         raise NumericError("no seeded input found with a safe differentiability margin")
 
     def f(theta):
-        ps = unflatten_params(theta, cfg)
-        logits, cache = forward(ps, x)
+        probe = Model(cfg, theta)
+        logits, cache = forward(probe, x)
         loss = ops.bce_with_logits(logits, y)
-        return loss, backward(ps, cache, ops.bce_with_logits_backward(logits, y))
+        return loss, backward(probe, cache, ops.bce_with_logits_backward(logits, y))
 
     # the worst index counts in checkpoint order, the order the tensors are saved in
     errors = np.concatenate([t.ravel() for p in unflatten_params(
@@ -378,13 +365,12 @@ class CheckpointDimError(CheckpointError):
     """A declared rank or dimension is out of range."""
 
 
-def save_checkpoint(params: list[ConvParams], cfg: UNetConfig, path) -> None:
-    if config_from_params(params) != cfg:
-        raise ShapeError(f"parameters do not match config {cfg}")
+def save_checkpoint(model: Model, path) -> None:
+    cfg = model.cfg
     blob = bytearray(CHECKPOINT_MAGIC)
     blob += struct.pack("<5I", CHECKPOINT_VERSION, cfg.depth, cfg.base_channels,
                         cfg.in_channels, cfg.out_channels)
-    for tensor in (t for p in params for t in (p.weights, p.bias)):
+    for tensor in (t for p in model.layers for t in (p.weights, p.bias)):
         if any(d >= _MAX_DIM for d in tensor.shape):
             raise CheckpointDimError(f"dimension too large to store: {tensor.shape}")
         blob += struct.pack("<I", tensor.ndim)
@@ -419,14 +405,14 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def load_checkpoint(path):
-    """Read a checkpoint; returns (params, cfg). Round trip is bitwise exact.
+def load_checkpoint(path) -> Model:
+    """Read a checkpoint into a float32 Model. Round trip is bitwise exact.
 
-    Each tensor's dims must be the ones the header's config implies; the
-    returned layers are views into one float32 vector.  The file is read one
-    tensor at a time into the vector, which is allocated only when the file
-    holds exactly the bytes its header declares; any other file is walked
-    without reading its data, to name what is wrong with it.
+    Each tensor's dims must be the ones the header's config implies.  The
+    file is read one tensor at a time into the model's vector, which is
+    allocated only when the file holds exactly the bytes its header
+    declares; any other file is walked without reading its data, to name
+    what is wrong with it.
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh)
@@ -446,10 +432,10 @@ def load_checkpoint(path):
             raise CheckpointDimError(str(exc)) from None
         shapes = [shape for pair in param_shapes(cfg) for shape in pair]
         declared = reader.pos + sum(4 * (1 + len(s) + math.prod(s)) for s in shapes)
-        params, views = None, [None] * len(shapes)
+        model, views = None, [None] * len(shapes)
         if reader.size == declared:  # no other file can hold a model
-            params = unflatten_params(np.empty(_parameter_total(cfg), np.float32), cfg)
-            views = [t for p in params for t in (p.weights, p.bias)]
+            model = Model(cfg, np.empty(_parameter_total(cfg), np.float32))
+            views = [t for p in model.layers for t in (p.weights, p.bias)]
         for i, (expect, view) in enumerate(zip(shapes, views)):
             rank = reader.u32(f"tensor {i} rank")
             if rank != len(expect):
@@ -464,4 +450,4 @@ def load_checkpoint(path):
         if reader.pos != reader.size:
             raise CheckpointError(f"{reader.size - reader.pos} trailing bytes after the "
                                   f"last tensor")
-    return params, cfg
+    return model

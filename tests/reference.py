@@ -2,13 +2,17 @@
 
 Everything here is deliberately naive: explicit Python loops, float64
 accumulation, coordinate sets.  None of it shares code with the package,
-so agreement is meaningful.
+so agreement is meaningful.  The one exception is `finite_diff_check`, the
+largest of the package's own per-coordinate gradient errors, which the
+gradient tests use as their yardstick.
 """
 
 import struct
 import zlib
 
 import numpy as np
+
+from cordseg import ops
 
 
 def conv2d_reference(x, weights, bias):
@@ -244,6 +248,11 @@ def unet_parameter_count_reference(depth, base, in_channels=1, out_channels=1):
     return total
 
 
+def relu(x):
+    """Elementwise max(x, 0)."""
+    return np.maximum(x, 0)
+
+
 def sigmoid_backward(y, grad_out):
     """Reverse mode of the logistic function from its output y = sigmoid(x)."""
     return grad_out * y * (1.0 - y)
@@ -264,3 +273,9 @@ def encode_png(img):
             + chunk(b"IHDR", struct.pack(">IIBBBBB", width, height, 8, 0, 0, 0, 0))
             + chunk(b"IDAT", zlib.compress(scanlines.tobytes()))
             + chunk(b"IEND", b""))
+
+
+def finite_diff_check(f, theta, step=1e-3):
+    """Max relative error between analytic and central-difference gradients."""
+    errors = ops.finite_diff_errors(f, theta, step)
+    return float(errors.max()) if errors.size else 0.0

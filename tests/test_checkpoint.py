@@ -14,26 +14,26 @@ from cordseg.unet import (CheckpointDimError, CheckpointError, CheckpointMagicEr
 @pytest.fixture
 def saved(tmp_path):
     cfg = UNetConfig(depth=2, base_channels=4)
-    params = unet.init_params(cfg, 77)
+    model = unet.init_params(cfg, 77)
     path = tmp_path / "model.ckpt"
-    unet.save_checkpoint(params, cfg, path)
-    return params, cfg, path
+    unet.save_checkpoint(model, path)
+    return model, cfg, path
 
 
 def test_round_trip_is_bitwise_identity(saved):
-    params, cfg, path = saved
-    loaded, loaded_cfg = unet.load_checkpoint(path)
-    assert loaded_cfg == cfg
-    for a, b in zip(params, loaded):
+    model, cfg, path = saved
+    loaded = unet.load_checkpoint(path)
+    assert loaded.cfg == cfg
+    for a, b in zip(model.layers, loaded.layers):
         assert np.array_equal(a.weights, b.weights)
         assert a.weights.dtype == b.weights.dtype == np.float32
         assert np.array_equal(a.bias, b.bias)
 
 
 def test_save_twice_gives_identical_bytes(saved, tmp_path):
-    params, cfg, path = saved
+    model, _, path = saved
     other = tmp_path / "again.ckpt"
-    unet.save_checkpoint(params, cfg, other)
+    unet.save_checkpoint(model, other)
     assert path.read_bytes() == other.read_bytes()
 
 
@@ -116,7 +116,7 @@ def test_missing_file_raises_oserror(tmp_path):
 
 def test_loaded_layers_are_views_of_one_vector(saved):
     _, _, path = saved
-    loaded, _ = unet.load_checkpoint(path)
+    loaded = unet.load_checkpoint(path).layers
     base = loaded[0].weights.base
     assert base is not None and base.ndim == 1
     assert all(p.weights.base is base and p.bias.base is base for p in loaded)
@@ -153,7 +153,7 @@ def _mutate(rng, blob):
 def test_checkpoint_fuzz_returns_model_or_cordseg_error(tmp_path):
     cfg = UNetConfig(depth=1, base_channels=2)
     good = tmp_path / "good.ckpt"
-    unet.save_checkpoint(unet.init_params(cfg, 3), cfg, good)
+    unet.save_checkpoint(unet.init_params(cfg, 3), good)
     blob = good.read_bytes()
     rng = SplitMix64(41)
     path = tmp_path / "fuzz.ckpt"
@@ -161,13 +161,14 @@ def test_checkpoint_fuzz_returns_model_or_cordseg_error(tmp_path):
     for case in range(1500):
         path.write_bytes(_mutate(rng, blob))
         try:
-            params, loaded_cfg = unet.load_checkpoint(path)
+            model = unet.load_checkpoint(path)
         except CordsegError:
             outcomes["error"] += 1
             continue
         except Exception as exc:  # noqa: BLE001 - the failure this test looks for
             pytest.fail(f"case {case}: {type(exc).__name__}: {exc}")
-        assert unet.config_from_params(params) == loaded_cfg, case
+        assert [(p.weights.shape, p.bias.shape) for p in model.layers] == \
+            unet.param_shapes(model.cfg), case
         outcomes["model"] += 1
     assert min(outcomes.values()) > 100, outcomes
 
@@ -177,15 +178,15 @@ def test_load_holds_the_parameters_and_one_tensor_at_most(tmp_path):
     # peaks near twice the parameter bytes
     cfg = UNetConfig(depth=3, base_channels=32)
     path = tmp_path / "model.ckpt"
-    unet.save_checkpoint(unet.init_params(cfg, 5), cfg, path)
-    param_bytes = 4 * unet.parameter_count(unet.init_params(cfg, 5))
+    unet.save_checkpoint(unet.init_params(cfg, 5), path)
+    param_bytes = 4 * unet.init_params(cfg, 5).theta.size
     tracemalloc.start()
     try:
-        params, _ = unet.load_checkpoint(path)
+        model = unet.load_checkpoint(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert unet.config_from_params(params) == cfg
+    assert model.cfg == cfg
     assert peak < 1.5 * param_bytes, peak / param_bytes
 
 

@@ -334,14 +334,10 @@ def test_eval_missing_model_exits_2(tmp_path, dataset_dir):
 def test_eval_perfect_predictions_print_iou_one(tmp_path):
     # a strongly negative head bias predicts all-background, which matches
     # an all-background dataset exactly
-    from cordseg.ops import ConvParams
-
-    cfg = unet.UNetConfig(depth=1, base_channels=2)
-    params = unet.init_params(cfg, 42)
-    head = params[-1]
-    params[-1] = ConvParams(head.weights, head.bias - np.float32(50.0))
+    model = unet.init_params(unet.UNetConfig(depth=1, base_channels=2), 42)
+    model.layers[-1].bias[...] -= np.float32(50.0)
     ckpt = tmp_path / "perfect.ckpt"
-    unet.save_checkpoint(params, cfg, ckpt)
+    unet.save_checkpoint(model, ckpt)
     root = tmp_path / "blank"
     (root / "images").mkdir(parents=True)
     (root / "masks").mkdir(parents=True)

@@ -13,7 +13,7 @@ from cordseg import ops
 from cordseg.ops import ConvParams
 from cordseg.rng import SplitMix64
 
-from reference import sigmoid_backward
+from reference import finite_diff_check, relu, sigmoid_backward
 
 TOL = 1e-3
 
@@ -40,7 +40,7 @@ def test_conv2d_gradients():
         return float((r * out).sum()), np.concatenate([gx.ravel(), gw.ravel(), gb])
 
     theta = np.concatenate([x0.ravel(), w0.ravel(), b0.ravel()])
-    assert ops.finite_diff_check(f, theta) < TOL
+    assert finite_diff_check(f, theta) < TOL
 
 
 def test_upconv2_gradients():
@@ -61,7 +61,7 @@ def test_upconv2_gradients():
         return float((r * out).sum()), np.concatenate([gx.ravel(), gw.ravel(), gb])
 
     theta = np.concatenate([x0.ravel(), w0.ravel(), b0.ravel()])
-    assert ops.finite_diff_check(f, theta) < TOL
+    assert finite_diff_check(f, theta) < TOL
 
 
 def test_maxpool2_gradients_away_from_ties():
@@ -77,7 +77,7 @@ def test_maxpool2_gradients_away_from_ties():
         gx = ops.maxpool2_backward(idx, r)
         return float((r * out).sum()), gx.ravel()
 
-    assert ops.finite_diff_check(f, x0.ravel(), step=1e-4) < TOL
+    assert finite_diff_check(f, x0.ravel(), step=1e-4) < TOL
 
 
 def test_relu_gradients_away_from_kink():
@@ -88,9 +88,9 @@ def test_relu_gradients_away_from_kink():
 
     def f(theta):
         x = theta.reshape(x0.shape)
-        return float((r * ops.relu(x)).sum()), (ops.relu_backward(x, r)).ravel()
+        return float((r * relu(x)).sum()), (ops.relu_backward(x, r)).ravel()
 
-    assert ops.finite_diff_check(f, x0.ravel(), step=1e-4) < TOL
+    assert finite_diff_check(f, x0.ravel(), step=1e-4) < TOL
 
 
 def test_sigmoid_gradients():
@@ -103,7 +103,7 @@ def test_sigmoid_gradients():
         y = ops.sigmoid(x)
         return float((r * y).sum()), sigmoid_backward(y, r).ravel()
 
-    assert ops.finite_diff_check(f, x0.ravel()) < TOL
+    assert finite_diff_check(f, x0.ravel()) < TOL
 
 
 def test_concat_gradients_split_exactly():
@@ -118,7 +118,7 @@ def test_concat_gradients_split_exactly():
         ga, gb = ops.split_channels(r, a0.shape[1])
         return float((r * out).sum()), np.concatenate([ga.ravel(), gb.ravel()])
 
-    assert ops.finite_diff_check(f, np.concatenate([a0.ravel(), b0.ravel()])) < TOL
+    assert finite_diff_check(f, np.concatenate([a0.ravel(), b0.ravel()])) < TOL
 
 
 def test_bce_gradients():
@@ -130,4 +130,4 @@ def test_bce_gradients():
         z = theta.reshape(z0.shape)
         return ops.bce_with_logits(z, y), ops.bce_with_logits_backward(z, y).ravel()
 
-    assert ops.finite_diff_check(f, z0.ravel()) < TOL
+    assert finite_diff_check(f, z0.ravel()) < TOL

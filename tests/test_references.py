@@ -1,0 +1,85 @@
+"""Every public top-level function and class in src/cordseg has a caller in
+src/cordseg: code that only the tests use belongs in tests/.
+
+References are found in the syntax tree, not by text search: a bare name
+bound at a module's top level or imported from a package module, or an
+attribute read off an imported package module (`ops.conv2d`).  A reference
+counts when it sits in another module, at module level, or in another
+top-level definition than the one it names.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cordseg"
+# the command-line entry points: called by the installed script and by users
+ENTRY_POINTS = {("cli", "main"), ("cli", "build_parser")}
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def _public_definitions(trees):
+    return {(module, node.name)
+            for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _imports(tree) -> tuple[dict[str, str], dict[str, tuple[str, str]]]:
+    """Local names bound to package modules, and to names in package modules."""
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if node.module is None:  # from . import ops
+                    modules[local] = alias.name
+                else:  # from .ops import ConvParams
+                    names[local] = (node.module, alias.name)
+    return modules, names
+
+
+def _references(module, tree):
+    """(referenced module, name, enclosing top-level definition or None)."""
+    modules, names = _imports(tree)
+    own = {node.name for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for top in tree.body:
+        where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules):
+                yield modules[node.value.id], node.attr, where
+            elif isinstance(node, ast.Name):
+                if node.id in names:
+                    yield *names[node.id], where
+                elif node.id in own:
+                    yield module, node.id, where
+
+
+def _referenced(trees):
+    found = set()
+    for module, tree in trees.items():
+        for target, name, where in _references(module, tree):
+            if target != module or where != name:
+                found.add((target, name))
+    return found
+
+
+def test_every_public_definition_has_a_caller_in_src():
+    trees = _modules()
+    unused = _public_definitions(trees) - _referenced(trees) - ENTRY_POINTS
+    assert not unused, sorted(f"{m}.{n}" for m, n in unused)
+
+
+def test_the_reference_finder_sees_attribute_name_and_imported_uses():
+    trees = {
+        "a": ast.parse("def used():\n    pass\n\ndef lonely():\n    return lonely()\n\n"
+                       "class Shape:\n    pass\n"),
+        "b": ast.parse("from . import a\nfrom .a import Shape\n\n"
+                       "def caller():\n    return a.used(), Shape\n"),
+    }
+    assert _public_definitions(trees) - _referenced(trees) == {("a", "lonely"), ("b", "caller")}

@@ -157,8 +157,8 @@ def test_adam_moment_shapes_mirror_params():
 def test_adam_in_place_update_is_bitwise_the_out_of_place_formula():
     cfg = TrainConfig(epochs=1, learning_rate=1e-2)
     net = UNetConfig(depth=1, base_channels=2)
-    theta = unet.flatten_params(unet.init_params(net, 3))
-    layers = unet.unflatten_params(theta, net)
+    model = unet.init_params(net, 3)
+    theta, layers = model.theta, model.layers
     state = AdamState.zeros(theta)
     m, v = state.m, state.v
     want_theta, want_m, want_v = theta.copy(), np.zeros_like(theta), np.zeros_like(theta)
@@ -175,7 +175,8 @@ def test_adam_in_place_update_is_bitwise_the_out_of_place_formula():
         assert want_theta.dtype == theta.dtype == np.float32
         for got, want in ((theta, want_theta), (m, want_m), (v, want_v)):
             assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
-    assert np.array_equal(unet.flatten_params(layers), want_theta)
+    for got, want in zip(layers, unet.unflatten_params(want_theta, net)):
+        assert np.array_equal(got.weights, want.weights) and np.array_equal(got.bias, want.bias)
     assert layers[-1].bias[0] == want_theta[-1]
 
 
@@ -202,16 +203,16 @@ def test_training_step_peak_stays_under_six_parameter_copies():
     # one forward + backward + Adam step of a wide model on a tiny image is
     # dominated by parameter-sized buffers: the gradient and Adam's temporaries
     net = UNetConfig(depth=2, base_channels=64)
-    theta = unet.flatten_params(unet.init_params(net, 42))
-    params = unet.unflatten_params(theta, net)
+    model = unet.init_params(net, 42)
+    theta = model.theta
     state = AdamState.zeros(theta)
     x = SplitMix64(9).normal_array(16 * 16).astype(np.float32).reshape(1, 1, 16, 16)
     y = (x > 0).astype(np.float32)
     tracemalloc.start()
     try:
-        logits, cache = unet.forward(params, x)
+        logits, cache = unet.forward(model, x)
         grad_logits = ops.bce_with_logits_backward(logits, y)
-        adam_step(theta, unet.backward(params, cache, grad_logits), state, TrainConfig(epochs=1))
+        adam_step(theta, unet.backward(model, cache, grad_logits), state, TrainConfig(epochs=1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -223,8 +224,8 @@ def test_training_steps_do_not_hold_the_previous_steps_activations():
     # the acceptance shape; a step that still held the last step's records
     # while the next forward ran would peak about 1.5x the first step
     net = UNetConfig(depth=2, base_channels=8)
-    theta = unet.flatten_params(unet.init_params(net, 42))
-    params = unet.unflatten_params(theta, net)
+    model = unet.init_params(net, 42)
+    theta = model.theta
     state = AdamState.zeros(theta)
     x = SplitMix64(10).normal_array(4 * 64 * 64).astype(np.float32).reshape(4, 1, 64, 64)
     y = (x > 0).astype(np.float32)
@@ -233,9 +234,9 @@ def test_training_steps_do_not_hold_the_previous_steps_activations():
     try:
         for _ in range(3):
             tracemalloc.reset_peak()
-            logits, cache = unet.forward(params, x)
+            logits, cache = unet.forward(model, x)
             grad_logits = ops.bce_with_logits_backward(logits, y)
-            adam_step(theta, unet.backward(params, cache, grad_logits), state,
+            adam_step(theta, unet.backward(model, cache, grad_logits), state,
                       TrainConfig(epochs=1))
             peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
@@ -249,11 +250,10 @@ def test_evaluate_perfect_predictions(tmp_path):
     # a head bias of -50 drives every logit strongly negative -> all background,
     # which matches all-background truths exactly
     cfg = UNetConfig(depth=1, base_channels=2)
-    params = unet.init_params(cfg, 42)
-    head = params[-1]
-    params[-1] = type(head)(head.weights, head.bias - np.float32(50.0))
+    model = unet.init_params(cfg, 42)
+    model.layers[-1].bias[...] -= np.float32(50.0)
     samples = fake_samples(4, size=16)
-    report = training.evaluate(params, samples)
+    report = training.evaluate(model, samples)
     assert report.mean_iou == 1.0        # empty-union convention
     assert report.pixel_accuracy == 1.0
     assert report.counts.fp == 0 and report.counts.fn == 0
@@ -302,7 +302,7 @@ def test_train_zero_epochs_returns_init_params():
     params, history = training.train(cfg, samples, net_cfg)
     assert history == []
     fresh = unet.init_params(net_cfg, 11)
-    for a, b in zip(params, fresh):
+    for a, b in zip(params.layers, fresh.layers):
         assert np.array_equal(a.weights, b.weights)
 
 
@@ -313,7 +313,7 @@ def test_train_same_seed_identical_history_and_params():
     p1, h1 = training.train(cfg, samples, net_cfg)
     p2, h2 = training.train(cfg, samples, net_cfg)
     assert h1 == h2
-    for a, b in zip(p1, p2):
+    for a, b in zip(p1.layers, p2.layers):
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.bias, b.bias)
 
@@ -338,7 +338,7 @@ def test_cache_sized_bands_leave_training_bytes_unchanged(monkeypatch):
     p2, h2 = training.train(cfg, samples, net_cfg)
     assert cached != band_counts  # some layers did run in cache-sized bands
     assert h1 == h2
-    assert np.array_equal(unet.flatten_params(p1), unet.flatten_params(p2))
+    assert np.array_equal(p1.theta, p2.theta)
 
 
 def test_on_epoch_sees_each_record_before_train_returns():

@@ -31,17 +31,17 @@ def test_config_validation():
 
 def test_init_params_deterministic_bitwise():
     cfg = UNetConfig(depth=2, base_channels=4)
-    a = unet.init_params(cfg, 99)
-    b = unet.init_params(cfg, 99)
+    a = unet.init_params(cfg, 99).layers
+    b = unet.init_params(cfg, 99).layers
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.weights, pb.weights)
         assert np.array_equal(pa.bias, pb.bias)
-    c = unet.init_params(cfg, 100)
+    c = unet.init_params(cfg, 100).layers
     assert not np.array_equal(a[0].weights, c[0].weights)
 
 
 def test_init_params_biases_zero_and_dtype():
-    for p in unet.init_params(UNetConfig(depth=1, base_channels=2), 7):
+    for p in unet.init_params(UNetConfig(depth=1, base_channels=2), 7).layers:
         assert np.all(p.bias == 0.0)
         assert p.weights.dtype == np.float32
         assert p.bias.dtype == np.float32
@@ -49,47 +49,38 @@ def test_init_params_biases_zero_and_dtype():
 
 def test_parameter_count_431_for_depth1_base2():
     params = unet.init_params(UNetConfig(depth=1, base_channels=2), 42)
-    assert unet.parameter_count(params) == 431
+    assert params.theta.size == 431
     assert unet_parameter_count_reference(1, 2) == 431
 
 
 @pytest.mark.parametrize("depth,base", [(1, 2), (1, 4), (2, 2), (2, 8), (3, 4)])
 def test_parameter_count_matches_counting_oracle(depth, base):
     params = unet.init_params(UNetConfig(depth=depth, base_channels=base), 0)
-    assert unet.parameter_count(params) == unet_parameter_count_reference(depth, base)
+    assert params.theta.size == unet_parameter_count_reference(depth, base)
 
 
 def test_weight_std_tracks_he_scale():
     # a large tensor's sample std should land close to sqrt(2/fan_in)
-    params = unet.init_params(UNetConfig(depth=2, base_channels=16), 3)
+    params = unet.init_params(UNetConfig(depth=2, base_channels=16), 3).layers
     w = params[3].weights  # encoder conv 32->32: fan_in = 32*9
     expected = np.sqrt(2.0 / (32 * 9))
     assert abs(w.std() / expected - 1.0) < 0.1
 
 
-def test_config_from_params_round_trip():
-    for cfg in (UNetConfig(1, 2), UNetConfig(2, 8), UNetConfig(3, 4, 1, 1)):
-        assert unet.config_from_params(unet.init_params(cfg, 5)) == cfg
-
-
 def test_unflatten_params_returns_views_of_the_vector():
     cfg = UNetConfig(depth=2, base_channels=4)
-    vector = unet.flatten_params(unet.init_params(cfg, 12))
+    vector = unet.init_params(cfg, 12).theta
     assert vector.dtype == np.float32
     params = unet.unflatten_params(vector, cfg)
-    assert unet.config_from_params(params) == cfg
     for p in params:
         assert np.shares_memory(p.weights, vector) and np.shares_memory(p.bias, vector)
     vector[0] = 7.0
     assert params[0].weights.flat[0] == 7.0
-    again = unet.flatten_params(params)
-    assert again.dtype == vector.dtype
-    assert again.tobytes() == vector.tobytes()
 
 
-def gemm_kernels(params):
+def gemm_kernels(model):
     """Each layer's GEMM kernel, reshaped the way ops.conv2d and ops.upconv2 reshape it."""
-    for (kind, *_), p in zip(unet.layer_plan(unet.config_from_params(params)), params):
+    for (kind, *_), p in zip(unet.layer_plan(model.cfg), model.layers):
         if kind == "upconv":
             ic, oc, _, _ = p.weights.shape
             yield p.weights.transpose(1, 2, 3, 0).reshape(4 * oc, ic)
@@ -101,10 +92,10 @@ def gemm_kernels(params):
 def test_gemm_kernels_are_views_of_the_parameter_vector(tmp_path):
     cfg = UNetConfig(depth=2, base_channels=4, in_channels=2, out_channels=3)
     path = tmp_path / "model.ckpt"
-    unet.save_checkpoint(unet.init_params(cfg, 5), cfg, path)
-    for params in (unet.init_params(cfg, 5), unet.load_checkpoint(path)[0]):
-        vector = params[0].weights.base
-        kernels = list(gemm_kernels(params))
+    unet.save_checkpoint(unet.init_params(cfg, 5), path)
+    for model in (unet.init_params(cfg, 5), unet.load_checkpoint(path)):
+        params, vector = model.layers, model.theta
+        kernels = list(gemm_kernels(model))
         assert len(kernels) == len(params)
         for kernel in kernels:
             assert np.shares_memory(kernel, vector)
@@ -114,6 +105,8 @@ def test_unflatten_params_rejects_wrong_length():
     cfg = UNetConfig(depth=1, base_channels=2)
     with pytest.raises(ShapeError):
         unet.unflatten_params(np.zeros(430, np.float32), cfg)
+    with pytest.raises(ShapeError):
+        unet.Model(cfg, np.zeros(430, np.float32))
 
 
 def test_forward_shape_contract():
@@ -210,9 +203,22 @@ def test_inference_forward_copies_no_kernel():
     # on a tiny tile the activations are small beside the widest kernel,
     # which a per-call copy of the kernel would have to allocate
     params = unet.init_params(UNetConfig(depth=2, base_channels=64), 42)
-    largest = max(p.weights.nbytes for p in params)
+    largest = max(p.weights.nbytes for p in params.layers)
     peak = forward_peak(params, small_input(15, side=16))
     assert peak < largest, peak / largest
+
+
+def test_conv_relu_records_share_each_activation_with_the_next_layer():
+    # relu runs in place, so a conv_relu record's output is the very array the
+    # next parameter layer records as its input: training keeps it once
+    params = unet.init_params(UNetConfig(depth=2, base_channels=4), 42)
+    _, cache = unet.forward(params, small_input(16, side=16))
+    pairs = [(a, b) for a, b in zip(cache.records, cache.records[1:])
+             if a[0] == "conv_relu" and b[0] in ("conv_relu", "upconv", "conv")]
+    assert len(pairs) == 8  # every conv_relu but the two that feed a pool
+    for a, b in pairs:
+        assert b[1] is a[2]
+        assert np.all(a[2] >= 0)
 
 
 def test_forward_without_record_keeps_no_records():
@@ -250,9 +256,10 @@ def test_backward_head_bias_is_channel_summed_upstream():
 
 def test_backward_aligns_with_params_shapes():
     cfg = UNetConfig(depth=2, base_channels=4)
-    params = unet.init_params(cfg, 8)
-    logits, cache = unet.forward(params, small_input(6, side=16))
-    grads = unet.unflatten_params(unet.backward(params, cache, np.ones_like(logits)), cfg)
+    model = unet.init_params(cfg, 8)
+    params = model.layers
+    logits, cache = unet.forward(model, small_input(6, side=16))
+    grads = unet.unflatten_params(unet.backward(model, cache, np.ones_like(logits)), cfg)
     assert len(grads) == len(params)
     for g, p in zip(grads, params):
         assert g.weights.shape == p.weights.shape
@@ -262,12 +269,12 @@ def test_backward_aligns_with_params_shapes():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_backward_returns_one_flat_vector_in_the_parameter_dtype(dtype):
     cfg = UNetConfig(depth=1, base_channels=2)
-    theta = unet.flatten_params(unet.init_params(cfg, 3)).astype(dtype)
-    params = unet.unflatten_params(theta, cfg)
-    logits, cache = unet.forward(params, small_input(9).astype(dtype))
-    grad = unet.backward(params, cache, np.ones_like(logits))
+    theta = unet.init_params(cfg, 3).theta.astype(dtype)
+    model = unet.Model(cfg, theta)
+    logits, cache = unet.forward(model, small_input(9).astype(dtype))
+    grad = unet.backward(model, cache, np.ones_like(logits))
     assert isinstance(grad, np.ndarray)
-    assert grad.shape == (unet.parameter_count(params),)
+    assert grad.shape == (theta.size,)
     assert grad.dtype == dtype
 
 
@@ -330,8 +337,8 @@ def test_gradient_check_reports_the_worst_index_in_checkpoint_order(monkeypatch)
     assert index[layer].weights[coord] != want
     backward = unet.backward
 
-    def sabotaged(params, cache, grad_logits):
-        grad = backward(params, cache, grad_logits)
+    def sabotaged(model, cache, grad_logits):
+        grad = backward(model, cache, grad_logits)
         unet.unflatten_params(grad, cfg)[layer].weights[coord] *= -1
         return grad
 
