@@ -1,11 +1,11 @@
 """Walk through the tensor kernels and their hand-derived gradients.
 
 Everything the network does reduces to a handful of rank-4 array
-operations: same-padded convolution, 2x2 max-pooling, 2x2 transposed
-convolution, relu, sigmoid, channel concatenation, and a stable binary
-cross-entropy.  Each one ships with a reverse-mode counterpart, and this
-script shows both sides plus the finite-difference checker that keeps the
-gradients honest.
+operations: same-padded convolution (which also reads a tuple of arrays as
+their channel concatenation), 2x2 max-pooling, 2x2 transposed convolution,
+relu, sigmoid, and a stable binary cross-entropy.  Each one ships with a
+reverse-mode counterpart, and this script shows both sides plus the
+finite-difference checker that keeps the gradients honest.
 """
 
 import numpy as np

@@ -1,10 +1,11 @@
 """Forward and reverse-mode kernels on rank-4 tensors.
 
-A tensor here is a plain numpy floating array of shape
-(batch, channels, height, width).  Kernels accept any memory layout; conv2d
-returns a (batch, channels) view of a (channels, height, batch, width)
-buffer, the order the next convolution reads.  Network math runs in
-float32; every kernel preserves the dtype of its inputs so the
+A tensor here is a plain numpy floating array of shape (batch, channels,
+height, width).  Kernels accept any memory layout; conv2d returns a (batch,
+channels) view of a (channels, height, batch, width) buffer, the order the
+next convolution reads.  A conv input may also be a tuple of tensors, read
+as their channel concatenation, which is never built (Channels).  Network
+math runs in float32; every kernel preserves the dtype of its inputs so the
 finite-difference checker can drive the same code in float64.
 
 Convolution is lowered along one axis only (the memory-efficient
@@ -19,9 +20,10 @@ takes the per-core cache budget, so that L and P are still in cache when
 the tap rows are summed and the bias added, as long as its bands keep at
 least 8 output rows per halo row; a wider layer would lower and multiply
 its halo rows again too often, and takes the larger band budget, as one
-GEMM if it fits.  For a 1x1 kernel L is the input planes, a view where
-the layout allows.  The backward pass lowers grad_out once, unbanded, so
-the weight gradient's summation order is fixed (see conv2d_backward).
+GEMM if it fits.  Each part of a tuple input fills its own channel rows of
+L.  For a 1x1 kernel on one tensor L is its planes, a view where the
+layout allows.  The backward pass lowers grad_out once, unbanded, so the
+weight gradient's summation order is fixed (see conv2d_backward).
 The 2x2 stride-2 up-convolution is a 1x1 conv2d to four planes per output
 channel plus a depth-to-space move, since its output blocks do not overlap.
 
@@ -70,6 +72,22 @@ def _check_tensor4(x: np.ndarray, name: str = "input") -> None:
         raise ShapeError(f"{name} has an empty dimension: {x.shape}")
 
 
+class Channels(tuple):
+    """A conv input: rank-4 tensors, one or more, read as their channel
+    concatenation, which is never built; shape is the concatenation's."""
+
+    def __new__(cls, x):
+        parts = super().__new__(cls, x if isinstance(x, tuple) else (x,))
+        for t in parts:
+            _check_tensor4(t)
+        if len({(t.shape[0], *t.shape[2:]) for t in parts}) != 1:
+            raise ShapeError(f"a conv input needs tensors that agree outside the "
+                             f"channel axis, got {[t.shape for t in parts]}")
+        n, _, h, w = parts[0].shape
+        parts.shape = n, sum(t.shape[1] for t in parts), h, w
+        return parts
+
+
 # Each band's lowering and GEMM product stay under _BAND_BYTES together, and
 # under _CACHE_BYTES, one core's L2, where that leaves enough rows per band.
 # The L2 size is a constant: os.sysconf("SC_LEVEL2_CACHE_SIZE") is not
@@ -100,15 +118,16 @@ def _row_bands(n: int, h: int, w: int, column_bytes: int, halo: int):
             for r in range(h) for i in range(n) for s in range(0, w, k)]
 
 
-def _lower(lowered: np.ndarray, planes: np.ndarray, kh: int, kw: int,
+def _lower(lowered: np.ndarray, planes: list[np.ndarray], kh: int, kw: int,
            rows: slice, images: slice, xs: slice) -> np.ndarray:
     """Fill lowered, a (c*kw, padded rows*images*columns) array, with the
-    horizontal taps of a same kh x kw convolution over planes, an unpadded
-    (c, h, n, w) array, for the output band rows x images x xs and its kh-1
-    halo rows; rows and column strips outside the frame are zeroed."""
-    c, h, _, w = planes.shape
+    horizontal taps of a same kh x kw convolution over planes, unpadded
+    (c_i, h, n, w) arrays stacked along c, for the output band rows x images
+    x xs and its kh-1 halo rows; strips outside the frame are zeroed."""
+    _, h, _, w = planes[0].shape
     nr, nx = rows.stop - rows.start + kh - 1, xs.stop - xs.start
-    taps = lowered.reshape(c, kw, nr, images.stop - images.start, nx)
+    taps = lowered.reshape(-1, kw, nr, images.stop - images.start, nx)
+    starts = [sum(map(len, planes[:i])) for i in range(len(planes))]  # first channel of each
     top = rows.start - (kh - 1) // 2
     r0 = max(-top, 0)
     r1 = max(min(h - top, nr), r0)
@@ -121,7 +140,8 @@ def _lower(lowered: np.ndarray, planes: np.ndarray, kh: int, kw: int,
         tap = taps[:, v, r0:r1]
         tap[..., :x0] = 0
         tap[..., x1:] = 0
-        tap[..., x0:x1] = planes[:, top + r0:top + r1, images, left + x0:left + x1]
+        for part, c in zip(planes, starts):
+            tap[c:c + len(part), ..., x0:x1] = part[:, top + r0:top + r1, images, left + x0:left + x1]
     return lowered
 
 
@@ -140,25 +160,26 @@ def _stacked_gemm(kernel: np.ndarray, lowered: np.ndarray, stride: int,
     return out
 
 
-def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
+def conv2d(x, p: ConvParams) -> np.ndarray:
     """3x3 / 1x1 convolution, stride 1, zero same-padding.
 
     Output spatial size equals input spatial size; each output pixel is the
     kernel dotted with the zero-padded input window, plus the channel bias.
+    x is a tensor or a tuple of tensors read as one (see Channels).
     """
-    _check_tensor4(x)
+    parts = Channels(x)
     oc, ic, kh, kw = p.weights.shape
-    if x.shape[1] != ic:
-        raise ShapeError(f"conv2d channel mismatch: input {x.shape} expects "
+    if parts.shape[1] != ic:
+        raise ShapeError(f"conv2d channel mismatch: input {parts.shape} expects "
                          f"{ic} channels for kernel {p.weights.shape}")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"conv2d needs odd kernel sides for same-padding, got {(kh, kw)}")
-    n, _, h, w = x.shape
+    n, _, h, w = parts.shape
     kernel = p.weights.transpose(2, 0, 1, 3).reshape(kh * oc, ic * kw)
-    planes = x.transpose(1, 2, 0, 3)
-    out = np.empty((oc, h, n, w), dtype=np.result_type(kernel, x))
-    if kh * kw == 1:
-        np.matmul(kernel, planes.reshape(ic, -1), out=out.reshape(oc, -1))
+    planes = [t.transpose(1, 2, 0, 3) for t in parts]
+    out = np.empty((oc, h, n, w), dtype=np.result_type(kernel, *parts))
+    if kh * kw == 1 and len(planes) == 1:
+        np.matmul(kernel, planes[0].reshape(ic, -1), out=out.reshape(oc, -1))
         out += p.bias[:, None, None, None]
     else:
         bands = _row_bands(n, h, w, (ic * kw + kh * oc) * out.itemsize, kh - 1)
@@ -178,34 +199,37 @@ def conv2d(x: np.ndarray, p: ConvParams) -> np.ndarray:
     return out.transpose(2, 0, 1, 3)
 
 
-def _weight_grads(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
+def _weight_grads(parts: Channels, p: ConvParams, grad_out: np.ndarray):
     """(lowering of grad_out, grad_w, grad_b) of conv2d; see conv2d_backward."""
-    n, _, h, w = x.shape
+    n, c, h, w = parts.shape
     oc, ic, kh, kw = p.weights.shape
-    if grad_out.shape != (n, oc, h, w):
-        raise ShapeError(f"conv2d upstream gradient {grad_out.shape} does not match "
-                         f"output shape {(n, oc, h, w)}")
+    if c != ic or grad_out.shape != (n, oc, h, w):
+        raise ShapeError(f"conv2d input {parts.shape} and upstream gradient {grad_out.shape} "
+                         f"do not fit kernel {p.weights.shape}")
     nw, m = n * w, h * n * w
     planes = grad_out.transpose(1, 2, 0, 3)
     if kh * kw == 1:
         lowered = planes.reshape(oc, m)
     else:
-        lowered = _lower(np.empty((oc * kw, m + (kh - 1) * nw), grad_out.dtype), planes, kh, kw,
+        lowered = _lower(np.empty((oc * kw, m + (kh - 1) * nw), grad_out.dtype), [planes], kh, kw,
                          slice(0, h), slice(0, n), slice(0, w))
-    inputs = x.transpose(1, 2, 0, 3).reshape(ic, m)  # freed on return, in case it is a copy
+    inputs = [t.transpose(1, 2, 0, 3) for t in parts]  # one part is read as a view if it can be
+    inputs = (inputs[0] if len(inputs) == 1 else np.concatenate(inputs)).reshape(ic, m)
     taps = np.stack([np.matmul(lowered[:, u * nw:u * nw + m], inputs.T) for u in range(kh)])
     grad_w = taps.reshape(kh, oc, kw, ic)[::-1, :, ::-1].transpose(1, 3, 0, 2)
     return lowered, grad_w, grad_out.sum(axis=(0, 2, 3))
 
 
-def conv2d_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
+def conv2d_backward(x, p: ConvParams, grad_out: np.ndarray):
     """Gradients of conv2d w.r.t. (input, weights, bias).  With L the
     lowering of grad_out, nw = n*w and m = h*nw: grad_x is the stacked GEMM
     of the flipped kernel W'[c, o, u, v] = W[o, c, kh-1-u, kw-1-v] on L, and
     grad_w[o, c, kh-1-u, kw-1-v] = (L[:, u*nw:u*nw + m] @ X.T)[o*kw + v, c],
-    with X x in (ic, h, n, w) order."""
-    lowered, grad_w, grad_b = _weight_grads(x, p, grad_out)
-    n, ic, h, w = x.shape
+    with X x in (ic, h, n, w) order.  For a tuple x, grad_x is the gradient
+    of the concatenation, whose channel slices belong to the parts."""
+    parts = Channels(x)
+    lowered, grad_w, grad_b = _weight_grads(parts, p, grad_out)
+    n, ic, h, w = parts.shape
     oc, _, kh, kw = p.weights.shape
     flipped = p.weights[:, :, ::-1, ::-1].transpose(2, 1, 0, 3).reshape(kh * ic, oc * kw)
     grad_x = np.empty((ic, h, n, w), dtype=np.result_type(flipped, grad_out))
@@ -213,10 +237,10 @@ def conv2d_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
     return grad_x.transpose(2, 0, 1, 3), grad_w, grad_b
 
 
-def conv2d_weight_grads(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):
+def conv2d_weight_grads(x, p: ConvParams, grad_out: np.ndarray):
     """conv2d_backward without the input gradient: (grad_w, grad_b), for a
     first layer, whose input gradient nothing reads."""
-    return _weight_grads(x, p, grad_out)[1:]
+    return _weight_grads(Channels(x), p, grad_out)[1:]
 
 
 def _pool_windows(x: np.ndarray) -> list[np.ndarray]:
@@ -316,24 +340,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack b's channels after a's; batch and spatial dims must agree."""
-    _check_tensor4(a, "first operand")
-    _check_tensor4(b, "second operand")
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ShapeError(f"concat_channels operands disagree outside the channel "
-                         f"axis: {a.shape} vs {b.shape}")
-    return np.concatenate([a, b], axis=1)
-
-
-def split_channels(x: np.ndarray, channels: int):
-    """Undo concat_channels: split at a channel index into two views."""
-    _check_tensor4(x)
-    if not 1 <= channels < x.shape[1]:
-        raise ShapeError(f"split point {channels} outside channel range of {x.shape}")
-    return x[:, :channels], x[:, channels:]
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:

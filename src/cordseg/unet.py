@@ -3,8 +3,9 @@ a bit-exact binary checkpoint format.
 
 The network is the classic contracting/expansive shape: each encoder level
 is two (conv 3x3 -> relu) then a 2x2 max-pool; the bottleneck is two
-(conv -> relu); each decoder level is a 2x2 transposed conv, channel-concat
-with the matching encoder skip, then two (conv -> relu); a final 1x1 conv
+(conv -> relu); each decoder level is a 2x2 transposed conv, then two
+(conv -> relu), the first reading its output and the matching encoder skip
+as one channel concatenation that is never built; a final 1x1 conv
 produces one logit plane per output channel.  Same-padding keeps the output
 spatial size equal to the input everywhere, so masks align with tiles.
 
@@ -172,13 +173,14 @@ def forward(model: Model, batch: np.ndarray, record: bool = True):
     relu runs in place on each conv output, so a conv_relu record holds the
     layer's input and its activated output, which is also the next layer's
     input; relu_backward reads the same mask from it, since the output is
-    positive exactly where the pre-activation was.
+    positive exactly where the pre-activation was.  A decoder level's first
+    input is (upconv output, skip), the skip being an encoder record's output.
 
     With record=False the pass is inference only: the cache keeps no
     per-layer records (its records list is empty and backward rejects it),
     so each activation is freed after its last reader: a block's input goes
     before its second conv, and a decoder level drops its skip and upconv
-    output once they are concatenated.  The pools compute no argmax index.
+    output after its first conv.  The pools compute no argmax index.
     The logits are bitwise the same in both modes.
     """
     cfg, params = model.cfg, model.layers
@@ -203,24 +205,22 @@ def forward(model: Model, batch: np.ndarray, record: bool = True):
     # one layer per statement, so that nothing holds a layer's input past it
     skips = []
     t = batch
-    for level in range(cfg.depth):
+    for _ in range(cfg.depth):
         t = conv_relu(t)
         t = conv_relu(t)
         skips.append(t)
         if record:
             t, idx = ops.maxpool2(t)
-            keep(("pool", level, idx))
+            keep(("pool", idx))
         else:
             t = ops.maxpool2_values(t)
     t = conv_relu(t)
     t = conv_relu(t)
-    for level in range(cfg.depth - 1, -1, -1):
+    for _ in range(cfg.depth):
         keep(("upconv", t))
         t = ops.upconv2(t, params[k])
         k += 1
-        keep(("concat", level, t.shape[1]))
-        t = ops.concat_channels(t, skips.pop())
-        t = conv_relu(t)
+        t = conv_relu(ops.Channels((t, skips.pop())))
         t = conv_relu(t)
     logits = ops.conv2d(t, params[k])
     keep(("conv", t))
@@ -241,16 +241,12 @@ def backward(model: Model, cache: ActivationCache, grad_logits: np.ndarray) -> n
     grads = unflatten_params(grad, model.cfg)
     k = len(params) - 1
     g = grad_logits
-    skip_grads: dict[int, np.ndarray] = {}
+    skip_grads = []  # the decoders' shares, read by the pools in reverse order
     while cache.records:  # popping frees each activation once it is used
         record = cache.records.pop()
         tag = record[0]
-        if tag == "concat":
-            _, level, up_channels = record
-            g, skip_grads[level] = ops.split_channels(g, up_channels)
-        elif tag == "pool":
-            _, level, idx = record
-            g = ops.maxpool2_backward(idx, g) + skip_grads.pop(level)
+        if tag == "pool":
+            g = ops.maxpool2_backward(record[1], g) + skip_grads.pop()
         else:  # conv, conv_relu or upconv: one parameter layer
             if tag == "conv_relu":
                 g = ops.relu_backward(record[2], g)
@@ -258,6 +254,9 @@ def backward(model: Model, cache: ActivationCache, grad_logits: np.ndarray) -> n
                 grads[k].weights[...], grads[k].bias[...] = ops.conv2d_weight_grads(
                     record[1], params[k], g)
                 break
+            if tag == "upconv":  # g is the gradient of (upconv output, skip)
+                g, skip = np.split(g, [params[k].weights.shape[1]], axis=1)
+                skip_grads.append(skip)
             kernel = ops.upconv2_backward if tag == "upconv" else ops.conv2d_backward
             g, grads[k].weights[...], grads[k].bias[...] = kernel(record[1], params[k], g)
             k -= 1

@@ -8,6 +8,7 @@ so the comparison happens where the loss is differentiable.
 """
 
 import numpy as np
+import pytest
 
 from cordseg import ops
 from cordseg.ops import ConvParams
@@ -22,7 +23,8 @@ def rand(rng, shape):
     return 2.0 * rng.f64_array(int(np.prod(shape))).reshape(shape) - 1.0
 
 
-def test_conv2d_gradients():
+@pytest.mark.parametrize("parts", [1, 2])  # the input as one tensor or two channel parts
+def test_conv2d_gradients(parts):
     rng = SplitMix64(10)
     n, ci, co, h, w, k = 2, 3, 2, 5, 4, 3
     x0 = rand(rng, (n, ci, h, w))
@@ -35,6 +37,7 @@ def test_conv2d_gradients():
         x, wt, b = np.split(theta, np.cumsum(sizes)[:-1])
         p = ConvParams(wt.reshape(w0.shape), b)
         x = x.reshape(x0.shape)
+        x = x if parts == 1 else (x[:, :1], x[:, 1:])  # grad_x covers both parts
         out = ops.conv2d(x, p)
         gx, gw, gb = ops.conv2d_backward(x, p, r)
         return float((r * out).sum()), np.concatenate([gx.ravel(), gw.ravel(), gb])
@@ -104,21 +107,6 @@ def test_sigmoid_gradients():
         return float((r * y).sum()), sigmoid_backward(y, r).ravel()
 
     assert finite_diff_check(f, x0.ravel()) < TOL
-
-
-def test_concat_gradients_split_exactly():
-    rng = SplitMix64(15)
-    a0 = rand(rng, (1, 2, 3, 3))
-    b0 = rand(rng, (1, 4, 3, 3))
-    r = rand(rng, (1, 6, 3, 3))
-
-    def f(theta):
-        a, b = theta[:a0.size].reshape(a0.shape), theta[a0.size:].reshape(b0.shape)
-        out = ops.concat_channels(a, b)
-        ga, gb = ops.split_channels(r, a0.shape[1])
-        return float((r * out).sum()), np.concatenate([ga.ravel(), gb.ravel()])
-
-    assert finite_diff_check(f, np.concatenate([a0.ravel(), b0.ravel()])) < TOL
 
 
 def test_bce_gradients():

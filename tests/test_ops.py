@@ -52,14 +52,6 @@ def test_conv2d_zero_input_gives_bias_planes():
         assert np.allclose(out[:, k], p.bias[k])
 
 
-def test_conv2d_channel_mismatch_names_both_shapes():
-    p = conv_params(SplitMix64(0), 2, 3, 3)
-    with pytest.raises(ShapeError) as err:
-        ops.conv2d(np.zeros((1, 2, 4, 4), np.float32), p)
-    assert "(1, 2, 4, 4)" in str(err.value)
-    assert "(2, 3, 3, 3)" in str(err.value)
-
-
 def test_conv2d_rejects_even_kernel():
     p = ConvParams(np.zeros((1, 1, 2, 2), np.float32), np.zeros(1, np.float32))
     with pytest.raises(ShapeError):
@@ -505,45 +497,47 @@ def test_sigmoid_backward_quarter_at_zero():
     assert sigmoid_backward(y, g)[0, 0, 0, 0] == pytest.approx(0.25)
 
 
-# --- concat / split -----------------------------------------------------------
+# --- conv inputs in channel parts ---------------------------------------------
 
-def test_concat_channels_shape_and_order():
-    a = np.ones((1, 2, 4, 4), np.float32)
-    b = np.full((1, 3, 4, 4), 2.0, np.float32)
-    out = ops.concat_channels(a, b)
-    assert out.shape == (1, 5, 4, 4)
-    assert np.all(out[:, :2] == 1.0)
-    assert np.all(out[:, 2:] == 2.0)
-
-
-def test_concat_channels_rejects_spatial_mismatch():
-    a = np.ones((1, 2, 4, 4), np.float32)
-    with pytest.raises(ShapeError):
-        ops.concat_channels(a, np.ones((1, 2, 4, 5), np.float32))
-    with pytest.raises(ShapeError):
-        ops.concat_channels(a, np.ones((2, 2, 4, 4), np.float32))
-
-
-def test_concat_channels_rejects_empty_channel_operand():
-    a = np.ones((1, 2, 4, 4), np.float32)
-    with pytest.raises(ShapeError):
-        ops.concat_channels(a, np.ones((1, 0, 4, 4), np.float32))
-
-
-def test_concat_then_split_is_identity():
-    rng = SplitMix64(500)
-    a = random_tensor(rng, (2, 3, 4, 4))
-    b = random_tensor(rng, (2, 5, 4, 4))
-    ga, gb = ops.split_channels(ops.concat_channels(a, b), a.shape[1])
-    assert np.array_equal(ga, a)
-    assert np.array_equal(gb, b)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("budget", [None, 256])
+def test_conv2d_reads_channel_parts_bitwise_as_their_concatenation(monkeypatch, dtype, budget):
+    if budget:  # bands of one output pixel, each lowered with its halo rows
+        monkeypatch.setattr(ops, "_BAND_BYTES", budget)
+        monkeypatch.setattr(ops, "_CACHE_BYTES", budget)
+    rng = SplitMix64(510)
+    for n, ca, cb, h, w, k in ((2, 3, 5, 6, 5, 3), (1, 1, 2, 4, 7, 3), (3, 2, 2, 5, 4, 1)):
+        a, b, g = (random_tensor(rng, s).astype(dtype)
+                   for s in ((n, ca, h, w), (cb, h, n, w), (n, 4, h, w)))
+        b = b.transpose(2, 0, 1, 3)  # a skip as conv2d returns it
+        p = conv_params(rng, 4, ca + cb, k)
+        p = ConvParams(p.weights.astype(dtype), p.bias.astype(dtype))
+        joined = np.concatenate([a, b], axis=1)
+        got, want = ops.conv2d((a, b), p), ops.conv2d(joined, p)
+        assert got.dtype == dtype
+        if k == 1:  # one array's planes are multiplied in place, parts are lowered
+            np.testing.assert_allclose(got, want, rtol=1e-6)
+        else:
+            assert got.tobytes() == want.tobytes()
+        for backward in (ops.conv2d_backward, ops.conv2d_weight_grads):
+            for x, y in zip(backward((a, b), p, g), backward(joined, p, g)):
+                assert x.dtype == dtype and x.tobytes() == y.tobytes()
 
 
-def test_split_channels_slices_exactly_at_index():
-    g = np.arange(2 * 5 * 2 * 2, dtype=np.float32).reshape(2, 5, 2, 2)
-    left, right = ops.split_channels(g, 2)
-    assert np.array_equal(left, g[:, :2])
-    assert np.array_equal(right, g[:, 2:])
+def test_conv2d_rejects_inputs_that_do_not_fit_its_kernel():
+    p = conv_params(SplitMix64(0), 3, 5, 3)
+    a, g = np.zeros((2, 2, 4, 4), np.float32), np.zeros((2, 3, 4, 4), np.float32)
+    with pytest.raises(ShapeError) as err:
+        ops.conv2d(np.zeros((2, 4, 4, 4), np.float32), p)
+    assert "(2, 4, 4, 4)" in str(err.value) and "(3, 5, 3, 3)" in str(err.value)
+    # 1 or 4 channels where the kernel takes 5, as one tensor or two; parts whose
+    # batch or spatial size differ; an empty part; no part; a part not of rank 4
+    for x in (a[:, :1], (a, a), (a, np.zeros((1, 3, 4, 4))), (a, np.zeros((2, 3, 4, 6))),
+              (a, np.zeros((2, 0, 4, 4))), (), (a, np.zeros(3))):
+        for call in (lambda: ops.conv2d(x, p), lambda: ops.conv2d_backward(x, p, g),
+                     lambda: ops.conv2d_weight_grads(x, p, g)):
+            with pytest.raises(ShapeError):
+                call()
 
 
 # --- bce ------------------------------------------------------------------------

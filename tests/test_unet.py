@@ -179,24 +179,34 @@ def test_forward_without_record_computes_no_pool_index(monkeypatch):
     assert np.array_equal(got, want)
 
 
-def forward_peak(params, x):
+def forward_memory(params, x, record=False):
+    """(bytes held while the forward's output is alive, peak bytes) of one forward."""
     tracemalloc.start()
     try:
-        unet.forward(params, x, record=False)
-        return tracemalloc.get_traced_memory()[1]
+        out = unet.forward(params, x, record=record)  # alive while memory is read
+        return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
 
+def zero_model(cfg):
+    return unet.Model(cfg, np.zeros(unet._parameter_total(cfg), np.float32))
+
+
 def test_inference_forward_frees_each_activation_after_its_last_reader():
-    # at most the top-level skip, the upconv output, their concatenation and
-    # a conv output are alive at once; holding every block input and skip
-    # past its last reader peaks near 7.5 of the largest activations
-    params = unet.init_params(UNetConfig(depth=2, base_channels=8), 42)
-    x = small_input(14, side=256)
-    largest = 8 * 256 * 256 * 4
-    peak = forward_peak(params, x)
-    assert peak < 5 * largest, peak / largest
+    # on a 256 tile the default model's top decoder conv reads its 16 MiB upconv
+    # output and skip in place beside its 16 MiB output and <= 12 MiB of band
+    # scratch; a 32 MiB concatenation of the two, or keeping them longer, passes 62
+    peak = forward_memory(zero_model(UNetConfig()), small_input(14, side=256))[1]
+    assert peak < 62 * 2**20, peak / 2**20
+
+
+def test_recorded_activations_hold_each_skip_once():
+    # the records held 191.9 MiB at depth 4 base 32 on (2, 1, 256, 256) while
+    # each decoder level kept a concatenated copy of its skip besides the skip
+    x = small_input(18, n=2, side=256)
+    held = forward_memory(zero_model(UNetConfig(depth=4, base_channels=32)), x, True)[0]
+    assert held < 169 * 2**20, held / 2**20
 
 
 def test_inference_forward_copies_no_kernel():
@@ -204,7 +214,7 @@ def test_inference_forward_copies_no_kernel():
     # which a per-call copy of the kernel would have to allocate
     params = unet.init_params(UNetConfig(depth=2, base_channels=64), 42)
     largest = max(p.weights.nbytes for p in params.layers)
-    peak = forward_peak(params, small_input(15, side=16))
+    peak = forward_memory(params, small_input(15, side=16))[1]
     assert peak < largest, peak / largest
 
 
@@ -219,6 +229,12 @@ def test_conv_relu_records_share_each_activation_with_the_next_layer():
     for a, b in pairs:
         assert b[1] is a[2]
         assert np.all(a[2] >= 0)
+    # each decoder level's first conv reads (upconv output, skip), the skip
+    # being the encoder's output itself: training keeps it once
+    skips = [a[2] for a, b in zip(cache.records, cache.records[1:]) if b[0] == "pool"]
+    joins = [r[1] for r in cache.records if isinstance(r[1], tuple)]
+    assert len(joins) == len(skips) == 2
+    assert all(skip is encoded for (_, skip), encoded in zip(joins, skips[::-1]))
 
 
 def test_forward_without_record_keeps_no_records():
