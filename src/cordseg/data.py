@@ -94,11 +94,11 @@ def decode_pgm(data: bytes) -> np.ndarray:
     if not data[pos:pos + 1].isspace():
         raise ImageDataError("PGM maxval must be followed by one whitespace byte")
     pos += 1
-    raster = data[pos:]
-    if len(raster) != width * height:
-        raise ImageDataError(f"PGM raster holds {len(raster)} bytes, expected "
+    if len(data) - pos != width * height:
+        raise ImageDataError(f"PGM raster holds {len(data) - pos} bytes, expected "
                              f"{width * height} for {width}x{height}")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    # read in place, not through a sliced copy of the raster
+    return np.frombuffer(data, dtype=np.uint8, offset=pos).reshape(height, width).copy()
 
 
 def encode_pgm(img: np.ndarray) -> bytes:

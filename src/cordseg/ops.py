@@ -26,6 +26,10 @@ layout allows.  The backward pass lowers grad_out once, unbanded, so the
 weight gradient's summation order is fixed (see conv2d_backward).
 The 2x2 stride-2 up-convolution is a 1x1 conv2d to four planes per output
 channel plus a depth-to-space move, since its output blocks do not overlap.
+conv2d, upconv2 and maxpool2_values write into a caller's out, and take
+their scratch (conv bands, upconv planes) from a caller's array, when given
+them, so that an inference forward can cut every buffer from one block
+(unet.Workspace); the numbers do not depend on where the buffers live.
 
 Each forward kernel has a reverse-mode counterpart that maps the upstream
 gradient to gradients w.r.t. its inputs; conv2d_weight_grads is
@@ -160,12 +164,39 @@ def _stacked_gemm(kernel: np.ndarray, lowered: np.ndarray, stride: int,
     return out
 
 
-def conv2d(x, p: ConvParams) -> np.ndarray:
+def _bands(n: int, h: int, w: int, ic: int, oc: int, kh: int, kw: int, itemsize: int):
+    """conv2d's output bands and the scratch elements its widest band takes."""
+    rows = ic * kw + kh * oc
+    bands = _row_bands(n, h, w, rows * itemsize, kh - 1)
+    widest = max((r.stop - r.start + kh - 1) * (i.stop - i.start) * (s.stop - s.start)
+                 for r, i, s in bands)
+    return bands, rows * widest
+
+
+def conv2d_scratch_size(shape: tuple, weights_shape: tuple, itemsize: int) -> int:
+    """Elements of the band scratch conv2d takes for an input of the given
+    (n, c, h, w) shape and kernel shape, when it lowers that input in bands
+    (a 1x1 kernel on one tensor is multiplied unlowered and takes none)."""
+    n, _, h, w = shape
+    oc, ic, kh, kw = weights_shape
+    return _bands(n, h, w, ic, oc, kh, kw, itemsize)[1]
+
+
+def _check_buffer(buf: np.ndarray, shape: tuple, dtype, what: str) -> None:
+    if buf.shape != shape or buf.dtype != dtype:
+        raise ShapeError(f"{what} must be {dtype} {shape}, got {buf.dtype} {buf.shape}")
+
+
+def conv2d(x, p: ConvParams, out: np.ndarray | None = None,
+           scratch: np.ndarray | None = None) -> np.ndarray:
     """3x3 / 1x1 convolution, stride 1, zero same-padding.
 
     Output spatial size equals input spatial size; each output pixel is the
     kernel dotted with the zero-padded input window, plus the channel bias.
-    x is a tensor or a tuple of tensors read as one (see Channels).
+    x is a tensor or a tuple of tensors read as one (see Channels).  out, if
+    given, is the (n, oc, h, w) result to write, laid out (oc, h, n, w) as
+    conv2d's own result is; scratch, if given, is a 1-D array of at least
+    conv2d_scratch_size elements that the bands' lowering and product use.
     """
     parts = Channels(x)
     oc, ic, kh, kw = p.weights.shape
@@ -177,17 +208,27 @@ def conv2d(x, p: ConvParams) -> np.ndarray:
     n, _, h, w = parts.shape
     kernel = p.weights.transpose(2, 0, 1, 3).reshape(kh * oc, ic * kw)
     planes = [t.transpose(1, 2, 0, 3) for t in parts]
-    out = np.empty((oc, h, n, w), dtype=np.result_type(kernel, *parts))
+    dtype = np.result_type(kernel, *parts)
+    if out is None:
+        out = np.empty((oc, h, n, w), dtype)
+    else:
+        _check_buffer(out, (n, oc, h, w), dtype, "conv2d out")
+        out = out.transpose(1, 2, 0, 3)
+        if not out.flags.c_contiguous:
+            raise ShapeError("conv2d out must be laid out (oc, h, n, w)")
     if kh * kw == 1 and len(planes) == 1:
         np.matmul(kernel, planes[0].reshape(ic, -1), out=out.reshape(oc, -1))
         out += p.bias[:, None, None, None]
     else:
-        bands = _row_bands(n, h, w, (ic * kw + kh * oc) * out.itemsize, kh - 1)
-        widest = max((r.stop - r.start + kh - 1) * (i.stop - i.start) * (s.stop - s.start)
-                     for r, i, s in bands)
-        # one allocation: two separate ones raised a two-thread predict's peak RSS
-        lowered, product = np.split(np.empty((ic * kw + kh * oc) * widest, out.dtype),
-                                    [ic * kw * widest])
+        bands, need = _bands(n, h, w, ic, oc, kh, kw, out.itemsize)
+        if scratch is None:
+            # one allocation: two separate ones raised a two-thread predict's peak RSS
+            scratch = np.empty(need, dtype)
+        elif scratch.ndim != 1 or scratch.size < need or scratch.dtype != dtype:
+            raise ShapeError(f"conv2d scratch must be {dtype} of at least {need} elements, "
+                             f"got {scratch.dtype} {scratch.shape}")
+        split = need // (ic * kw + kh * oc) * ic * kw
+        lowered, product = scratch[:split], scratch[split:need]
         for rows, images, xs in bands:
             # a view, since every band is whole rows, images of one row or part of one
             target = out[:, rows, images, xs].reshape(oc, -1)
@@ -252,11 +293,15 @@ def _pool_windows(x: np.ndarray) -> list[np.ndarray]:
     return [x[:, :, k // 2::2, k % 2::2] for k in range(4)]
 
 
-def maxpool2_values(x: np.ndarray) -> np.ndarray:
+def maxpool2_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The pooled tensor of maxpool2, bitwise the same, without the argmax
-    index that only the backward pass reads."""
+    index that only the backward pass reads; written into out if given."""
     first, *rest = _pool_windows(x)
-    out = first.copy(order="K")
+    if out is None:
+        out = np.empty_like(first)  # in x's memory order, as first.copy(order="K")
+    else:
+        _check_buffer(out, first.shape, first.dtype, "maxpool2 out")
+    np.copyto(out, first)
     for entry in rest:
         np.maximum(entry, out, out=out)
     return out
@@ -290,12 +335,16 @@ def maxpool2_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad
 
 
-def upconv2(x: np.ndarray, p: ConvParams) -> np.ndarray:
+def upconv2(x: np.ndarray, p: ConvParams, out: np.ndarray | None = None,
+            scratch: np.ndarray | None = None) -> np.ndarray:
     """2x2 transposed convolution with stride 2, no padding.
 
     Each input pixel scatters value*kernel into its own 2x2 output block,
     plus bias; spatial size doubles.  The blocks do not overlap, so this runs
-    as a 1x1 conv2d to 4*oc planes in (o, u, v) order and a depth-to-space move.
+    as a 1x1 conv2d to 4*oc planes in (o, u, v) order and a depth-to-space
+    move.  out, if given, is the C-ordered (n, oc, 2h, 2w) result that the
+    move writes; scratch, if given, is a 1-D array of at least n*4*oc*h*w
+    elements that holds the planes.
     """
     _check_tensor4(x)
     ic, oc, kh, kw = p.weights.shape
@@ -306,8 +355,18 @@ def upconv2(x: np.ndarray, p: ConvParams) -> np.ndarray:
                          f"{ic} channels for kernel {p.weights.shape}")
     n, _, h, w = x.shape
     kernel = p.weights.transpose(1, 2, 3, 0).reshape(4 * oc, ic, 1, 1)
-    planes = conv2d(x, ConvParams(kernel, np.repeat(p.bias, 4))).reshape(n, oc, 2, 2, h, w)
-    return planes.transpose(0, 1, 4, 2, 5, 3).reshape(n, oc, 2 * h, 2 * w)
+    if scratch is not None:
+        scratch = scratch[:4 * oc * h * n * w].reshape(4 * oc, h, n, w).transpose(2, 0, 1, 3)
+    planes = conv2d(x, ConvParams(kernel, np.repeat(p.bias, 4)), out=scratch)
+    if out is None:
+        out = np.empty((n, oc, 2 * h, 2 * w), planes.dtype)
+    else:
+        _check_buffer(out, (n, oc, 2 * h, 2 * w), planes.dtype, "upconv2 out")
+        if not out.flags.c_contiguous:
+            raise ShapeError("upconv2 out must be C-ordered")
+    np.copyto(out.reshape(n, oc, h, 2, w, 2),
+              planes.reshape(n, oc, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3))
+    return out
 
 
 def upconv2_backward(x: np.ndarray, p: ConvParams, grad_out: np.ndarray):

@@ -2,14 +2,17 @@
 the probability maps, threshold once.
 
 Tiles are independent, so per-tile inference fans out over a thread pool,
-with OpenBLAS given its share of the cores (see parallel.py); results are
-placed by tile index, which makes the output identical for any worker
-count.  Thresholding happens on the stitched full-frame probability
-map so tile boundaries cannot shift the decision.
+with OpenBLAS given its share of the cores (see parallel.py).  Each worker
+runs its tiles' forwards in its own unet.Workspace and writes each tile's
+probabilities by tile index into one array allocated before the pool
+starts, which makes the output identical for any worker count.
+Thresholding happens on the stitched full-frame probability map so tile
+boundaries cannot shift the decision.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -32,13 +35,18 @@ def predict_frame(model: unet.Model, frame: np.ndarray,
     height, width = frame.shape
     grid = tiling.compute_grid(width, height, tile_size)
     tiles = tiling.split_image(tiling.pad_image(frame, grid), grid)
+    prob_tiles = np.empty(tiles.shape, np.result_type(model.theta, np.float32))
+    worker = threading.local()  # each pool thread's own workspace
 
-    def segment(tile: np.ndarray) -> np.ndarray:
-        logits, _ = unet.forward(model, to_unit(tile)[None, None], record=False)
-        return ops.sigmoid(logits)[0, 0]
+    def segment(i: int) -> None:
+        if not hasattr(worker, "workspace"):
+            worker.workspace = unet.Workspace()
+        logits, _ = unet.forward(model, to_unit(tiles[i])[None, None], record=False,
+                                 workspace=worker.workspace)
+        prob_tiles[i] = ops.sigmoid(logits)[0, 0]
 
     workers = min(parallel.default_workers() if threads is None else threads, len(tiles))
     with parallel.share_cores(workers), ThreadPoolExecutor(workers) as pool:
-        prob_tiles = list(pool.map(segment, tiles))
-    probs = tiling.stitch(np.stack(prob_tiles), grid)
+        list(pool.map(segment, range(len(tiles))))  # reads every result, so raises any error
+    probs = tiling.stitch(prob_tiles, grid)
     return metrics.binarize(probs, threshold), probs

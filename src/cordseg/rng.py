@@ -57,14 +57,18 @@ class SplitMix64:
         self._count += 1
         return mix64(key)
 
-    def u64_array(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise DomainError(f"draw count must be >= 0, got {n}")
-        counters = np.arange(self._count, self._count + n, dtype=np.uint64)
-        self._count += n
+    def _words(self, start: int, n: int) -> np.ndarray:
+        """The n outputs at counters start, start + 1, ..., without consuming them."""
+        counters = np.arange(start, start + n, dtype=np.uint64)
         with np.errstate(over="ignore"):
             keys = np.uint64(self._state) + (counters * np.uint64(_GOLDEN)) + np.uint64(_GOLDEN)
             return _mix64_array(keys)
+
+    def u64_array(self, n: int) -> np.ndarray:
+        if n < 0:
+            raise DomainError(f"draw count must be >= 0, got {n}")
+        self._count += n
+        return self._words(self._count - n, n)
 
     def f64(self) -> float:
         # 53 high bits -> [0, 1)
@@ -73,18 +77,41 @@ class SplitMix64:
     def f64_array(self, n: int) -> np.ndarray:
         return (self.u64_array(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def normal_array(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-        """n standard-normal float64 draws via Box-Muller on stream pairs."""
+    def _claim_pairs(self, n: int) -> tuple[int, int]:
+        """Consume the words of n Box-Muller draws: (first counter, pair count).
+        Pair j takes u1 from word start + j and u2 from word start + pairs + j."""
+        if n < 0:
+            raise DomainError(f"draw count must be >= 0, got {n}")
         pairs = (n + 1) // 2
+        self._count += 2 * pairs
+        return self._count - 2 * pairs, pairs
+
+    def _normals(self, u1_at: int, u2_at: int, pairs: int) -> np.ndarray:
+        """The 2 * pairs draws of Box-Muller pairs whose u1 and u2 words start
+        at the given counters."""
         # u1 in (0, 1] so log stays finite
-        u1 = ((self.u64_array(pairs) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
-        u2 = self.f64_array(pairs)
+        u1 = ((self._words(u1_at, pairs) >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * 2.0**-53
+        u2 = (self._words(u2_at, pairs) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = (2.0 * math.pi) * u2
         out = np.empty(2 * pairs, dtype=np.float64)
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
-        return mean + std * out[:n]
+        return out
+
+    def normal_array(self, n: int, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
+        """n standard-normal float64 draws via Box-Muller on stream pairs."""
+        start, pairs = self._claim_pairs(n)
+        return mean + std * self._normals(start, start + pairs, pairs)[:n]
+
+    def normal_blocks(self, n: int, block_pairs: int, mean: float = 0.0, std: float = 1.0):
+        """normal_array(n, mean, std), bit for bit, as consecutive blocks of at
+        most 2 * block_pairs draws, so that its float64 temporaries stay that
+        small.  The stream advances past all n draws at once."""
+        start, pairs = self._claim_pairs(n)
+        return (mean + std * self._normals(start + j, start + pairs + j,
+                                           min(block_pairs, pairs - j))[:n - 2 * j]
+                for j in range(0, pairs, block_pairs))
 
     def randbelow(self, bound: int) -> int:
         """Unbiased integer in [0, bound) by rejection sampling."""

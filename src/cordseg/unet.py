@@ -108,6 +108,11 @@ def _parameter_total(cfg: UNetConfig) -> int:
     return sum(math.prod(w) + math.prod(b) for w, b in param_shapes(cfg))
 
 
+# Box-Muller pairs per block of init draws: each block's float64 temporaries
+# take a few hundred KiB, where a whole layer's took several copies of it.
+_INIT_BLOCK_PAIRS = 4096
+
+
 def init_params(cfg: UNetConfig, seed: int) -> Model:
     """He-initialized model, bit-reproducible for a given (cfg, seed).
 
@@ -121,8 +126,10 @@ def init_params(cfg: UNetConfig, seed: int) -> Model:
     model = Model(cfg, np.zeros(_parameter_total(cfg), dtype=np.float32))
     for (kind, c_in, _, k), p in zip(layer_plan(cfg), model.layers):
         fan_in = c_in if kind == "upconv" else c_in * k * k
-        draws = stream.normal_array(p.weights.size) * np.sqrt(2.0 / fan_in)
-        p.weights[...] = draws.reshape(p.weights.shape)
+        pos = 0  # in the weights' checkpoint (row-major) order
+        for draws in stream.normal_blocks(p.weights.size, _INIT_BLOCK_PAIRS):
+            p.weights.flat[pos:pos + draws.size] = draws * np.sqrt(2.0 / fan_in)
+            pos += draws.size
     return model
 
 
@@ -167,7 +174,97 @@ class ActivationCache:
     logits_shape: tuple
 
 
-def forward(model: Model, batch: np.ndarray, record: bool = True):
+class _FirstFit:
+    """Offsets in one block, by first fit, of buffers taken and freed in order."""
+
+    def __init__(self):
+        self.live = {}    # index of each taken buffer not yet freed -> (offset, size)
+        self.placed = []  # (offset, shape, axes of its view) of every buffer, in order
+        self.size = 0
+
+    def take(self, shape: tuple, axes: tuple | None = None) -> int:
+        need, offset = math.prod(shape), 0
+        for start, size in sorted(self.live.values()):
+            if start - offset >= need:
+                break
+            offset = max(offset, start + size)
+        self.live[len(self.placed)] = offset, need
+        self.placed.append((offset, shape, axes or tuple(range(len(shape)))))
+        self.size = max(self.size, offset + need)
+        return len(self.placed) - 1
+
+    def free(self, *indices: int) -> None:
+        for i in indices:
+            del self.live[i]
+
+
+def _inference_layout(cfg: UNetConfig, shape: tuple, itemsize: int) -> _FirstFit:
+    """First fit of the buffers an inference forward on a batch of the given
+    shape takes, in the order it takes and frees them: each conv's output
+    (laid out (oc, h, n, w)) and band scratch, each pool's output in its
+    input's order, each upconv's C-ordered output and the planes of its 1x1
+    conv; a layer's input goes once the layer has run, a skip once its
+    decoder level's first conv has.  The head's logits are not in it."""
+    fit, layers = _FirstFit(), iter(layer_plan(cfg))
+    n, c, h, w = shape
+    reads, skips = [], []  # buffers the next layer reads (the batch is none), and skips
+
+    def conv():
+        nonlocal reads, c
+        _, c_in, c, k = next(layers)
+        out = fit.take((c, h, n, w), (2, 0, 1, 3))
+        fit.free(fit.take((ops.conv2d_scratch_size((n, c_in, h, w), (c, c_in, k, k), itemsize),)))
+        fit.free(*reads)
+        reads = [out]
+
+    for _ in range(cfg.depth):
+        conv()
+        conv()
+        skips.append(reads[0])
+        h, w = h // 2, w // 2
+        reads = [fit.take((c, h, n, w), (2, 0, 1, 3))]
+    conv()
+    conv()
+    for _ in range(cfg.depth):
+        _, _, c, _ = next(layers)
+        out = fit.take((n, c, 2 * h, 2 * w))
+        fit.free(fit.take((4 * c * n * h * w,)))
+        fit.free(*reads)
+        h, w = 2 * h, 2 * w
+        reads = [out, skips.pop()]
+        conv()
+        conv()
+    return fit
+
+
+class Workspace:
+    """The buffers of inference forwards, cut from one block: every
+    activation, pool output, upconv output and conv scratch, at offsets fixed
+    by first fit (Pisarchyk & Lee 2020, "Efficient Memory Management for Deep
+    Neural Net Inference").  The layout is planned, and the block allocated,
+    when a forward first brings a new (config, batch shape, dtype); forwards
+    of the same shape then take each buffer by its index and reuse the same
+    pages.  A workspace serves one forward at a time: give each thread its own.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._buffers: list[np.ndarray] = []
+
+    def _taker(self, cfg: UNetConfig, shape: tuple, dtype: np.dtype):
+        """A function that returns the next buffer of a forward of this shape."""
+        if (cfg, shape, dtype) != self._key:
+            self._buffers = []  # the old block goes before the new one is allocated
+            fit = _inference_layout(cfg, shape, dtype.itemsize)
+            block = np.empty(fit.size, dtype)
+            self._buffers = [block[o:o + math.prod(s)].reshape(s).transpose(axes)
+                             for o, s, axes in fit.placed]
+            self._key = cfg, shape, dtype
+        return iter(self._buffers).__next__
+
+
+def forward(model: Model, batch: np.ndarray, record: bool = True,
+            workspace: Workspace | None = None):
     """Run the network; returns (logits, cache for the matching backward).
 
     relu runs in place on each conv output, so a conv_relu record holds the
@@ -180,8 +277,9 @@ def forward(model: Model, batch: np.ndarray, record: bool = True):
     per-layer records (its records list is empty and backward rejects it),
     so each activation is freed after its last reader: a block's input goes
     before its second conv, and a decoder level drops its skip and upconv
-    output after its first conv.  The pools compute no argmax index.
-    The logits are bitwise the same in both modes.
+    output after its first conv.  The pools compute no argmax index.  Given
+    a workspace (inference only), every buffer but the logits is cut from it
+    instead of allocated.  The logits are bitwise the same in every mode.
     """
     cfg, params = model.cfg, model.layers
     ops._check_tensor4(batch, "batch")
@@ -189,6 +287,10 @@ def forward(model: Model, batch: np.ndarray, record: bool = True):
     if c != cfg.in_channels:
         raise ShapeError(f"batch has {c} channels, model expects {cfg.in_channels}")
     check_divisible("spatial size", (h, w), cfg.depth)
+    if workspace is not None and record:
+        raise DomainError("a workspace serves inference only: run forward with record=False")
+    take = (lambda: None) if workspace is None else workspace._taker(
+        cfg, batch.shape, np.result_type(model.theta, batch))
 
     records = []
     keep = records.append if record else lambda _: None
@@ -196,7 +298,7 @@ def forward(model: Model, batch: np.ndarray, record: bool = True):
 
     def conv_relu(t):
         nonlocal k
-        z = ops.conv2d(t, params[k])
+        z = ops.conv2d(t, params[k], out=take(), scratch=take())
         np.maximum(z, 0, out=z)
         k += 1
         keep(("conv_relu", t, z))
@@ -213,12 +315,12 @@ def forward(model: Model, batch: np.ndarray, record: bool = True):
             t, idx = ops.maxpool2(t)
             keep(("pool", idx))
         else:
-            t = ops.maxpool2_values(t)
+            t = ops.maxpool2_values(t, out=take())
     t = conv_relu(t)
     t = conv_relu(t)
     for _ in range(cfg.depth):
         keep(("upconv", t))
-        t = ops.upconv2(t, params[k])
+        t = ops.upconv2(t, params[k], out=take(), scratch=take())
         k += 1
         t = conv_relu(ops.Channels((t, skips.pop())))
         t = conv_relu(t)
@@ -387,18 +489,29 @@ class _Reader:
         self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
 
-    def take(self, count: int, what: str, skip: bool = False) -> bytes | None:
-        """The next count bytes; with skip, seek past them and return None."""
+    def _advance(self, count: int, what: str) -> None:
         if self.pos + count > self.size:
             raise CheckpointTruncatedError(f"file ends inside {what}")
         self.pos += count
-        if skip:
-            self.fh.seek(self.pos)
-            return None
+
+    def take(self, count: int, what: str) -> bytes:
+        """The next count bytes."""
+        self._advance(count, what)
         chunk = self.fh.read(count)
         if len(chunk) != count:
             raise CheckpointTruncatedError(f"file ends inside {what}")
         return chunk
+
+    def fill(self, buffer: np.ndarray, what: str) -> None:
+        """Read the next buffer.nbytes bytes into the contiguous buffer."""
+        self._advance(buffer.nbytes, what)
+        if self.fh.readinto(buffer) != buffer.nbytes:
+            raise CheckpointTruncatedError(f"file ends inside {what}")
+
+    def skip(self, count: int, what: str) -> None:
+        """Seek past the next count bytes."""
+        self._advance(count, what)
+        self.fh.seek(self.pos)
 
     def u32(self, what: str) -> int:
         return struct.unpack("<I", self.take(4, what))[0]
@@ -408,10 +521,10 @@ def load_checkpoint(path) -> Model:
     """Read a checkpoint into a float32 Model. Round trip is bitwise exact.
 
     Each tensor's dims must be the ones the header's config implies.  The
-    file is read one tensor at a time into the model's vector, which is
-    allocated only when the file holds exactly the bytes its header
-    declares; any other file is walked without reading its data, to name
-    what is wrong with it.
+    file is read one tensor at a time, through one scratch array the size of
+    the largest, into the model's vector; both are allocated only when the
+    file holds exactly the bytes its header declares.  Any other file is
+    walked without reading its data, to name what is wrong with it.
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh)
@@ -435,6 +548,7 @@ def load_checkpoint(path) -> Model:
         if reader.size == declared:  # no other file can hold a model
             model = Model(cfg, np.empty(_parameter_total(cfg), np.float32))
             views = [t for p in model.layers for t in (p.weights, p.bias)]
+            scratch = np.empty(max(map(math.prod, shapes)), "<f4")
         for i, (expect, view) in enumerate(zip(shapes, views)):
             rank = reader.u32(f"tensor {i} rank")
             if rank != len(expect):
@@ -443,9 +557,12 @@ def load_checkpoint(path) -> Model:
             if dims != expect:
                 raise CheckpointDimError(f"tensor {i} has dims {dims}, expected {expect} "
                                          f"for the declared config")
-            data = reader.take(4 * math.prod(dims), f"tensor {i} data", skip=view is None)
-            if view is not None:
-                view[...] = np.frombuffer(data, dtype="<f4").reshape(dims)
+            if view is None:
+                reader.skip(4 * math.prod(dims), f"tensor {i} data")
+            else:
+                data = scratch[:view.size]
+                reader.fill(data, f"tensor {i} data")
+                view[...] = data.reshape(dims)
         if reader.pos != reader.size:
             raise CheckpointError(f"{reader.size - reader.pos} trailing bytes after the "
                                   f"last tensor")

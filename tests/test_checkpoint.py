@@ -190,6 +190,22 @@ def test_load_holds_the_parameters_and_one_tensor_at_most(tmp_path):
     assert peak < 1.5 * param_bytes, peak / param_bytes
 
 
+def test_load_peaks_below_the_parameters_and_one_largest_tensor(tmp_path):
+    # the tensors are read through one scratch array the size of the largest
+    cfg = UNetConfig(depth=3, base_channels=32)
+    path = tmp_path / "model.ckpt"
+    unet.save_checkpoint(unet.init_params(cfg, 5), path)
+    largest = 4 * max(p.weights.size for p in unet.init_params(cfg, 5).layers)
+    param_bytes = 4 * unet.init_params(cfg, 5).theta.size
+    tracemalloc.start()
+    try:
+        unet.load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < param_bytes + largest + 2**20, (peak - param_bytes) / largest
+
+
 def test_short_file_with_a_large_valid_config_allocates_no_model(tmp_path):
     # depth 14 from one base channel is a valid config of 32 GB of parameters
     path = tmp_path / "short.ckpt"

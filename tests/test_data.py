@@ -63,6 +63,20 @@ def test_pgm_round_trip_bitwise():
     assert np.array_equal(data.decode_pgm(data.encode_pgm(img)), img)
 
 
+def test_pgm_decode_allocates_the_raster_once():
+    # slicing the raster out of the file bytes before reading it copied it twice
+    img = random_image(SplitMix64(66), 2000, 2000)
+    blob = data.encode_pgm(img)
+    tracemalloc.start()
+    try:
+        decoded = data.decode_pgm(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(decoded, img) and decoded.flags.writeable
+    assert peak < 1.2 * img.nbytes, peak / img.nbytes
+
+
 def test_pgm_rejects_wrong_maxval():
     with pytest.raises(UnsupportedPixelFormatError):
         data.decode_pgm(b"P5\n2 2\n65535\n" + bytes(8))

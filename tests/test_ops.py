@@ -181,6 +181,40 @@ def test_narrow_conv2d_scratch_fits_the_cache_budget():
     assert peak <= out.nbytes + 3 * 2**20, peak
 
 
+def test_kernels_write_given_buffers_bitwise_as_their_own_results():
+    # an inference workspace hands conv2d, upconv2 and maxpool2_values their
+    # outputs and scratch; the numbers must not depend on where they live
+    rng = SplitMix64(130)
+    x = random_tensor(rng, (2, 6, 12, 10))
+    skip = random_tensor(rng, (2, 4, 12, 10))
+    for parts, p in (((x,), conv_params(rng, 5, 6, 3)), ((x, skip), conv_params(rng, 5, 10, 3)),
+                     ((x,), conv_params(rng, 5, 6, 1))):
+        want = ops.conv2d(parts, p)
+        out = np.full((5, 12, 2, 10), np.nan, np.float32).transpose(2, 0, 1, 3)
+        scratch = np.full(ops.conv2d_scratch_size((2, p.weights.shape[1], 12, 10),
+                                                  p.weights.shape, 4) + 7, np.nan, np.float32)
+        got = ops.conv2d(parts, p, out=out, scratch=scratch)
+        assert np.shares_memory(got, out) and got.tobytes() == want.tobytes()
+    up = ConvParams(random_tensor(rng, (6, 3, 2, 2)), random_tensor(rng, (3,)))
+    out = np.full((2, 3, 24, 20), np.nan, np.float32)
+    got = ops.upconv2(x, up, out=out, scratch=np.full(2 * 12 * 12 * 10, np.nan, np.float32))
+    assert got is out and got.tobytes() == ops.upconv2(x, up).tobytes()
+    out = np.full((2, 6, 6, 5), np.nan, np.float32)
+    assert ops.maxpool2_values(x, out=out) is out
+    assert out.tobytes() == ops.maxpool2(x)[0].tobytes()
+    p = conv_params(rng, 5, 6, 3)
+    with pytest.raises(ShapeError, match="out"):
+        ops.conv2d(x, p, out=np.empty((2, 5, 12, 10), np.float32))  # (n, oc, h, w) memory
+    with pytest.raises(ShapeError, match="out"):
+        ops.conv2d(x, p, out=np.empty((5, 12, 2, 10)).transpose(2, 0, 1, 3))  # float64
+    with pytest.raises(ShapeError, match="scratch"):
+        ops.conv2d(x, p, scratch=np.empty(10, np.float32))
+    with pytest.raises(ShapeError, match="out"):
+        ops.upconv2(x, up, out=np.empty((2, 3, 20, 24), np.float32))
+    with pytest.raises(ShapeError, match="out"):
+        ops.maxpool2_values(x, out=np.empty((2, 6, 6, 6), np.float32))
+
+
 def test_conv2d_linear_in_input():
     rng = SplitMix64(200)
     p = conv_params(rng, 2, 3, 3)

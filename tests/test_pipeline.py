@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cordseg import pipeline, unet
+from cordseg import data, ops, pipeline, tiling, unet
 from cordseg.errors import ShapeError
 from cordseg.rng import SplitMix64
 from cordseg.unet import UNetConfig
@@ -45,6 +45,20 @@ def test_predict_thread_count_does_not_change_output(small_model):
     mask4, probs4 = pipeline.predict_frame(small_model, frame, tile_size=32, threads=4)
     assert np.array_equal(probs1, probs4)
     assert np.array_equal(mask1, mask4)
+
+
+def test_predict_probabilities_are_the_plain_tile_forwards_bitwise():
+    # each worker reuses one workspace across its tiles; the numbers must be
+    # those of a forward that allocates its own buffers
+    model = unet.init_params(UNetConfig(depth=2, base_channels=4), 43)
+    frame = random_frame(66, 90, 130)
+    grid = tiling.compute_grid(130, 90, 32)
+    tiles = tiling.split_image(tiling.pad_image(frame, grid), grid)
+    want = tiling.stitch([ops.sigmoid(unet.forward(model, data.to_unit(t)[None, None],
+                                                   record=False)[0])[0, 0] for t in tiles], grid)
+    for threads in (1, 2, 3):
+        _, probs = pipeline.predict_frame(model, frame, tile_size=32, threads=threads)
+        assert probs.tobytes() == want.tobytes(), threads
 
 
 def test_predict_rejects_incompatible_tile(small_model):

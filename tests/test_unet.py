@@ -47,6 +47,29 @@ def test_init_params_biases_zero_and_dtype():
         assert p.bias.dtype == np.float32
 
 
+def test_init_params_draws_the_whole_layer_stream_bitwise():
+    # drawn in blocks, the weights are still each layer's normal_array draws
+    cfg = UNetConfig(depth=2, base_channels=16)  # layers of up to 36864 weights
+    stream = SplitMix64(5)
+    for (kind, c_in, _, k), p in zip(unet.layer_plan(cfg), unet.init_params(cfg, 5).layers):
+        fan_in = c_in if kind == "upconv" else c_in * k * k
+        want = stream.normal_array(p.weights.size) * np.sqrt(2.0 / fan_in)
+        assert p.weights.tobytes() == want.astype(np.float32).tobytes(), (kind, c_in)
+
+
+def test_init_params_draws_each_layer_in_bounded_blocks():
+    # a whole layer's float64 Box-Muller temporaries peaked at 3.76x the
+    # parameter bytes at depth 3 base 32
+    cfg = UNetConfig(depth=3, base_channels=32)
+    tracemalloc.start()
+    try:
+        model = unet.init_params(cfg, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * model.theta.nbytes, peak / model.theta.nbytes
+
+
 def test_parameter_count_431_for_depth1_base2():
     params = unet.init_params(UNetConfig(depth=1, base_channels=2), 42)
     assert params.theta.size == 431
@@ -207,6 +230,54 @@ def test_recorded_activations_hold_each_skip_once():
     x = small_input(18, n=2, side=256)
     held = forward_memory(zero_model(UNetConfig(depth=4, base_channels=32)), x, True)[0]
     assert held < 169 * 2**20, held / 2**20
+
+
+@pytest.mark.parametrize("n, sides", [(1, (8, 24, 64)), (2, (16, 40))])
+def test_forward_in_a_workspace_gives_the_plain_forward_logits_bitwise(n, sides):
+    params = unet.init_params(UNetConfig(depth=3, base_channels=4), 42)
+    workspace = unet.Workspace()
+    for side in sides + sides[:1]:  # a new shape plans anew; a known one replays
+        x = small_input(side, n=n, side=side)
+        want, _ = unet.forward(params, x, record=False)
+        for _ in range(2):
+            got, cache = unet.forward(params, x, record=False, workspace=workspace)
+            assert got.tobytes() == want.tobytes(), side
+            assert cache.records == []
+
+
+def test_a_workspace_serves_inference_only():
+    params = unet.init_params(UNetConfig(depth=1, base_channels=2), 42)
+    with pytest.raises(DomainError, match="record=False"):
+        unet.forward(params, small_input(19), workspace=unet.Workspace())
+
+
+def test_second_forward_in_a_workspace_allocates_only_its_logits():
+    params = zero_model(UNetConfig(depth=3, base_channels=16))
+    x = small_input(20, side=128)
+    workspace = unet.Workspace()
+    unet.forward(params, x, record=False, workspace=workspace)
+    tracemalloc.start()
+    try:
+        unet.forward(params, x, record=False, workspace=workspace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak  # the plain forward peaks at 5.0 MiB
+
+
+def test_workspace_block_stays_near_the_plain_forward_peak():
+    # first fit lays one 256 tile of the default model out in 64.0 MiB, where
+    # the plain forward peaks at 59.8 MiB; a block of every buffer's own
+    # bytes, with no reuse, would take 389.7 MiB
+    params, x = zero_model(UNetConfig()), small_input(21, side=256)
+    plain = forward_memory(params, x)[1]
+    tracemalloc.start()
+    try:
+        unet.forward(params, x, record=False, workspace=unet.Workspace())
+        first = tracemalloc.get_traced_memory()[1]  # the block, the logits and the plan
+    finally:
+        tracemalloc.stop()
+    assert first <= 1.10 * plain, (first / 2**20, plain / 2**20)
 
 
 def test_inference_forward_copies_no_kernel():
