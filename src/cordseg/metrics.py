@@ -33,7 +33,7 @@ class ConfusionCounts:
 def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Threshold a probability map to a {0, 1} mask; ties go to foreground."""
     probs = np.asarray(probs)
-    if probs.size and (probs.min() < 0.0 or probs.max() > 1.0):
+    if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):  # NaN fails both
         raise DomainError(f"probabilities must lie in [0, 1], got range "
                           f"[{probs.min()}, {probs.max()}]")
     return (probs >= threshold).astype(np.uint8)

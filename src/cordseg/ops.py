@@ -26,9 +26,9 @@ layout allows.  The backward pass lowers grad_out once, unbanded, so the
 weight gradient's summation order is fixed (see conv2d_backward).
 The 2x2 stride-2 up-convolution is a 1x1 conv2d to four planes per output
 channel plus a depth-to-space move, since its output blocks do not overlap.
-conv2d, upconv2 and maxpool2_values write into a caller's out, and take
-their scratch (conv bands, upconv planes) from a caller's array, when given
-them, so that an inference forward can cut every buffer from one block
+maxpool2_values writes into a caller's out; conv2d and upconv2 do too, and
+take their scratch (conv bands, upconv planes) from a caller's array, when
+given them, since every inference forward cuts its buffers from one block
 (unet.Workspace); the numbers do not depend on where the buffers live.
 
 Each forward kernel has a reverse-mode counterpart that maps the upstream
@@ -293,14 +293,11 @@ def _pool_windows(x: np.ndarray) -> list[np.ndarray]:
     return [x[:, :, k // 2::2, k % 2::2] for k in range(4)]
 
 
-def maxpool2_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The pooled tensor of maxpool2, bitwise the same, without the argmax
-    index that only the backward pass reads; written into out if given."""
+def maxpool2_values(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The pooled tensor of maxpool2, bitwise the same, written into out,
+    without the argmax index that only the backward pass reads."""
     first, *rest = _pool_windows(x)
-    if out is None:
-        out = np.empty_like(first)  # in x's memory order, as first.copy(order="K")
-    else:
-        _check_buffer(out, first.shape, first.dtype, "maxpool2 out")
+    _check_buffer(out, first.shape, first.dtype, "maxpool2 out")
     np.copyto(out, first)
     for entry in rest:
         np.maximum(entry, out, out=out)

@@ -3,9 +3,10 @@ the probability maps, threshold once.
 
 Tiles are independent, so per-tile inference fans out over a thread pool,
 with OpenBLAS given its share of the cores (see parallel.py).  Each worker
-runs its tiles' forwards in its own unet.Workspace and writes each tile's
-probabilities by tile index into one array allocated before the pool
-starts, which makes the output identical for any worker count.
+runs its tiles' forwards, which reject a tile size the model cannot pool,
+in its own unet.Workspace, as every inference pass runs, and writes each
+tile's probabilities by tile index into one array allocated before the
+pool starts, which makes the output identical for any worker count.
 Thresholding happens on the stitched full-frame probability map so tile
 boundaries cannot shift the decision.
 """
@@ -29,7 +30,6 @@ def predict_frame(model: unet.Model, frame: np.ndarray,
     both with exactly the frame's dimensions.  threads caps the tile workers
     (default: parallel.default_workers()); there are never more workers
     than tiles."""
-    unet.check_divisible("tile size", (tile_size,), model.cfg.depth)
     if frame.ndim != 2:
         raise ShapeError(f"frame must be a 2-D grayscale image, got shape {frame.shape}")
     height, width = frame.shape
@@ -41,8 +41,7 @@ def predict_frame(model: unet.Model, frame: np.ndarray,
     def segment(i: int) -> None:
         if not hasattr(worker, "workspace"):
             worker.workspace = unet.Workspace()
-        logits, _ = unet.forward(model, to_unit(tiles[i])[None, None], record=False,
-                                 workspace=worker.workspace)
+        logits, _ = unet.forward(model, to_unit(tiles[i])[None, None], worker.workspace)
         prob_tiles[i] = ops.sigmoid(logits)[0, 0]
 
     workers = min(parallel.default_workers() if threads is None else threads, len(tiles))

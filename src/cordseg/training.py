@@ -142,15 +142,17 @@ def _batch_arrays(samples: list[Sample]):
 
 def evaluate(model: unet.Model, samples: list[Sample],
              threshold: float = 0.5) -> EvalReport:
-    """Forward + sigmoid + binarize every sample and score against truth."""
+    """Forward (in one workspace) + sigmoid + binarize every sample and score
+    against truth; a partial last batch re-plans the workspace."""
     if not samples:
         raise DomainError("cannot evaluate on an empty sample list")
     per_image = []
     pooled = ConfusionCounts(0, 0, 0, 0)
+    workspace = unet.Workspace()
     for start in range(0, len(samples), _EVAL_BATCH):
         chunk = samples[start:start + _EVAL_BATCH]
         x, _ = _batch_arrays(chunk)
-        logits, _ = unet.forward(model, x, record=False)
+        logits, _ = unet.forward(model, x, workspace)
         probs = ops.sigmoid(logits)
         for i, s in enumerate(chunk):
             pred = metrics.binarize(probs[i, 0], threshold)

@@ -238,13 +238,14 @@ def _inference_layout(cfg: UNetConfig, shape: tuple, itemsize: int) -> _FirstFit
 
 
 class Workspace:
-    """The buffers of inference forwards, cut from one block: every
-    activation, pool output, upconv output and conv scratch, at offsets fixed
-    by first fit (Pisarchyk & Lee 2020, "Efficient Memory Management for Deep
-    Neural Net Inference").  The layout is planned, and the block allocated,
-    when a forward first brings a new (config, batch shape, dtype); forwards
-    of the same shape then take each buffer by its index and reuse the same
-    pages.  A workspace serves one forward at a time: give each thread its own.
+    """Where every inference forward runs: its buffers are cut from one
+    block, every activation, pool output, upconv output and conv scratch at
+    offsets fixed by first fit (Pisarchyk & Lee 2020, "Efficient Memory
+    Management for Deep Neural Net Inference").  The layout is planned, and
+    the block allocated, when a forward first brings a new (config, batch
+    shape, dtype), such as a partial last batch; forwards of the same shape
+    then take each buffer by its index and reuse the same pages.  A
+    workspace serves one forward at a time: give each thread its own.
     """
 
     def __init__(self):
@@ -263,23 +264,20 @@ class Workspace:
         return iter(self._buffers).__next__
 
 
-def forward(model: Model, batch: np.ndarray, record: bool = True,
-            workspace: Workspace | None = None):
+def forward(model: Model, batch: np.ndarray, workspace: Workspace | None = None):
     """Run the network; returns (logits, cache for the matching backward).
 
-    relu runs in place on each conv output, so a conv_relu record holds the
-    layer's input and its activated output, which is also the next layer's
-    input; relu_backward reads the same mask from it, since the output is
-    positive exactly where the pre-activation was.  A decoder level's first
-    input is (upconv output, skip), the skip being an encoder record's output.
+    Without a workspace the pass records for backward.  relu runs in place
+    on each conv output, so a conv_relu record holds the layer's input and
+    its activated output, which is also the next layer's input;
+    relu_backward reads the same mask from it, since the output is positive
+    exactly where the pre-activation was.  A decoder level's first input is
+    (upconv output, skip), the skip being an encoder record's output.
 
-    With record=False the pass is inference only: the cache keeps no
-    per-layer records (its records list is empty and backward rejects it),
-    so each activation is freed after its last reader: a block's input goes
-    before its second conv, and a decoder level drops its skip and upconv
-    output after its first conv.  The pools compute no argmax index.  Given
-    a workspace (inference only), every buffer but the logits is cut from it
-    instead of allocated.  The logits are bitwise the same in every mode.
+    Given a workspace the pass is inference: every buffer but the logits is
+    cut from the workspace's block, the pools compute no argmax index, and
+    the cache keeps no records (backward rejects it).  The logits are
+    bitwise the same either way.
     """
     cfg, params = model.cfg, model.layers
     ops._check_tensor4(batch, "batch")
@@ -287,13 +285,10 @@ def forward(model: Model, batch: np.ndarray, record: bool = True,
     if c != cfg.in_channels:
         raise ShapeError(f"batch has {c} channels, model expects {cfg.in_channels}")
     check_divisible("spatial size", (h, w), cfg.depth)
-    if workspace is not None and record:
-        raise DomainError("a workspace serves inference only: run forward with record=False")
+    records = []
+    keep = records.append if workspace is None else (lambda _: None)
     take = (lambda: None) if workspace is None else workspace._taker(
         cfg, batch.shape, np.result_type(model.theta, batch))
-
-    records = []
-    keep = records.append if record else lambda _: None
     k = 0
 
     def conv_relu(t):
@@ -304,18 +299,17 @@ def forward(model: Model, batch: np.ndarray, record: bool = True,
         keep(("conv_relu", t, z))
         return z
 
-    # one layer per statement, so that nothing holds a layer's input past it
     skips = []
     t = batch
     for _ in range(cfg.depth):
         t = conv_relu(t)
         t = conv_relu(t)
         skips.append(t)
-        if record:
+        if workspace is None:
             t, idx = ops.maxpool2(t)
             keep(("pool", idx))
         else:
-            t = ops.maxpool2_values(t, out=take())
+            t = ops.maxpool2_values(t, take())
     t = conv_relu(t)
     t = conv_relu(t)
     for _ in range(cfg.depth):
@@ -333,8 +327,8 @@ def backward(model: Model, cache: ActivationCache, grad_logits: np.ndarray) -> n
     """Exact reverse traversal of forward; returns the gradient as one flat
     vector laid out like model.theta and in its dtype."""
     if not cache.records:
-        raise DomainError("activation cache holds no records: forward ran with "
-                          "record=False, or a backward pass already consumed it")
+        raise DomainError("activation cache holds no records: forward ran in a "
+                          "workspace, or a backward pass already consumed it")
     if grad_logits.shape != cache.logits_shape:
         raise ShapeError(f"grad_logits {grad_logits.shape} does not match the "
                          f"cached logits shape {cache.logits_shape}")
@@ -520,11 +514,11 @@ class _Reader:
 def load_checkpoint(path) -> Model:
     """Read a checkpoint into a float32 Model. Round trip is bitwise exact.
 
-    Each tensor's dims must be the ones the header's config implies.  The
-    file is read one tensor at a time, through one scratch array the size of
-    the largest, into the model's vector; both are allocated only when the
-    file holds exactly the bytes its header declares.  Any other file is
-    walked without reading its data, to name what is wrong with it.
+    Each tensor's dims must be the ones the header's config implies, and its
+    values finite.  The file is read one tensor at a time, through one scratch
+    array the size of the largest, into the model's vector; both are allocated
+    only when the file holds exactly the bytes its header declares.  Any other
+    file is walked without reading its data, to name what is wrong with it.
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh)
@@ -562,6 +556,8 @@ def load_checkpoint(path) -> Model:
             else:
                 data = scratch[:view.size]
                 reader.fill(data, f"tensor {i} data")
+                if not np.isfinite([data.min(), data.max()]).all():  # NaN spreads to both
+                    raise CheckpointError(f"tensor {i} holds a non-finite value")
                 view[...] = data.reshape(dims)
         if reader.pos != reader.size:
             raise CheckpointError(f"{reader.size - reader.pos} trailing bytes after the "

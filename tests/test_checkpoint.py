@@ -109,6 +109,16 @@ def test_trailing_bytes_rejected(saved, tmp_path):
         unet.load_checkpoint(corrupt)
 
 
+@pytest.mark.parametrize("bad, tensor", [(np.nan, 3), (np.inf, 4), (-np.inf, 0)])
+def test_non_finite_value_is_rejected_naming_its_tensor(saved, tmp_path, bad, tensor):
+    model, _, _ = saved
+    [t for p in model.layers for t in (p.weights, p.bias)][tensor].flat[-1] = bad
+    path = tmp_path / "bad.ckpt"
+    unet.save_checkpoint(model, path)
+    with pytest.raises(CheckpointError, match=f"tensor {tensor} holds a non-finite value"):
+        unet.load_checkpoint(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         unet.load_checkpoint(tmp_path / "nope.ckpt")

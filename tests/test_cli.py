@@ -350,6 +350,21 @@ def test_eval_perfect_predictions_print_iou_one(tmp_path):
     assert res.stdout.startswith("iou=1.000000 pixel_acc=1.000000")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_checkpoint_exits_2_in_predict_and_eval(tmp_path, dataset_dir, bad):
+    # a NaN logit fails every threshold test: such a model predicts all background
+    model = unet.init_params(unet.UNetConfig(depth=1, base_channels=2), 42)
+    model.layers[-1].bias[0] = bad
+    unet.save_checkpoint(model, tmp_path / "bad.ckpt")
+    image = min((dataset_dir / "images").iterdir())
+    for args in (("predict", "--image", str(image), "--out", str(tmp_path / "m.pgm")),
+                 ("eval", "--data", str(dataset_dir))):
+        res = run_cli(*args, "--model", str(tmp_path / "bad.ckpt"))
+        assert res.returncode == 2, (args[0], res.stderr)
+        assert "tensor 15 holds a non-finite value" in res.stderr and res.stdout == ""
+    assert not (tmp_path / "m.pgm").exists()
+
+
 def test_train_numeric_divergence_exits_3(tmp_path, dataset_dir):
     res = run_cli("train", "--data", str(dataset_dir), "--out",
                   str(tmp_path / "blown.ckpt"), "--depth", "1",

@@ -40,6 +40,8 @@ def test_binarize_rejects_out_of_range():
         metrics.binarize(np.array([[1.5]]))
     with pytest.raises(DomainError):
         metrics.binarize(np.array([[-0.1]]))
+    with pytest.raises(DomainError):  # NaN fails every comparison
+        metrics.binarize(np.array([[0.2, np.nan, 0.7]]))
 
 
 # --- confusion ----------------------------------------------------------------

@@ -49,13 +49,13 @@ def test_predict_thread_count_does_not_change_output(small_model):
 
 def test_predict_probabilities_are_the_plain_tile_forwards_bitwise():
     # each worker reuses one workspace across its tiles; the numbers must be
-    # those of a forward that allocates its own buffers
+    # those of a recording forward, which allocates its own buffers
     model = unet.init_params(UNetConfig(depth=2, base_channels=4), 43)
     frame = random_frame(66, 90, 130)
     grid = tiling.compute_grid(130, 90, 32)
     tiles = tiling.split_image(tiling.pad_image(frame, grid), grid)
-    want = tiling.stitch([ops.sigmoid(unet.forward(model, data.to_unit(t)[None, None],
-                                                   record=False)[0])[0, 0] for t in tiles], grid)
+    want = tiling.stitch([ops.sigmoid(unet.forward(model, data.to_unit(t)[None, None])[0])[0, 0]
+                          for t in tiles], grid)
     for threads in (1, 2, 3):
         _, probs = pipeline.predict_frame(model, frame, tile_size=32, threads=threads)
         assert probs.tobytes() == want.tobytes(), threads

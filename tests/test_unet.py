@@ -171,25 +171,17 @@ def test_forward_golden_logits():
     assert float(logits.sum()) == pytest.approx(28.250978, abs=1e-3)
 
 
-def test_forward_without_record_gives_identical_logits():
-    params = unet.init_params(UNetConfig(depth=2, base_channels=4), 42)
-    x = small_input(9, n=2, side=16)
-    recorded, _ = unet.forward(params, x)
-    bare, _ = unet.forward(params, x, record=False)
-    assert np.array_equal(recorded, bare)
-
-
 def test_forward_with_tiny_column_bands_matches_default(monkeypatch):
     params = unet.init_params(UNetConfig(depth=2, base_channels=4), 42)
     x = small_input(12, n=2, side=16)
-    want, _ = unet.forward(params, x, record=False)
+    want, _ = unet.forward(params, x, unet.Workspace())
     monkeypatch.setattr(ops, "_BAND_BYTES", 256)
-    got, _ = unet.forward(params, x, record=False)
+    got, _ = unet.forward(params, x, unet.Workspace())
     # banding changes which GEMM kernels run, so only a tolerance holds
     np.testing.assert_allclose(got, want, atol=1e-5)
 
 
-def test_forward_without_record_computes_no_pool_index(monkeypatch):
+def test_forward_in_a_workspace_computes_no_pool_index(monkeypatch):
     params = unet.init_params(UNetConfig(depth=2, base_channels=4), 42)
     x = small_input(13, n=2, side=16)
     want, _ = unet.forward(params, x)
@@ -198,15 +190,15 @@ def test_forward_without_record_computes_no_pool_index(monkeypatch):
         raise AssertionError("an inference forward computed a pool argmax index")
 
     monkeypatch.setattr(ops, "maxpool2", no_index)
-    got, _ = unet.forward(params, x, record=False)
+    got, _ = unet.forward(params, x, unet.Workspace())
     assert np.array_equal(got, want)
 
 
-def forward_memory(params, x, record=False):
+def forward_memory(params, x, workspace=None):
     """(bytes held while the forward's output is alive, peak bytes) of one forward."""
     tracemalloc.start()
     try:
-        out = unet.forward(params, x, record=record)  # alive while memory is read
+        out = unet.forward(params, x, workspace)  # alive while memory is read
         return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -216,68 +208,55 @@ def zero_model(cfg):
     return unet.Model(cfg, np.zeros(unet._parameter_total(cfg), np.float32))
 
 
-def test_inference_forward_frees_each_activation_after_its_last_reader():
-    # on a 256 tile the default model's top decoder conv reads its 16 MiB upconv
-    # output and skip in place beside its 16 MiB output and <= 12 MiB of band
-    # scratch; a 32 MiB concatenation of the two, or keeping them longer, passes 62
-    peak = forward_memory(zero_model(UNetConfig()), small_input(14, side=256))[1]
-    assert peak < 62 * 2**20, peak / 2**20
-
-
 def test_recorded_activations_hold_each_skip_once():
     # the records held 191.9 MiB at depth 4 base 32 on (2, 1, 256, 256) while
     # each decoder level kept a concatenated copy of its skip besides the skip
     x = small_input(18, n=2, side=256)
-    held = forward_memory(zero_model(UNetConfig(depth=4, base_channels=32)), x, True)[0]
+    held = forward_memory(zero_model(UNetConfig(depth=4, base_channels=32)), x)[0]
     assert held < 169 * 2**20, held / 2**20
 
 
-@pytest.mark.parametrize("n, sides", [(1, (8, 24, 64)), (2, (16, 40))])
-def test_forward_in_a_workspace_gives_the_plain_forward_logits_bitwise(n, sides):
-    params = unet.init_params(UNetConfig(depth=3, base_channels=4), 42)
+@pytest.mark.parametrize("cfg, n, sides, dtype", [
+    (UNetConfig(depth=3, base_channels=4), 1, (8, 24, 64), np.float32),
+    (UNetConfig(depth=3, base_channels=4), 2, (16, 40), np.float32),
+    (UNetConfig(depth=1, base_channels=3, in_channels=2, out_channels=3), 5, (6, 10), np.float32),
+    (UNetConfig(depth=2, base_channels=4, in_channels=2, out_channels=3), 5, (12, 20), np.float64),
+    (UNetConfig(depth=4, base_channels=2), 5, (16, 48), np.float64),
+])
+def test_forward_in_a_workspace_gives_the_recording_forward_logits_bitwise(cfg, n, sides, dtype):
+    model = unet.Model(cfg, unet.init_params(cfg, 42).theta.astype(dtype))
     workspace = unet.Workspace()
     for side in sides + sides[:1]:  # a new shape plans anew; a known one replays
-        x = small_input(side, n=n, side=side)
-        want, _ = unet.forward(params, x, record=False)
+        x = small_input(side, n=n, c=cfg.in_channels, side=side).astype(dtype)
+        want, _ = unet.forward(model, x)
         for _ in range(2):
-            got, cache = unet.forward(params, x, record=False, workspace=workspace)
-            assert got.tobytes() == want.tobytes(), side
-            assert cache.records == []
-
-
-def test_a_workspace_serves_inference_only():
-    params = unet.init_params(UNetConfig(depth=1, base_channels=2), 42)
-    with pytest.raises(DomainError, match="record=False"):
-        unet.forward(params, small_input(19), workspace=unet.Workspace())
+            got, cache = unet.forward(model, x, workspace)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), side
+            assert cache.records == [] and cache.logits_shape == got.shape
 
 
 def test_second_forward_in_a_workspace_allocates_only_its_logits():
     params = zero_model(UNetConfig(depth=3, base_channels=16))
     x = small_input(20, side=128)
     workspace = unet.Workspace()
-    unet.forward(params, x, record=False, workspace=workspace)
+    unet.forward(params, x, workspace)
     tracemalloc.start()
     try:
-        unet.forward(params, x, record=False, workspace=workspace)
+        unet.forward(params, x, workspace)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2**20, peak  # the plain forward peaks at 5.0 MiB
+    assert peak < 2**20, peak  # the block takes 5.0 MiB
 
 
 def test_workspace_block_stays_near_the_plain_forward_peak():
-    # first fit lays one 256 tile of the default model out in 64.0 MiB, where
-    # the plain forward peaks at 59.8 MiB; a block of every buffer's own
+    # first fit lays one 256 tile of the default model out in 64.0 MiB; a
+    # forward that allocated each buffer on its own and freed it after its
+    # last reader peaked at 59.82 MiB, and a block of every buffer's own
     # bytes, with no reuse, would take 389.7 MiB
     params, x = zero_model(UNetConfig()), small_input(21, side=256)
-    plain = forward_memory(params, x)[1]
-    tracemalloc.start()
-    try:
-        unet.forward(params, x, record=False, workspace=unet.Workspace())
-        first = tracemalloc.get_traced_memory()[1]  # the block, the logits and the plan
-    finally:
-        tracemalloc.stop()
-    assert first <= 1.10 * plain, (first / 2**20, plain / 2**20)
+    first = forward_memory(params, x, unet.Workspace())[1]  # the block, the logits and the plan
+    assert first <= 1.10 * 59.82 * 2**20, first / 2**20
 
 
 def test_inference_forward_copies_no_kernel():
@@ -285,7 +264,7 @@ def test_inference_forward_copies_no_kernel():
     # which a per-call copy of the kernel would have to allocate
     params = unet.init_params(UNetConfig(depth=2, base_channels=64), 42)
     largest = max(p.weights.nbytes for p in params.layers)
-    peak = forward_memory(params, small_input(15, side=16))[1]
+    peak = forward_memory(params, small_input(15, side=16), unet.Workspace())[1]
     assert peak < largest, peak / largest
 
 
@@ -308,16 +287,9 @@ def test_conv_relu_records_share_each_activation_with_the_next_layer():
     assert all(skip is encoded for (_, skip), encoded in zip(joins, skips[::-1]))
 
 
-def test_forward_without_record_keeps_no_records():
-    params = unet.init_params(UNetConfig(depth=2, base_channels=4), 42)
-    logits, cache = unet.forward(params, small_input(10, side=16), record=False)
-    assert list(cache.records) == []
-    assert cache.logits_shape == logits.shape
-
-
 def test_backward_rejects_cache_without_records():
     params = unet.init_params(UNetConfig(depth=1, base_channels=2), 42)
-    logits, cache = unet.forward(params, small_input(11), record=False)
+    logits, cache = unet.forward(params, small_input(11), unet.Workspace())
     with pytest.raises(DomainError):
         unet.backward(params, cache, np.zeros_like(logits))
 
