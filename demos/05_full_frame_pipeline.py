@@ -1,10 +1,11 @@
 """The end-to-end geometry: a frame bigger than one tile goes through
-pad -> split -> per-tile inference -> stitch -> threshold.
+pad -> per-tile inference, each tile's window written into one probability
+canvas -> crop -> threshold.
 
 A quick model is trained on 64x64 synthetic tiles, then asked to segment a
 250x190 frame it has never seen.  The frame is not divisible by the tile
-size, so the right and bottom edges get reflect-padded, and the stitched
-output is cropped back to exactly the input dimensions.
+size, so the right and bottom edges get reflect-padded, and the canvas is
+cropped back to exactly the input dimensions.
 """
 
 import numpy as np

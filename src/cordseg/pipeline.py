@@ -1,14 +1,14 @@
-"""Full-frame segmentation: pad, split into tiles, segment each tile, stitch
-the probability maps, threshold once.
+"""Full-frame segmentation: pad the frame once, segment each tile's window
+of it into one probability canvas, threshold once.
 
 Tiles are independent, so per-tile inference fans out over a thread pool,
 with OpenBLAS given its share of the cores (see parallel.py).  Each worker
 runs its tiles' forwards, which reject a tile size the model cannot pool,
 in its own unet.Workspace, as every inference pass runs, and writes each
-tile's probabilities by tile index into one array allocated before the
+tile's probabilities into its window of one canvas allocated before the
 pool starts, which makes the output identical for any worker count.
-Thresholding happens on the stitched full-frame probability map so tile
-boundaries cannot shift the decision.
+Thresholding happens on the canvas cropped to the frame, so tile boundaries
+cannot shift the decision.
 """
 
 from __future__ import annotations
@@ -27,25 +27,26 @@ def predict_frame(model: unet.Model, frame: np.ndarray,
                   tile_size: int = 256, threshold: float = 0.5,
                   threads: int | None = None):
     """Segment one grayscale frame; returns (binary mask, probability map),
-    both with exactly the frame's dimensions.  threads caps the tile workers
-    (default: parallel.default_workers()); there are never more workers
-    than tiles."""
+    both with exactly the frame's dimensions, the map a view of the padded
+    canvas.  threads caps the tile workers (default:
+    parallel.default_workers()); there are never more workers than tiles."""
     if frame.ndim != 2:
         raise ShapeError(f"frame must be a 2-D grayscale image, got shape {frame.shape}")
     height, width = frame.shape
     grid = tiling.compute_grid(width, height, tile_size)
-    tiles = tiling.split_image(tiling.pad_image(frame, grid), grid)
-    prob_tiles = np.empty(tiles.shape, np.result_type(model.theta, np.float32))
+    padded = tiling.pad_image(frame, grid)
+    canvas = np.empty(padded.shape, np.result_type(model.theta, np.float32))
+    windows = tiling.windows(grid)
     worker = threading.local()  # each pool thread's own workspace
 
-    def segment(i: int) -> None:
+    def segment(window) -> None:
         if not hasattr(worker, "workspace"):
             worker.workspace = unet.Workspace()
-        logits, _ = unet.forward(model, to_unit(tiles[i])[None, None], worker.workspace)
-        prob_tiles[i] = ops.sigmoid(logits)[0, 0]
+        logits, _ = unet.forward(model, to_unit(padded[window])[None, None], worker.workspace)
+        canvas[window] = ops.sigmoid(logits)[0, 0]
 
-    workers = min(parallel.default_workers() if threads is None else threads, len(tiles))
+    workers = min(parallel.default_workers() if threads is None else threads, len(windows))
     with parallel.share_cores(workers), ThreadPoolExecutor(workers) as pool:
-        list(pool.map(segment, range(len(tiles))))  # reads every result, so raises any error
-    probs = tiling.stitch(prob_tiles, grid)
+        list(pool.map(segment, windows))  # reads every result, so raises any error
+    probs = canvas[:height, :width]
     return metrics.binarize(probs, threshold), probs

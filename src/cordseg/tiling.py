@@ -1,10 +1,10 @@
-"""Frame geometry: pad a full frame, split it into fixed-size tiles, and
-stitch per-tile maps back together.
+"""Frame geometry: pad a full frame out to a whole number of fixed-size
+tiles, and name each tile's window on the padded canvas.
 
 Images and maps are 2-D numpy arrays indexed (row, column); any dtype works,
-so the same functions carry uint8 frames out and float32 probability maps
-back.  Tiles are non-overlapping and ordered row-major; stitch is the exact
-inverse of split on the original pixel region.
+so the same windows read a uint8 frame and write a float32 probability
+canvas.  Windows are non-overlapping, ordered row-major, and cover the
+padded canvas exactly once.
 """
 
 from __future__ import annotations
@@ -71,24 +71,8 @@ def pad_image(img: np.ndarray, grid: TileGrid) -> np.ndarray:
     return np.pad(img, ((0, pad_h), (0, pad_w)), mode="reflect")
 
 
-def split_image(img: np.ndarray, grid: TileGrid) -> np.ndarray:
-    """Cut a padded frame into (rows*cols, tile, tile), row-major order."""
-    if img.shape != (grid.padded_height, grid.padded_width):
-        raise ShapeError(f"image {img.shape} does not match padded size "
-                         f"{(grid.padded_height, grid.padded_width)}; pad first")
+def windows(grid: TileGrid) -> list[tuple[slice, slice]]:
+    """Each tile's (rows, cols) slices of the padded canvas, row-major."""
     t = grid.tile_size
-    tiles = img.reshape(grid.rows, t, grid.cols, t).transpose(0, 2, 1, 3)
-    return tiles.reshape(grid.tile_count, t, t)
-
-
-def stitch(tiles, grid: TileGrid) -> np.ndarray:
-    """Place row-major tiles back on the padded canvas and crop to the
-    original frame size.  Exact inverse of pad+split on the original region."""
-    tiles = np.asarray(tiles)
-    t = grid.tile_size
-    if tiles.shape != (grid.tile_count, t, t):
-        raise ShapeError(f"expected {grid.tile_count} tiles of {t}x{t}, got "
-                         f"array of shape {tiles.shape}")
-    canvas = tiles.reshape(grid.rows, grid.cols, t, t).transpose(0, 2, 1, 3)
-    canvas = canvas.reshape(grid.padded_height, grid.padded_width)
-    return canvas[:grid.height, :grid.width].copy()
+    return [(slice(r * t, (r + 1) * t), slice(c * t, (c + 1) * t))
+            for r in range(grid.rows) for c in range(grid.cols)]

@@ -134,6 +134,14 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
     theta -= step
 
 
+def _one_size(samples: list[Sample]) -> tuple[int, int]:
+    """The (height, width) that every image and mask shares, so batches stack."""
+    sizes = {s.image.shape for s in samples} | {s.mask.shape for s in samples}
+    if len(sizes) != 1:
+        raise ShapeError(f"images and masks must all share one size, got {sorted(sizes)}")
+    return sizes.pop()
+
+
 def _batch_arrays(samples: list[Sample]):
     x = np.stack([to_unit(s.image) for s in samples])[:, None]
     y = np.stack([s.mask.astype(np.float32) for s in samples])[:, None]
@@ -142,10 +150,12 @@ def _batch_arrays(samples: list[Sample]):
 
 def evaluate(model: unet.Model, samples: list[Sample],
              threshold: float = 0.5) -> EvalReport:
-    """Forward (in one workspace) + sigmoid + binarize every sample and score
-    against truth; a partial last batch re-plans the workspace."""
+    """Forward (in one workspace) + sigmoid + binarize every sample, all of
+    one size, and score against truth; a partial last batch re-plans the
+    workspace."""
     if not samples:
         raise DomainError("cannot evaluate on an empty sample list")
+    _one_size(samples)
     per_image = []
     pooled = ConfusionCounts(0, 0, 0, 0)
     workspace = unet.Workspace()
@@ -167,15 +177,11 @@ def evaluate(model: unet.Model, samples: list[Sample],
     )
 
 
-def _check_tiles(samples: list[Sample], depth: int) -> int:
-    sizes = {s.image.shape for s in samples} | {s.mask.shape for s in samples}
-    if len(sizes) != 1:
-        raise ShapeError(f"tiles must all share one size, got {sorted(sizes)}")
-    (h, w), = sizes
+def _check_tiles(samples: list[Sample], depth: int) -> None:
+    h, w = _one_size(samples)
     if h != w:
         raise ShapeError(f"tiles must be square, got {h}x{w}")
     unet.check_divisible("tile side", (h,), depth)
-    return h
 
 
 def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,

@@ -350,6 +350,23 @@ def test_eval_perfect_predictions_print_iou_one(tmp_path):
     assert res.stdout.startswith("iou=1.000000 pixel_acc=1.000000")
 
 
+def test_eval_on_images_of_two_sizes_exits_2_naming_them(tmp_path):
+    # all four samples fall in one evaluation batch, which cannot stack them
+    model = unet.init_params(unet.UNetConfig(depth=1, base_channels=2), 42)
+    ckpt = tmp_path / "m.ckpt"
+    unet.save_checkpoint(model, ckpt)
+    root = tmp_path / "mixed"
+    (root / "images").mkdir(parents=True)
+    (root / "masks").mkdir(parents=True)
+    for i, side in enumerate((64, 64, 96, 64)):
+        (root / "images" / f"t{i}.pgm").write_bytes(data.encode_pgm(np.zeros((side, side), np.uint8)))
+        data.save_mask(root / "masks" / f"t{i}.pgm", np.zeros((side, side), np.uint8))
+    res = run_cli("eval", "--model", str(ckpt), "--data", str(root))
+    assert res.returncode == 2, res.stderr
+    assert "(64, 64), (96, 96)" in res.stderr and "Traceback" not in res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1 and res.stdout == ""
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_checkpoint_exits_2_in_predict_and_eval(tmp_path, dataset_dir, bad):
     # a NaN logit fails every threshold test: such a model predicts all background

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,12 +55,31 @@ def test_predict_probabilities_are_the_plain_tile_forwards_bitwise():
     model = unet.init_params(UNetConfig(depth=2, base_channels=4), 43)
     frame = random_frame(66, 90, 130)
     grid = tiling.compute_grid(130, 90, 32)
-    tiles = tiling.split_image(tiling.pad_image(frame, grid), grid)
-    want = tiling.stitch([ops.sigmoid(unet.forward(model, data.to_unit(t)[None, None])[0])[0, 0]
-                          for t in tiles], grid)
+    padded = tiling.pad_image(frame, grid)
+    want = np.zeros(padded.shape, np.float32)
+    for win in tiling.windows(grid):
+        want[win] = ops.sigmoid(unet.forward(model, data.to_unit(padded[win])[None, None])[0])[0, 0]
+    want = want[:90, :130]
     for threads in (1, 2, 3):
         _, probs = pipeline.predict_frame(model, frame, tile_size=32, threads=threads)
         assert probs.tobytes() == want.tobytes(), threads
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_predict_holds_under_8_bytes_per_frame_pixel_beside_the_workspaces(threads):
+    # the padded frame, one float32 canvas and the mask: about 5.6 B/px; two
+    # more frame-sized copies of the tiles would break the bound
+    model = unet.init_params(UNetConfig(depth=2, base_channels=8), 42)
+    frame = random_frame(67, 2000, 2000)
+    block = unet._inference_layout(model.cfg, (1, 1, 256, 256), 4).size * 4
+    tracemalloc.start()
+    try:
+        out = pipeline.predict_frame(model, frame, tile_size=256, threads=threads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out[1].shape == frame.shape
+    assert peak - threads * block < 8 * frame.size, (peak - threads * block) / frame.size
 
 
 def test_predict_rejects_incompatible_tile(small_model):
@@ -74,8 +95,8 @@ def test_predict_rejects_non_2d_frame(small_model):
 
 
 def test_predict_tile_boundaries_do_not_leak(small_model):
-    # thresholding the stitched map equals thresholding per tile, since the
-    # stitch is a pure rearrangement of the same probabilities
+    # thresholding the cropped canvas equals thresholding per tile, since
+    # each tile writes its probabilities into its own window unchanged
     frame = random_frame(65, 64, 96)
     mask, probs = pipeline.predict_frame(small_model, frame, tile_size=32, threads=2)
     assert np.array_equal(mask, (probs >= 0.5).astype(np.uint8))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cordseg import tiling
-from cordseg.errors import DomainError, ShapeError
+from cordseg.errors import DomainError
 from cordseg.rng import SplitMix64
 
 
@@ -80,43 +80,39 @@ def test_pad_rejects_tile_larger_than_twice_image():
         tiling.pad_image(img, grid)
 
 
-def test_split_basic_order():
+def through_windows(img, grid):
+    """Pad, copy each window of the padded frame into a fresh canvas, crop."""
+    padded = tiling.pad_image(img, grid)
+    canvas = np.zeros_like(padded)
+    for win in tiling.windows(grid):
+        canvas[win] = padded[win]
+    return canvas[:grid.height, :grid.width]
+
+
+def test_windows_basic_order():
     img = np.arange(16, dtype=np.uint8).reshape(4, 4)
     grid = tiling.compute_grid(4, 4, 2)
-    tiles = tiling.split_image(img, grid)
-    assert tiles.shape == (4, 2, 2)
-    np.testing.assert_array_equal(tiles[0], img[:2, :2])
-    np.testing.assert_array_equal(tiles[1], img[:2, 2:])
-    np.testing.assert_array_equal(tiles[3], img[2:, 2:])
+    wins = tiling.windows(grid)
+    assert len(wins) == 4
+    np.testing.assert_array_equal(img[wins[0]], img[:2, :2])
+    np.testing.assert_array_equal(img[wins[1]], img[:2, 2:])
+    np.testing.assert_array_equal(img[wins[3]], img[2:, 2:])
 
 
-def test_split_row_concatenation_rebuilds_strip():
+def test_windows_row_concatenation_rebuilds_strip():
     rng = SplitMix64(23)
     img = random_frame(rng, 6, 9)
     grid = tiling.compute_grid(9, 6, 3)
-    tiles = tiling.split_image(img, grid)
-    strip = np.concatenate(list(tiles[:grid.cols]), axis=1)
+    strip = np.concatenate([img[win] for win in tiling.windows(grid)[:grid.cols]], axis=1)
     np.testing.assert_array_equal(strip, img[:3, :])
 
 
-def test_split_rejects_unpadded_dims():
-    grid = tiling.compute_grid(100, 70, 64)
-    with pytest.raises(ShapeError):
-        tiling.split_image(np.zeros((70, 100), np.uint8), grid)
-
-
-def test_stitch_rejects_wrong_tile_count_or_size():
-    grid = tiling.compute_grid(4, 4, 2)
-    with pytest.raises(ShapeError):
-        tiling.stitch(np.zeros((3, 2, 2), np.float32), grid)
-    with pytest.raises(ShapeError):
-        tiling.stitch(np.zeros((4, 3, 3), np.float32), grid)
-
-
-def test_stitch_all_ones_tiles():
+def test_windows_written_with_ones_fill_the_frame():
     grid = tiling.compute_grid(5, 3, 2)
-    tiles = np.ones((grid.tile_count, 2, 2), np.float32)
-    out = tiling.stitch(tiles, grid)
+    canvas = np.zeros((grid.padded_height, grid.padded_width), np.float32)
+    for win in tiling.windows(grid):
+        canvas[win] = np.ones((2, 2), np.float32)
+    out = canvas[:grid.height, :grid.width]
     assert out.shape == (3, 5)
     assert np.all(out == 1.0)
 
@@ -125,8 +121,7 @@ def test_round_trip_identity_small():
     rng = SplitMix64(24)
     img = random_frame(rng, 70, 100)
     grid = tiling.compute_grid(100, 70, 64)
-    tiles = tiling.split_image(tiling.pad_image(img, grid), grid)
-    out = tiling.stitch(tiles, grid)
+    out = through_windows(img, grid)
     assert out.dtype == img.dtype
     assert np.array_equal(out, img)
 
@@ -139,24 +134,26 @@ def test_round_trip_identity_random_geometries():
         t = 1 + rng.randbelow(min(h, w))  # tile <= min dim keeps reflect legal
         img = random_frame(rng, h, w)
         grid = tiling.compute_grid(w, h, t)
-        out = tiling.stitch(tiling.split_image(tiling.pad_image(img, grid), grid), grid)
-        assert np.array_equal(out, img), (h, w, t)
+        assert np.array_equal(through_windows(img, grid), img), (h, w, t)
 
 
-def test_tiles_cover_padded_frame_exactly_once():
+def test_windows_cover_padded_frame_exactly_once():
     grid = tiling.compute_grid(10, 7, 4)
-    ones = np.ones((grid.padded_height, grid.padded_width), np.int64)
-    tiles = tiling.split_image(ones, grid)
-    counts = tiling.stitch(tiles, grid)  # scatter-count: stitch of all-ones
+    counts = np.zeros((grid.padded_height, grid.padded_width), np.int64)
+    wins = tiling.windows(grid)
+    for win in wins:
+        counts[win] += 1  # scatter-count: every window adds ones
     assert np.all(counts == 1)
-    assert tiles.size == grid.padded_height * grid.padded_width
+    assert len(wins) == grid.tile_count
+    assert sum(counts[win].size for win in wins) == grid.padded_height * grid.padded_width
 
 
 def test_round_trip_identity_full_frame_scale():
     rng = SplitMix64(26)
     img = random_frame(rng, 2700, 3840)
     grid = tiling.compute_grid(3840, 2700, 256)
-    assert grid.tile_count == 165
-    tiles = tiling.split_image(tiling.pad_image(img, grid), grid)
-    assert tiles.shape == (165, 256, 256)
-    assert np.array_equal(tiling.stitch(tiles, grid), img)
+    wins = tiling.windows(grid)
+    assert len(wins) == 165
+    padded = tiling.pad_image(img, grid)
+    assert all(padded[win].shape == (256, 256) for win in wins)
+    assert np.array_equal(through_windows(img, grid), img)
