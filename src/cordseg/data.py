@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import CordsegError, DomainError, ShapeError
 from .rng import SplitMix64, derive
@@ -112,73 +111,51 @@ def encode_pgm(img: np.ndarray) -> bytes:
 #
 # Every PNG filter predicts a byte from its left, up and up-left neighbours
 # (https://www.w3.org/TR/png/#9Filters), so all pixels on one anti-diagonal
-# x + y = d depend only on diagonals d - 1 and d - 2.  The decoder stores the
-# image skewed, diagonal d as one contiguous row, and decodes a whole diagonal
-# per numpy step: H + W - 1 steps instead of a Python step per pixel (an image
-# taller than max(2W, 256) rows is swept in bands of that height).  The IDAT
-# stream is inflated with the size the header declares as its limit, so
-# a small file cannot expand without bound before the size check.
+# x + y = d depend only on diagonals d - 1 and d - 2.  The decoder unfilters
+# in place on one (H + 1, W + 1) canvas: row 0 and column 0 are zero, the
+# PNG's implicit border, and row y + 1 holds scanline y without its filter
+# byte.  Canvas rows are W + 1 bytes long, so diagonal d is one stride-W
+# slice of the flat canvas, and its left, up and up-left neighbours are the
+# same slice shifted by 1, W + 1 and W + 2 bytes.  One numpy step decodes a
+# whole diagonal over its filtered bytes: H + W - 1 steps for any filter
+# mix, instead of a Python step per pixel.  The IDAT stream is inflated with
+# the size the header declares as its limit, so a small file cannot expand
+# without bound before the size check.
 
 _PNG_SIGNATURE = b"\x89PNG\r\n\x1a\n"
 _PNG_MAX_SIDE = 2**31 - 1  # the PNG limit on width and height
-_MIN_BAND = 256  # fewest rows per band of a tall image
 
 
-def _unfilter_band(rows: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Unfilter (h, w + 1) scanlines whose row above decoded to `prev`.
-
-    Pixel (y, x) lies on diagonal d = x + y.  Its filtered byte is held at
-    raw[d, y] and its decoded value at dec[d + 2, y + 1], so its left, up
-    and up-left neighbours are dec[d + 1, y + 1], dec[d + 1, y] and
-    dec[d, y].  Column 0 of `dec` is row -1 (`prev`, then zeros), and cells
-    with x < 0 stay zero: the PNG's implicit border.  int16 holds every
+def _unfilter(canvas: np.ndarray) -> np.ndarray:
+    """Reverse the per-row filters of scanlines held in rows 1.. of an
+    (H + 1, W + 1) canvas, filter byte first, whose row 0 is zero; returns
+    the decoded (H, W) interior, a view of the canvas.  int16 holds every
     intermediate value.
     """
-    h, w = rows.shape[0], rows.shape[1] - 1
-    ftype = rows[:, 0]
-    raw = np.zeros((h + w - 1, h), np.uint8)
-    as_strided(raw, (h, w), (h + 1, h))[...] = rows[:, 1:]
-    dec = np.zeros((h + w + 1, h + 1), np.int16)
-    dec[1:w + 1, 0] = prev
-    for d in range(h + w - 1):
-        y0, y1 = max(0, d - w + 1), min(h, d + 1)
-        left = dec[d + 1, y0 + 1:y1 + 1]
-        up = dec[d + 1, y0:y1]
-        ul = dec[d, y0:y1]
+    height, width = canvas.shape[0] - 1, canvas.shape[1] - 1
+    ftype = canvas[1:, 0].copy()
+    unknown = np.flatnonzero(ftype > 4)
+    if unknown.size:
+        y = int(unknown[0])
+        raise ImageDataError(f"PNG row {y} uses unknown filter {ftype[y]}")
+    canvas[1:, 0] = 0
+    flat = canvas.reshape(-1)
+    for d in range(height + width - 1):
+        y0, y1 = max(0, d - width + 1), min(height, d + 1)
+        start = width + 2 + d + y0 * width  # pixel (y0, d - y0)
+        end = start + (y1 - y0) * width
+        left = flat[start - 1:end - 1:width].astype(np.int16)
+        up = flat[start - width - 1:end - width - 1:width].astype(np.int16)
+        ul = flat[start - width - 2:end - width - 2:width].astype(np.int16)
         from_ul = up - ul          # Paeth's p - left
         from_left = left - ul      # Paeth's p - up
         pa, pb = np.abs(from_ul), np.abs(from_left)
         pc = np.abs(from_ul + from_left)
         paeth = np.where((pa <= pb) & (pa <= pc), left, np.where(pb <= pc, up, ul))
         pred = np.choose(ftype[y0:y1], (0, left, up, (left + up) >> 1, paeth))
-        cur = dec[d + 2, y0 + 1:y1 + 1]
-        np.add(raw[d, y0:y1], pred, out=cur)
-        cur &= 255
-    decoded = dec.reshape(-1)[2 * h + 3:]
-    item = dec.itemsize
-    return as_strided(decoded, (h, w), ((h + 2) * item, (h + 1) * item)).astype(np.uint8)
-
-
-def _unfilter(rows: np.ndarray) -> np.ndarray:
-    """Reverse the per-row filters of (H, W + 1) scanlines, filter byte first.
-
-    The skewed buffers grow with (h + W) * h for a band of h rows, so a tall
-    image is decoded in bands of at most max(2W, 256) rows, each seeded with
-    the last row of the band above; any image no taller than that is one
-    sweep.
-    """
-    height, width = rows.shape[0], rows.shape[1] - 1
-    unknown = np.flatnonzero(rows[:, 0] > 4)
-    if unknown.size:
-        y = int(unknown[0])
-        raise ImageDataError(f"PNG row {y} uses unknown filter {rows[y, 0]}")
-    out = np.empty((height, width), np.uint8)
-    prev = np.zeros(width, np.uint8)
-    band = max(2 * width, _MIN_BAND)
-    for top in range(0, height, band):
-        out[top:top + band] = _unfilter_band(rows[top:top + band], prev)
-        prev = out[min(top + band, height) - 1]
-    return out
+        cur = flat[start:end:width]
+        np.add(cur, pred, out=cur, casting="unsafe")  # wraps modulo 256
+    return canvas[1:, 1:]
 
 
 def decode_png(data: bytes) -> np.ndarray:
@@ -187,24 +164,26 @@ def decode_png(data: bytes) -> np.ndarray:
     Every chunk's CRC is checked.  The concatenated IDAT stream is inflated
     with a limit of one byte more than the H * (W + 1) scanline bytes the
     header declares, and rejected if it inflates to more or less than that
-    or ends early.  The scanlines are then unfiltered in one wavefront sweep
-    over the image's anti-diagonals (see the section comment above).  Every
-    malformed input raises an ImageFormatError.
+    or ends early.  The scanlines are then copied below a zero row and
+    unfiltered in place in one wavefront sweep over the image's
+    anti-diagonals (see the section comment above); the result is a view of
+    that canvas.  Every malformed input raises an ImageFormatError.
     """
     if not data.startswith(_PNG_SIGNATURE):
         raise UnknownImageFormatError("not a PNG: bad signature")
     pos = len(_PNG_SIGNATURE)
     header = None
     idat = bytearray()
+    view = memoryview(data)
     while pos < len(data):
         if pos + 8 > len(data):
             raise ImageDataError("truncated PNG chunk header")
-        length, ctype = struct.unpack(">I4s", data[pos:pos + 8])
-        body = data[pos + 8:pos + 8 + length]
-        if len(body) != length or pos + 12 + length > len(data):
+        length, ctype = struct.unpack_from(">I4s", data, pos)
+        if pos + 12 + length > len(data):
             raise ImageDataError(f"truncated PNG chunk {ctype!r}")
-        crc = struct.unpack(">I", data[pos + 8 + length:pos + 12 + length])[0]
-        if crc != zlib.crc32(ctype + body):
+        body = view[pos + 8:pos + 8 + length]
+        crc = struct.unpack_from(">I", data, pos + 8 + length)[0]
+        if crc != zlib.crc32(body, zlib.crc32(ctype)):
             raise ImageDataError(f"PNG chunk {ctype!r} fails its checksum")
         pos += 12 + length
         if (ctype == b"IHDR") != (header is None):  # IHDR first, and only once
@@ -233,9 +212,10 @@ def decode_png(data: bytes) -> np.ndarray:
     expected = height * (width + 1)
     inflater = zlib.decompressobj()
     try:
-        stream = inflater.decompress(bytes(idat), expected + 1)
+        stream = inflater.decompress(idat, expected + 1)
     except zlib.error as exc:
         raise ImageDataError(f"PNG image data is corrupt: {exc}") from None
+    del idat
     if len(stream) > expected:
         raise ImageDataError(f"PNG scanline data exceeds the {expected} bytes "
                              f"declared for {width}x{height}")
@@ -244,8 +224,11 @@ def decode_png(data: bytes) -> np.ndarray:
     if len(stream) != expected:
         raise ImageDataError(f"PNG scanline data holds {len(stream)} bytes, expected "
                              f"{expected}")
-    rows = np.frombuffer(stream, dtype=np.uint8).reshape(height, width + 1)
-    return _unfilter(rows)
+    canvas = np.empty((height + 1, width + 1), np.uint8)
+    canvas[0] = 0
+    canvas[1:] = np.frombuffer(stream, np.uint8).reshape(height, width + 1)
+    del stream
+    return _unfilter(canvas)
 
 
 # --- files and datasets --------------------------------------------------------

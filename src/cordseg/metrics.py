@@ -36,7 +36,7 @@ def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):  # NaN fails both
         raise DomainError(f"probabilities must lie in [0, 1], got range "
                           f"[{probs.min()}, {probs.max()}]")
-    return (probs >= threshold).astype(np.uint8)
+    return np.greater_equal(probs, threshold, out=np.empty(probs.shape, np.uint8))
 
 
 def _check_mask(m: np.ndarray, name: str) -> None:

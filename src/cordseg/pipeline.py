@@ -2,11 +2,13 @@
 of it into one probability canvas, threshold once.
 
 Tiles are independent, so per-tile inference fans out over a thread pool,
-with OpenBLAS given its share of the cores (see parallel.py).  Each worker
-runs its tiles' forwards, which reject a tile size the model cannot pool,
-in its own unet.Workspace, as every inference pass runs, and writes each
-tile's probabilities into its window of one canvas allocated before the
-pool starts, which makes the output identical for any worker count.
+with OpenBLAS given its share of the cores (see parallel.py).  A tile size
+the model cannot pool is rejected before the frame is padded: the pool
+would otherwise run every queued tile before the first failure surfaced.
+Each worker runs its tiles' forwards in its own unet.Workspace, as every
+inference pass runs, and writes each tile's probabilities into its window
+of one canvas allocated before the pool starts, which makes the output
+identical for any worker count.
 Thresholding happens on the canvas cropped to the frame, so tile boundaries
 cannot shift the decision.
 """
@@ -34,6 +36,7 @@ def predict_frame(model: unet.Model, frame: np.ndarray,
         raise ShapeError(f"frame must be a 2-D grayscale image, got shape {frame.shape}")
     height, width = frame.shape
     grid = tiling.compute_grid(width, height, tile_size)
+    unet.check_divisible("tile size", (tile_size,), model.cfg.depth)
     padded = tiling.pad_image(frame, grid)
     canvas = np.empty(padded.shape, np.result_type(model.theta, np.float32))
     windows = tiling.windows(grid)

@@ -301,12 +301,19 @@ sys.exit(cli.main(sys.argv[1:]))
 
 
 def test_predict_out_of_memory_exits_2_with_one_line(tmp_path, trained):
-    # a black 20000x20000 frame deflates to about 389 KB, and decoding it
-    # takes more than a child limited to 3 GB of address space may map
-    side, rows = 20000, 100
+    # a black 40000x40000 frame deflates to about 1.6 MB, and inflating its
+    # 1.6 GB of scanlines takes more than a child limited to 3 GB of address
+    # space may map.  A full flush restarts deflate from an empty window, so
+    # every band after the first compresses to the same bytes: the stream is
+    # built from two bands, and its Adler-32 trailer, that of n zero bytes,
+    # is written by hand.
+    side, rows = 40000, 100
     deflate = zlib.compressobj()
     block = bytes((side + 1) * rows)  # filter byte 0, then a row of zeros
-    idat = b"".join([deflate.compress(block) for _ in range(side // rows)] + [deflate.flush()])
+    first = deflate.compress(block) + deflate.flush(zlib.Z_FULL_FLUSH)
+    band = deflate.compress(block) + deflate.flush(zlib.Z_FULL_FLUSH)
+    adler = (side + 1) * side % 65521 << 16 | 1
+    idat = first + band * (side // rows - 1) + deflate.flush()[:-4] + struct.pack(">I", adler)
     frame_path = tmp_path / "bomb.png"
     frame_path.write_bytes(_gray_png(side, idat))
     res = subprocess.run([sys.executable, "-c", _UNDER_MEMORY_LIMIT, "predict",

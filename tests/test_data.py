@@ -180,8 +180,9 @@ def test_png_unfilter_matches_loop_oracle_random_streams():
 @pytest.mark.parametrize("h, w, types", [
     (1, 1, (0, 1, 2, 3, 4)), (1, 29, (0, 1, 2, 3, 4)), (29, 1, (0, 1, 2, 3, 4)),
     (13, 11, (0,)), (13, 11, (1,)), (13, 11, (2,)), (13, 11, (3,)), (13, 11, (4,)),
-    # taller than max(2W, 256) rows: decoded in bands, each seeded by the one above
-    (600, 3, (0, 1, 2, 3, 4)), (530, 130, (3, 4)),
+    # taller than wide and wider than tall: the sweep's diagonals grow from
+    # one pixel to min(H, W) pixels, hold there, and shrink back to one
+    (600, 3, (0, 1, 2, 3, 4)), (530, 130, (3, 4)), (2, 700, (3, 4)),
 ])
 def test_png_unfilter_matches_loop_oracle_edge_shapes(h, w, types):
     rows = filtered_rows(SplitMix64(h * 1000 + w), h, w, types)
@@ -200,6 +201,24 @@ def test_png_tall_image_decode_memory_stays_bounded():
         tracemalloc.stop()
     assert np.array_equal(img, png_unfilter_reference(rows))
     assert peak < 2_000_000, peak
+
+
+def test_png_square_decode_peaks_below_3_2x_the_image():
+    # random bytes do not deflate, so the IDAT holds about the image's bytes;
+    # inflating it holds the scanlines twice while zlib joins its output, and
+    # the unfilter works in place on one canvas the size of the image
+    side = 2000
+    rows = filtered_rows(SplitMix64(40), side, side)
+    blob = png_blob(side, side, rows.tobytes())
+    del rows
+    tracemalloc.start()
+    try:
+        img = data.decode_png(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert img.shape == (side, side)
+    assert peak < 3.2 * img.size, peak / img.size
 
 
 def test_png_unknown_filter_names_row():

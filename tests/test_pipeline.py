@@ -82,11 +82,15 @@ def test_predict_holds_under_8_bytes_per_frame_pixel_beside_the_workspaces(threa
     assert peak - threads * block < 8 * frame.size, (peak - threads * block) / frame.size
 
 
-def test_predict_rejects_incompatible_tile(small_model):
+def test_predict_rejects_incompatible_tile(small_model, monkeypatch):
+    # rejected before any tile is queued, not by the tiles' own forwards
     params = unet.init_params(UNetConfig(depth=3, base_channels=2), 0)
+    forwards, forward = [], unet.forward
+    monkeypatch.setattr(unet, "forward", lambda *args: forwards.append(args) or forward(*args))
     with pytest.raises(ShapeError) as err:
         pipeline.predict_frame(params, random_frame(64, 32, 32), tile_size=12)
     assert "8" in str(err.value)  # names the required divisor 2^depth
+    assert forwards == []
 
 
 def test_predict_rejects_non_2d_frame(small_model):
