@@ -30,11 +30,14 @@ print("center pixel sums the whole plane:", out[0, 0, 1, 1], "= 45")
 
 print("\n=== max pooling ===")
 plane = np.array([[[[1.0, 3.0], [2.0, 4.0]]]], np.float32)
-pooled, idx = ops.maxpool2(plane)
-print("window [[1,3],[2,4]] pools to", pooled[0, 0, 0, 0],
-      "remembering argmax position", int(idx[0, 0, 0, 0]), "(row-major)")
-grad = ops.maxpool2_backward(idx, np.full_like(pooled, 7.0))
-print("backward routes the upstream 7.0 only to that position:\n", grad[0, 0])
+pooled = ops.maxpool2(plane)
+print("window [[1,3],[2,4]] pools to", pooled[0, 0, 0, 0], "and keeps no index")
+grad = ops.maxpool2_backward(plane, pooled, np.full_like(pooled, 7.0))
+print("backward finds the entry equal to the pooled value and routes the upstream "
+      "7.0 only there:\n", grad[0, 0])
+ties = np.full((1, 1, 2, 2), 3.0, np.float32)
+grad = ops.maxpool2_backward(ties, ops.maxpool2(ties), np.full((1, 1, 1, 1), 7.0, np.float32))
+print("on a tie the first maximum in row-major order takes it all:\n", grad[0, 0])
 
 print("\n=== transposed convolution ===")
 kernel = np.array([[[[1.0, 2.0], [3.0, 4.0]]]], np.float32)  # (in, out, 2, 2)

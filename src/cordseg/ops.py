@@ -26,16 +26,17 @@ layout allows.  The backward pass lowers grad_out once, unbanded, so the
 weight gradient's summation order is fixed (see conv2d_backward).
 The 2x2 stride-2 up-convolution is a 1x1 conv2d to four planes per output
 channel plus a depth-to-space move, since its output blocks do not overlap.
-maxpool2_values writes into a caller's out; conv2d and upconv2 do too, and
-take their scratch (conv bands, upconv planes) from a caller's array, when
-given them, since every inference forward cuts its buffers from one block
-(unet.Workspace); the numbers do not depend on where the buffers live.
+The forward kernels conv2d, upconv2 and maxpool2 get every buffer they
+write, outputs and scratch, from alloc(shape, dtype), np.empty by default,
+in their own layout and a fixed order, so that an inference forward can cut
+them from one block (unet.Workspace); the numbers do not depend on where
+the buffers live.
 
 Each forward kernel has a reverse-mode counterpart that maps the upstream
 gradient to gradients w.r.t. its inputs; conv2d_weight_grads is
 conv2d_backward without the input gradient, which a first layer's caller
-never reads, and maxpool2_values is maxpool2 without the argmax index that
-only the backward pass reads.  All kernels are pure functions:
+never reads, and maxpool2_backward routes by the pool's input and output,
+so a pool keeps no index.  All kernels are pure functions:
 reductions happen in a fixed order (numpy vectorization), so results do not
 depend on thread count.
 """
@@ -182,21 +183,15 @@ def conv2d_scratch_size(shape: tuple, weights_shape: tuple, itemsize: int) -> in
     return _bands(n, h, w, ic, oc, kh, kw, itemsize)[1]
 
 
-def _check_buffer(buf: np.ndarray, shape: tuple, dtype, what: str) -> None:
-    if buf.shape != shape or buf.dtype != dtype:
-        raise ShapeError(f"{what} must be {dtype} {shape}, got {buf.dtype} {buf.shape}")
-
-
-def conv2d(x, p: ConvParams, out: np.ndarray | None = None,
-           scratch: np.ndarray | None = None) -> np.ndarray:
+def conv2d(x, p: ConvParams, alloc=np.empty) -> np.ndarray:
     """3x3 / 1x1 convolution, stride 1, zero same-padding.
 
     Output spatial size equals input spatial size; each output pixel is the
     kernel dotted with the zero-padded input window, plus the channel bias.
-    x is a tensor or a tuple of tensors read as one (see Channels).  out, if
-    given, is the (n, oc, h, w) result to write, laid out (oc, h, n, w) as
-    conv2d's own result is; scratch, if given, is a 1-D array of at least
-    conv2d_scratch_size elements that the bands' lowering and product use.
+    x is a tensor or a tuple of tensors read as one (see Channels).  alloc
+    gives the (oc, h, n, w) output, returned as its (n, oc, h, w) view, then,
+    unless a 1x1 kernel reads one tensor, the (conv2d_scratch_size,) scratch
+    that the bands' lowering and product use.
     """
     parts = Channels(x)
     oc, ic, kh, kw = p.weights.shape
@@ -209,26 +204,16 @@ def conv2d(x, p: ConvParams, out: np.ndarray | None = None,
     kernel = p.weights.transpose(2, 0, 1, 3).reshape(kh * oc, ic * kw)
     planes = [t.transpose(1, 2, 0, 3) for t in parts]
     dtype = np.result_type(kernel, *parts)
-    if out is None:
-        out = np.empty((oc, h, n, w), dtype)
-    else:
-        _check_buffer(out, (n, oc, h, w), dtype, "conv2d out")
-        out = out.transpose(1, 2, 0, 3)
-        if not out.flags.c_contiguous:
-            raise ShapeError("conv2d out must be laid out (oc, h, n, w)")
+    out = alloc((oc, h, n, w), dtype)
     if kh * kw == 1 and len(planes) == 1:
         np.matmul(kernel, planes[0].reshape(ic, -1), out=out.reshape(oc, -1))
         out += p.bias[:, None, None, None]
     else:
         bands, need = _bands(n, h, w, ic, oc, kh, kw, out.itemsize)
-        if scratch is None:
-            # one allocation: two separate ones raised a two-thread predict's peak RSS
-            scratch = np.empty(need, dtype)
-        elif scratch.ndim != 1 or scratch.size < need or scratch.dtype != dtype:
-            raise ShapeError(f"conv2d scratch must be {dtype} of at least {need} elements, "
-                             f"got {scratch.dtype} {scratch.shape}")
+        # one allocation: two separate ones raised a two-thread predict's peak RSS
+        scratch = alloc((need,), dtype)
         split = need // (ic * kw + kh * oc) * ic * kw
-        lowered, product = scratch[:split], scratch[split:need]
+        lowered, product = scratch[:split], scratch[split:]
         for rows, images, xs in bands:
             # a view, since every band is whole rows, images of one row or part of one
             target = out[:, rows, images, xs].reshape(oc, -1)
@@ -293,55 +278,44 @@ def _pool_windows(x: np.ndarray) -> list[np.ndarray]:
     return [x[:, :, k // 2::2, k % 2::2] for k in range(4)]
 
 
-def maxpool2_values(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The pooled tensor of maxpool2, bitwise the same, written into out,
-    without the argmax index that only the backward pass reads."""
+def maxpool2(x: np.ndarray, alloc=np.empty) -> np.ndarray:
+    """2x2 max-pool with stride 2: each window's largest entry (NaN if it
+    holds one).  alloc gives the (c, h/2, n, w/2) output, returned as its
+    (n, c, h/2, w/2) view."""
     first, *rest = _pool_windows(x)
-    _check_buffer(out, first.shape, first.dtype, "maxpool2 out")
+    n, c, hp, wp = first.shape
+    out = alloc((c, hp, n, wp), x.dtype).transpose(2, 0, 1, 3)
     np.copyto(out, first)
     for entry in rest:
         np.maximum(entry, out, out=out)
     return out
 
 
-def maxpool2(x: np.ndarray):
-    """2x2 max-pool with stride 2.
-
-    Returns the pooled tensor and the int8 argmax index of each window in
-    row-major window order (0..3); ties resolve to the first maximum, since
-    a later window entry wins only when it is strictly greater.
-    """
-    first, *rest = _pool_windows(x)
-    out = first.copy(order="K")
-    idx = np.zeros_like(out, dtype=np.int8)
-    for k, entry in enumerate(rest, 1):
-        idx[entry > out] = k
-        np.maximum(entry, out, out=out)  # on ties numpy keeps the second operand
-    return out, idx
-
-
-def maxpool2_backward(idx: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Route the upstream gradient to each window's recorded argmax."""
-    if idx.shape != grad_out.shape:
-        raise ShapeError(f"pool indices {idx.shape} do not match upstream "
-                         f"gradient {grad_out.shape}")
-    n, c, hp, wp = idx.shape
-    grad = np.zeros((n, c, 2 * hp, 2 * wp), dtype=grad_out.dtype)
-    for k in range(4):
-        np.copyto(grad[:, :, k // 2::2, k % 2::2], grad_out, where=idx == k)
+def maxpool2_backward(x: np.ndarray, pooled: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Route the upstream gradient of each window to its first entry, in
+    row-major window order, that equals the pooled value: the first maximum.
+    A window holding NaN has no such entry and gets no gradient."""
+    windows = _pool_windows(x)
+    if not pooled.shape == grad_out.shape == windows[0].shape:
+        raise ShapeError(f"pool input {x.shape}, output {pooled.shape} and upstream "
+                         f"gradient {grad_out.shape} do not fit")
+    grad = np.zeros(x.shape, dtype=grad_out.dtype)
+    routed = np.zeros(pooled.shape, bool)
+    for k, entry in enumerate(windows):
+        hit = (entry == pooled) & ~routed
+        np.copyto(grad[:, :, k // 2::2, k % 2::2], grad_out, where=hit)
+        routed |= hit
     return grad
 
 
-def upconv2(x: np.ndarray, p: ConvParams, out: np.ndarray | None = None,
-            scratch: np.ndarray | None = None) -> np.ndarray:
+def upconv2(x: np.ndarray, p: ConvParams, alloc=np.empty) -> np.ndarray:
     """2x2 transposed convolution with stride 2, no padding.
 
     Each input pixel scatters value*kernel into its own 2x2 output block,
     plus bias; spatial size doubles.  The blocks do not overlap, so this runs
     as a 1x1 conv2d to 4*oc planes in (o, u, v) order and a depth-to-space
-    move.  out, if given, is the C-ordered (n, oc, 2h, 2w) result that the
-    move writes; scratch, if given, is a 1-D array of at least n*4*oc*h*w
-    elements that holds the planes.
+    move.  alloc gives the C-ordered (n, oc, 2h, 2w) output, then the 1x1
+    conv's (4*oc, h, n, w) planes.
     """
     _check_tensor4(x)
     ic, oc, kh, kw = p.weights.shape
@@ -352,15 +326,8 @@ def upconv2(x: np.ndarray, p: ConvParams, out: np.ndarray | None = None,
                          f"{ic} channels for kernel {p.weights.shape}")
     n, _, h, w = x.shape
     kernel = p.weights.transpose(1, 2, 3, 0).reshape(4 * oc, ic, 1, 1)
-    if scratch is not None:
-        scratch = scratch[:4 * oc * h * n * w].reshape(4 * oc, h, n, w).transpose(2, 0, 1, 3)
-    planes = conv2d(x, ConvParams(kernel, np.repeat(p.bias, 4)), out=scratch)
-    if out is None:
-        out = np.empty((n, oc, 2 * h, 2 * w), planes.dtype)
-    else:
-        _check_buffer(out, (n, oc, 2 * h, 2 * w), planes.dtype, "upconv2 out")
-        if not out.flags.c_contiguous:
-            raise ShapeError("upconv2 out must be C-ordered")
+    out = alloc((n, oc, 2 * h, 2 * w), np.result_type(kernel, x))
+    planes = conv2d(x, ConvParams(kernel, np.repeat(p.bias, 4)), alloc)
     np.copyto(out.reshape(n, oc, h, 2, w, 2),
               planes.reshape(n, oc, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3))
     return out

@@ -179,17 +179,17 @@ class _FirstFit:
 
     def __init__(self):
         self.live = {}    # index of each taken buffer not yet freed -> (offset, size)
-        self.placed = []  # (offset, shape, axes of its view) of every buffer, in order
+        self.placed = []  # (offset, shape) of every buffer, in order
         self.size = 0
 
-    def take(self, shape: tuple, axes: tuple | None = None) -> int:
+    def take(self, shape: tuple) -> int:
         need, offset = math.prod(shape), 0
         for start, size in sorted(self.live.values()):
             if start - offset >= need:
                 break
             offset = max(offset, start + size)
         self.live[len(self.placed)] = offset, need
-        self.placed.append((offset, shape, axes or tuple(range(len(shape)))))
+        self.placed.append((offset, shape))
         self.size = max(self.size, offset + need)
         return len(self.placed) - 1
 
@@ -200,11 +200,12 @@ class _FirstFit:
 
 def _inference_layout(cfg: UNetConfig, shape: tuple, itemsize: int) -> _FirstFit:
     """First fit of the buffers an inference forward on a batch of the given
-    shape takes, in the order it takes and frees them: each conv's output
-    (laid out (oc, h, n, w)) and band scratch, each pool's output in its
-    input's order, each upconv's C-ordered output and the planes of its 1x1
-    conv; a layer's input goes once the layer has run, a skip once its
-    decoder level's first conv has.  The head's logits are not in it."""
+    shape asks for, with the shapes the kernels ask for them, in the order it
+    takes and frees them: each conv's (c, h, n, w) output and its band
+    scratch, each pool's (c, h/2, n, w/2) output, each upconv's (n, c, 2h, 2w)
+    output and its 1x1 conv's (4c, h, n, w) planes; a layer's input goes once
+    the layer has run, a skip once its decoder level's first conv has.  The
+    head's logits are not in it."""
     fit, layers = _FirstFit(), iter(layer_plan(cfg))
     n, c, h, w = shape
     reads, skips = [], []  # buffers the next layer reads (the batch is none), and skips
@@ -212,7 +213,7 @@ def _inference_layout(cfg: UNetConfig, shape: tuple, itemsize: int) -> _FirstFit
     def conv():
         nonlocal reads, c
         _, c_in, c, k = next(layers)
-        out = fit.take((c, h, n, w), (2, 0, 1, 3))
+        out = fit.take((c, h, n, w))
         fit.free(fit.take((ops.conv2d_scratch_size((n, c_in, h, w), (c, c_in, k, k), itemsize),)))
         fit.free(*reads)
         reads = [out]
@@ -222,13 +223,13 @@ def _inference_layout(cfg: UNetConfig, shape: tuple, itemsize: int) -> _FirstFit
         conv()
         skips.append(reads[0])
         h, w = h // 2, w // 2
-        reads = [fit.take((c, h, n, w), (2, 0, 1, 3))]
+        reads = [fit.take((c, h, n, w))]
     conv()
     conv()
     for _ in range(cfg.depth):
         _, _, c, _ = next(layers)
         out = fit.take((n, c, 2 * h, 2 * w))
-        fit.free(fit.take((4 * c * n * h * w,)))
+        fit.free(fit.take((4 * c, h, n, w)))
         fit.free(*reads)
         h, w = 2 * h, 2 * w
         reads = [out, skips.pop()]
@@ -244,40 +245,53 @@ class Workspace:
     Management for Deep Neural Net Inference").  The layout is planned, and
     the block allocated, when a forward first brings a new (config, batch
     shape, dtype), such as a partial last batch; forwards of the same shape
-    then take each buffer by its index and reuse the same pages.  A
-    workspace serves one forward at a time: give each thread its own.
+    then take the planned buffers in order and reuse the same pages.  Each
+    kernel request must match its planned buffer's shape and dtype, or
+    ShapeError names both.  A workspace serves one forward at a time: give
+    each thread its own.
     """
 
     def __init__(self):
         self._key = None
         self._buffers: list[np.ndarray] = []
 
-    def _taker(self, cfg: UNetConfig, shape: tuple, dtype: np.dtype):
-        """A function that returns the next buffer of a forward of this shape."""
+    def _allocator(self, cfg: UNetConfig, shape: tuple, dtype: np.dtype):
+        """The alloc(shape, dtype) that hands a forward of this batch shape
+        its planned buffers in order."""
         if (cfg, shape, dtype) != self._key:
             self._buffers = []  # the old block goes before the new one is allocated
             fit = _inference_layout(cfg, shape, dtype.itemsize)
             block = np.empty(fit.size, dtype)
-            self._buffers = [block[o:o + math.prod(s)].reshape(s).transpose(axes)
-                             for o, s, axes in fit.placed]
+            self._buffers = [block[o:o + math.prod(s)].reshape(s) for o, s in fit.placed]
             self._key = cfg, shape, dtype
-        return iter(self._buffers).__next__
+        planned = iter(self._buffers)
+
+        def alloc(shape: tuple, dtype) -> np.ndarray:
+            buf = next(planned, None)
+            if buf is None or buf.shape != shape or buf.dtype != dtype:
+                held = "nothing more" if buf is None else f"{buf.dtype} {buf.shape}"
+                raise ShapeError(f"a kernel asked the workspace for {np.dtype(dtype)} {shape}, "
+                                 f"but its plan holds {held}")
+            return buf
+        return alloc
 
 
 def forward(model: Model, batch: np.ndarray, workspace: Workspace | None = None):
     """Run the network; returns (logits, cache for the matching backward).
 
-    Without a workspace the pass records for backward.  relu runs in place
-    on each conv output, so a conv_relu record holds the layer's input and
-    its activated output, which is also the next layer's input;
-    relu_backward reads the same mask from it, since the output is positive
-    exactly where the pre-activation was.  A decoder level's first input is
-    (upconv output, skip), the skip being an encoder record's output.
+    Without a workspace the pass records for backward, and the kernels
+    allocate with np.empty.  relu runs in place on each conv output, so a
+    conv_relu record holds the layer's input and its activated output, which
+    is also the next layer's input; relu_backward reads the same mask from
+    it, since the output is positive exactly where the pre-activation was.
+    A pool record holds the pool's input and output, the neighbouring
+    conv_relu records' arrays.  A decoder level's first input is (upconv
+    output, skip), the skip being an encoder record's output.
 
-    Given a workspace the pass is inference: every buffer but the logits is
-    cut from the workspace's block, the pools compute no argmax index, and
-    the cache keeps no records (backward rejects it).  The logits are
-    bitwise the same either way.
+    Given a workspace the pass is inference: the kernels take every buffer
+    but the logits from the workspace's plan, which checks each request
+    (see Workspace), and the cache keeps no records (backward rejects it).
+    The logits are bitwise the same either way.
     """
     cfg, params = model.cfg, model.layers
     ops._check_tensor4(batch, "batch")
@@ -287,13 +301,13 @@ def forward(model: Model, batch: np.ndarray, workspace: Workspace | None = None)
     check_divisible("spatial size", (h, w), cfg.depth)
     records = []
     keep = records.append if workspace is None else (lambda _: None)
-    take = (lambda: None) if workspace is None else workspace._taker(
+    alloc = np.empty if workspace is None else workspace._allocator(
         cfg, batch.shape, np.result_type(model.theta, batch))
     k = 0
 
     def conv_relu(t):
         nonlocal k
-        z = ops.conv2d(t, params[k], out=take(), scratch=take())
+        z = ops.conv2d(t, params[k], alloc)
         np.maximum(z, 0, out=z)
         k += 1
         keep(("conv_relu", t, z))
@@ -305,16 +319,13 @@ def forward(model: Model, batch: np.ndarray, workspace: Workspace | None = None)
         t = conv_relu(t)
         t = conv_relu(t)
         skips.append(t)
-        if workspace is None:
-            t, idx = ops.maxpool2(t)
-            keep(("pool", idx))
-        else:
-            t = ops.maxpool2_values(t, take())
+        t = ops.maxpool2(t, alloc)
+        keep(("pool", skips[-1], t))
     t = conv_relu(t)
     t = conv_relu(t)
     for _ in range(cfg.depth):
         keep(("upconv", t))
-        t = ops.upconv2(t, params[k], out=take(), scratch=take())
+        t = ops.upconv2(t, params[k], alloc)
         k += 1
         t = conv_relu(ops.Channels((t, skips.pop())))
         t = conv_relu(t)
@@ -342,7 +353,7 @@ def backward(model: Model, cache: ActivationCache, grad_logits: np.ndarray) -> n
         record = cache.records.pop()
         tag = record[0]
         if tag == "pool":
-            g = ops.maxpool2_backward(record[1], g) + skip_grads.pop()
+            g = ops.maxpool2_backward(record[1], record[2], g) + skip_grads.pop()
         else:  # conv, conv_relu or upconv: one parameter layer
             if tag == "conv_relu":
                 g = ops.relu_backward(record[2], g)
@@ -365,7 +376,7 @@ def _kink_margin(model: Model, cache: ActivationCache) -> float:
     Covers the two kink sources: relu pre-activations near 0 (recomputed
     from each conv_relu record's input, since the record keeps only the
     activated output), and pool windows whose top two values nearly tie
-    (which would flip the argmax routing under perturbation).
+    (which would flip the gradient routing under perturbation).
     """
     margin = np.inf
     layers = iter(model.layers)
@@ -374,12 +385,9 @@ def _kink_margin(model: Model, cache: ActivationCache) -> float:
         if tag in ("conv_relu", "upconv", "conv"):
             layer = next(layers)
         if tag == "conv_relu":
-            activated = record[2]
             margin = min(margin, float(np.abs(ops.conv2d(record[1], layer)).min()))
         elif tag == "pool":
-            n, c, h, w = activated.shape
-            windows = activated.reshape(n, c, h // 2, 2, w // 2, 2)
-            windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
+            windows = np.stack(ops._pool_windows(record[1]), axis=-1).reshape(-1, 4)
             top2 = np.sort(windows, axis=1)[:, -2:]
             gaps = top2[:, 1] - top2[:, 0]
             live = top2[:, 1] > 0  # all-zero windows stay flat under small nudges

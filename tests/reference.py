@@ -133,6 +133,19 @@ def maxpool2_reference(x):
     return out, idx
 
 
+def maxpool2_backward_reference(idx, grad_out):
+    """Scatter grad_out into each window at its index from maxpool2_reference."""
+    n, c, hp, wp = idx.shape
+    grad = np.zeros((n, c, 2 * hp, 2 * wp), dtype=grad_out.dtype)
+    for b in range(n):
+        for ch in range(c):
+            for y in range(hp):
+                for xx in range(wp):
+                    k = idx[b, ch, y, xx]
+                    grad[b, ch, 2 * y + k // 2, 2 * xx + k % 2] = grad_out[b, ch, y, xx]
+    return grad
+
+
 def png_unfilter_reference(rows):
     """Undo PNG row filters one row at a time, Average and Paeth per pixel.
 

@@ -19,8 +19,9 @@ from cordseg.rng import SplitMix64
 from cordseg.unet import UNetConfig
 
 from reference import (confusion_reference, conv2d_reference, iou_reference,
-                       maxpool2_reference, pixel_accuracy_reference,
-                       unet_parameter_count_reference, upconv2_reference)
+                       maxpool2_backward_reference, maxpool2_reference,
+                       pixel_accuracy_reference, unet_parameter_count_reference,
+                       upconv2_reference)
 
 
 @contextmanager
@@ -72,10 +73,12 @@ def test_kernel_oracle_equivalence():
             np.testing.assert_allclose(got, want, atol=1e-5)
 
             xe = rand32((n, ci, 2 * (1 + h // 2), 2 * (1 + w // 2)))
-            got_v, got_i = ops.maxpool2(xe)
+            got_v = ops.maxpool2(xe)
             want_v, want_i = maxpool2_reference(xe)
             np.testing.assert_allclose(got_v, want_v, atol=1e-5)
-            assert np.array_equal(got_i, want_i)
+            g = 1.0 + np.arange(got_v.size, dtype=np.float32).reshape(got_v.shape)  # distinct
+            assert (ops.maxpool2_backward(xe, got_v, g).tobytes()
+                    == maxpool2_backward_reference(want_i, g).tobytes())
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 

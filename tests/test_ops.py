@@ -10,7 +10,7 @@ from cordseg.ops import ConvParams
 from cordseg.rng import SplitMix64
 
 from reference import (conv2d_backward_reference, conv2d_reference, finite_diff_check,
-                       maxpool2_reference, relu, sigmoid_backward,
+                       maxpool2_backward_reference, maxpool2_reference, relu, sigmoid_backward,
                        upconv2_backward_reference, upconv2_reference)
 
 
@@ -181,35 +181,32 @@ def test_narrow_conv2d_scratch_fits_the_cache_budget():
     assert peak <= out.nbytes + 3 * 2**20, peak
 
 
+def nan_alloc(taken):
+    """An alloc that hands out NaN-filled buffers and keeps each in taken."""
+    def alloc(shape, dtype):
+        taken.append(np.full(shape, np.nan, dtype))
+        return taken[-1]
+    return alloc
+
+
 def test_kernels_write_given_buffers_bitwise_as_their_own_results():
-    # an inference workspace hands conv2d, upconv2 and maxpool2_values their
-    # outputs and scratch; the numbers must not depend on where they live
+    # an inference workspace hands conv2d and upconv2 their outputs and
+    # scratch through alloc; the numbers must not depend on where they live
     rng = SplitMix64(130)
     x = random_tensor(rng, (2, 6, 12, 10))
     skip = random_tensor(rng, (2, 4, 12, 10))
     for parts, p in (((x,), conv_params(rng, 5, 6, 3)), ((x, skip), conv_params(rng, 5, 10, 3)),
                      ((x,), conv_params(rng, 5, 6, 1))):
-        want = ops.conv2d(parts, p)
-        out = np.full((5, 12, 2, 10), np.nan, np.float32).transpose(2, 0, 1, 3)
-        scratch = np.full(ops.conv2d_scratch_size((2, p.weights.shape[1], 12, 10),
-                                                  p.weights.shape, 4) + 7, np.nan, np.float32)
-        got = ops.conv2d(parts, p, out=out, scratch=scratch)
-        assert np.shares_memory(got, out) and got.tobytes() == want.tobytes()
+        want, taken = ops.conv2d(parts, p), []
+        got = ops.conv2d(parts, p, nan_alloc(taken))
+        scratch = [(ops.conv2d_scratch_size((2, p.weights.shape[1], 12, 10), p.weights.shape, 4),)]
+        assert [t.shape for t in taken] == [(5, 12, 2, 10)] + scratch * (p.weights.shape[2] == 3)
+        assert np.shares_memory(got, taken[0]) and got.tobytes() == want.tobytes()
     up = ConvParams(random_tensor(rng, (6, 3, 2, 2)), random_tensor(rng, (3,)))
-    out = np.full((2, 3, 24, 20), np.nan, np.float32)
-    got = ops.upconv2(x, up, out=out, scratch=np.full(2 * 12 * 12 * 10, np.nan, np.float32))
-    assert got is out and got.tobytes() == ops.upconv2(x, up).tobytes()
-    p = conv_params(rng, 5, 6, 3)
-    with pytest.raises(ShapeError, match="out"):
-        ops.conv2d(x, p, out=np.empty((2, 5, 12, 10), np.float32))  # (n, oc, h, w) memory
-    with pytest.raises(ShapeError, match="out"):
-        ops.conv2d(x, p, out=np.empty((5, 12, 2, 10)).transpose(2, 0, 1, 3))  # float64
-    with pytest.raises(ShapeError, match="scratch"):
-        ops.conv2d(x, p, scratch=np.empty(10, np.float32))
-    with pytest.raises(ShapeError, match="out"):
-        ops.upconv2(x, up, out=np.empty((2, 3, 20, 24), np.float32))
-    with pytest.raises(ShapeError, match="out"):
-        ops.maxpool2_values(x, out=np.empty((2, 6, 6, 6), np.float32))
+    taken = []
+    got = ops.upconv2(x, up, nan_alloc(taken))
+    assert [t.shape for t in taken] == [(2, 3, 24, 20), (12, 12, 2, 10)]
+    assert got is taken[0] and got.tobytes() == ops.upconv2(x, up).tobytes()
 
 
 def test_conv2d_linear_in_input():
@@ -292,16 +289,18 @@ def test_conv2d_backward_matches_loop_oracle_on_edge_shapes(n, ci, co, h, w, k):
 
 def test_maxpool2_hand_window():
     x = np.array([[[[1, 3], [2, 4]]]], np.float32)
-    out, idx = ops.maxpool2(x)
+    out = ops.maxpool2(x)
     assert out[0, 0, 0, 0] == 4.0
-    assert idx[0, 0, 0, 0] == 3  # row-major position within the window
+    grad = ops.maxpool2_backward(x, out, np.ones_like(out))
+    assert grad[0, 0, 1, 1] == 1.0 and grad.sum() == 1.0  # row-major position 3
 
 
 def test_maxpool2_constant_ties_to_first():
     x = np.full((1, 1, 4, 4), 7.0, np.float32)
-    out, idx = ops.maxpool2(x)
+    out = ops.maxpool2(x)
     assert np.all(out == 7.0)
-    assert np.all(idx == 0)
+    grad = ops.maxpool2_backward(x, out, np.ones_like(out))
+    assert np.all(grad[:, :, ::2, ::2] == 1.0) and grad.sum() == out.size
 
 
 def test_maxpool2_rejects_odd_dims():
@@ -317,44 +316,75 @@ def test_maxpool2_matches_enumeration_oracle():
         n, c = 1 + rng.randbelow(3), 1 + rng.randbelow(4)
         h, w = 2 * (1 + rng.randbelow(4)), 2 * (1 + rng.randbelow(4))
         x = random_tensor(rng, (n, c, h, w))
-        out, idx = ops.maxpool2(x)
+        out = ops.maxpool2(x)
         want_out, want_idx = maxpool2_reference(x)
         np.testing.assert_allclose(out, want_out, atol=0)
-        assert np.array_equal(idx, want_idx)
-        assert set(np.unique(idx)) <= {0, 1, 2, 3}
+        g = 1.0 + np.arange(out.size, dtype=np.float32).reshape(out.shape)
+        got = ops.maxpool2_backward(x, out, g)
+        assert np.array_equal(got, maxpool2_backward_reference(want_idx, g))
 
 
-def test_maxpool2_values_is_bitwise_the_pooled_tensor_of_maxpool2():
+def tie_heavy(rng, shape, values, trial, spread):
+    """Entries values[int(u * spread)] for uniform u, stored NCHW or, on odd
+    trials, channel-major."""
+    x = values[(rng.f64_array(math.prod(shape)) * spread).astype(int)].reshape(shape)
+    if trial % 2:
+        x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
+    return x
+
+
+def test_maxpool2_writes_the_allocated_buffer_bitwise_as_its_own_result():
     rng = SplitMix64(310)
+    values = np.array([-1.0, -0.0, 0.0, 1.0, 2.0, np.nan], np.float32)
     for trial in range(20):
-        # few distinct values, signed zeros and a NaN, stored NCHW or channel-major
-        values = np.array([-1.0, -0.0, 0.0, 1.0, 2.0, np.nan], np.float32)
-        x = values[(rng.f64_array(2 * 3 * 6 * 8) * 5.02).astype(int)].reshape(2, 3, 6, 8)
-        if trial % 2:
-            x = np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
-        want, _ = ops.maxpool2(x)
-        out = np.full_like(want, np.nan)
-        assert ops.maxpool2_values(x, out) is out and out.tobytes() == want.tobytes()
-    with pytest.raises(ShapeError):
-        ops.maxpool2_values(np.zeros((1, 1, 3, 4), np.float32), np.empty((1, 1, 1, 2), np.float32))
+        # few distinct values, signed zeros and a rare NaN
+        x, taken = tie_heavy(rng, (2, 3, 6, 8), values, trial, 5.02), []
+        got = ops.maxpool2(x, nan_alloc(taken))
+        assert [t.shape for t in taken] == [(3, 3, 2, 4)] and np.shares_memory(got, taken[0])
+        assert got.tobytes() == ops.maxpool2(x).tobytes()
+
+
+def test_maxpool2_backward_routes_ties_as_the_reference_index():
+    # repeated values and signed zeros: the first entry equal to the max is
+    # the reference's first maximum, bitwise
+    rng = SplitMix64(311)
+    values = np.array([-2.0, -1.0, -0.0, 0.0, 1.0], np.float32)
+    for trial in range(240):
+        shape = (1 + rng.randbelow(3), 1 + rng.randbelow(3), 2 + 2 * rng.randbelow(3),
+                 2 + 2 * rng.randbelow(3))
+        x = tie_heavy(rng, shape, values, trial, 2 + rng.randbelow(4))
+        out = ops.maxpool2(x)
+        g = 1.0 + np.arange(out.size, dtype=np.float32).reshape(out.shape)
+        want = maxpool2_backward_reference(maxpool2_reference(x)[1], g)
+        assert ops.maxpool2_backward(x, out, g).tobytes() == want.tobytes(), trial
+
+
+def test_maxpool2_backward_gives_a_window_holding_nan_no_gradient():
+    x = np.array([[[[1, 3, 5, 1], [np.nan, 0, 2, 0]]]], np.float32)
+    out = ops.maxpool2(x)
+    assert np.isnan(out[0, 0, 0, 0]) and out[0, 0, 0, 1] == 5.0
+    grad = ops.maxpool2_backward(x, out, np.ones_like(out))
+    assert grad[..., :2].sum() == 0.0 and grad[0, 0, 0, 2] == 1.0
 
 
 def test_maxpool2_backward_routes_to_argmax():
     x = np.array([[[[1, 3], [2, 4]]]], np.float32)
-    _, idx = ops.maxpool2(x)
+    out = ops.maxpool2(x)
     g = np.full((1, 1, 1, 1), 5.0, np.float32)
-    gx = ops.maxpool2_backward(idx, g)
+    gx = ops.maxpool2_backward(x, out, g)
     assert gx[0, 0, 1, 1] == 5.0
     assert gx.sum() == 5.0
+    with pytest.raises(ShapeError):
+        ops.maxpool2_backward(x, out, np.ones((1, 1, 1, 2), np.float32))
 
 
 def test_maxpool2_backward_conserves_gradient_mass():
     rng = SplitMix64(301)
     for trial in range(10):
         x = random_tensor(rng, (2, 3, 8, 6))
-        _, idx = ops.maxpool2(x)
-        g = random_tensor(rng, idx.shape)
-        gx = ops.maxpool2_backward(idx, g)
+        out = ops.maxpool2(x)
+        g = random_tensor(rng, out.shape)
+        gx = ops.maxpool2_backward(x, out, g)
         assert math.isclose(float(gx.sum()), float(g.sum()), rel_tol=1e-5, abs_tol=1e-5)
 
 

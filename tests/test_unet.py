@@ -181,17 +181,30 @@ def test_forward_with_tiny_column_bands_matches_default(monkeypatch):
     np.testing.assert_allclose(got, want, atol=1e-5)
 
 
-def test_forward_in_a_workspace_computes_no_pool_index(monkeypatch):
+def test_workspace_rejects_a_request_its_plan_does_not_hold(monkeypatch):
+    # a plan made under one band budget: smaller bands ask for less scratch,
+    # and the first such request names both shapes
     params = unet.init_params(UNetConfig(depth=2, base_channels=4), 42)
     x = small_input(13, n=2, side=16)
-    want, _ = unet.forward(params, x)
+    workspace = unet.Workspace()
+    unet.forward(params, x, workspace)
+    planned = ops.conv2d_scratch_size(x.shape, params.layers[0].weights.shape, 4)
+    monkeypatch.setattr(ops, "_BAND_BYTES", 256)
+    requested = ops.conv2d_scratch_size(x.shape, params.layers[0].weights.shape, 4)
+    assert requested < planned
+    with pytest.raises(ShapeError, match=rf"\({requested},\).*\({planned},\)"):
+        unet.forward(params, x, workspace)
+    # a plan one buffer short fails on the request it cannot serve
+    plan = unet._inference_layout
 
-    def no_index(_):
-        raise AssertionError("an inference forward computed a pool argmax index")
+    def short_plan(*args):
+        fit = plan(*args)
+        del fit.placed[-1]
+        return fit
 
-    monkeypatch.setattr(ops, "maxpool2", no_index)
-    got, _ = unet.forward(params, x, unet.Workspace())
-    assert np.array_equal(got, want)
+    monkeypatch.setattr(unet, "_inference_layout", short_plan)
+    with pytest.raises(ShapeError, match="nothing more"):
+        unet.forward(params, x, unet.Workspace())
 
 
 def forward_memory(params, x, workspace=None):
@@ -279,9 +292,15 @@ def test_conv_relu_records_share_each_activation_with_the_next_layer():
     for a, b in pairs:
         assert b[1] is a[2]
         assert np.all(a[2] >= 0)
+    # a pool record holds the conv_relu output it pools and the next layer's input
+    pools = [(a, b, c) for a, b, c in zip(cache.records, cache.records[1:], cache.records[2:])
+             if b[0] == "pool"]
+    assert len(pools) == 2
+    for a, b, c in pools:
+        assert a[0] == "conv_relu" and b[1] is a[2] and c[1] is b[2]
     # each decoder level's first conv reads (upconv output, skip), the skip
     # being the encoder's output itself: training keeps it once
-    skips = [a[2] for a, b in zip(cache.records, cache.records[1:]) if b[0] == "pool"]
+    skips = [a[2] for a, _, _ in pools]
     joins = [r[1] for r in cache.records if isinstance(r[1], tuple)]
     assert len(joins) == len(skips) == 2
     assert all(skip is encoded for (_, skip), encoded in zip(joins, skips[::-1]))
