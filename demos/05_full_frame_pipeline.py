@@ -1,11 +1,12 @@
 """The end-to-end geometry: a frame bigger than one tile goes through
-pad -> per-tile inference, each tile's window written into one probability
-canvas -> crop -> threshold.
+pad -> per-tile inference -> each tile's window thresholded into one uint8
+mask of the frame's shape.
 
 A quick model is trained on 64x64 synthetic tiles, then asked to segment a
 250x190 frame it has never seen.  The frame is not divisible by the tile
-size, so the right and bottom edges get reflect-padded, and the canvas is
-cropped back to exactly the input dimensions.
+size, so the right and bottom edges get reflect-padded, and each window
+that crosses them writes only its part inside the frame, so the mask has
+exactly the input dimensions.
 """
 
 import numpy as np
@@ -31,7 +32,7 @@ grid = tiling.compute_grid(frame.shape[1], frame.shape[0], 64)
 print(f"grid: {grid.cols} cols x {grid.rows} rows = {grid.tile_count} tiles of 64, "
       f"padded to {grid.padded_width}x{grid.padded_height}")
 
-mask, probs = pipeline.predict_frame(model, frame, tile_size=64, threads=2)
+mask = pipeline.predict_frame(model, frame, tile_size=64, threads=2)
 print(f"predicted mask: {mask.shape[1]}x{mask.shape[0]} "
       f"(equals the input exactly: {mask.shape == frame.shape})")
 
@@ -39,7 +40,7 @@ counts = metrics.confusion(mask, truth)
 print("\nscore against the generator's truth:")
 print("   " + metrics.report_line(metrics.iou(counts), metrics.pixel_accuracy(counts), counts))
 
-single = pipeline.predict_frame(model, frame, tile_size=64, threads=1)[0]
+single = pipeline.predict_frame(model, frame, tile_size=64, threads=1)
 print("\nthread count never changes the output:",
       bool(np.array_equal(mask, single)))
 

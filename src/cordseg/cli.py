@@ -70,8 +70,8 @@ def run_predict(args) -> int:
     model = unet.load_checkpoint(args.model)
     frame = data.load_grayscale(args.image)
     started = time.perf_counter()
-    mask, _ = pipeline.predict_frame(model, frame, tile_size=args.tile,
-                                     threshold=args.threshold, threads=args.threads)
+    mask = pipeline.predict_frame(model, frame, tile_size=args.tile,
+                                  threshold=args.threshold, threads=args.threads)
     grid = tiling.compute_grid(frame.shape[1], frame.shape[0], args.tile)
     data.save_mask(args.out, mask)
     _log(f"frame {frame.shape[1]}x{frame.shape[0]}: tiles={grid.tile_count} of "

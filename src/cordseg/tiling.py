@@ -1,10 +1,10 @@
 """Frame geometry: pad a full frame out to a whole number of fixed-size
 tiles, and name each tile's window on the padded canvas.
 
-Images and maps are 2-D numpy arrays indexed (row, column); any dtype works,
-so the same windows read a uint8 frame and write a float32 probability
-canvas.  Windows are non-overlapping, ordered row-major, and cover the
-padded canvas exactly once.
+Images and masks are 2-D numpy arrays indexed (row, column); any dtype
+works, so the same windows read the padded uint8 frame and write a uint8
+mask of the frame, which numpy clips them to.  Windows are non-overlapping,
+ordered row-major, and cover the padded canvas exactly once.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def pad_image(img: np.ndarray, grid: TileGrid) -> np.ndarray:
         return img
     if pad_h >= grid.height or pad_w >= grid.width:
         raise DomainError(f"padding {(pad_h, pad_w)} meets or exceeds the image "
-                          f"size {(grid.height, grid.width)}; the tile is larger "
-                          f"than twice the image")
+                          f"size {(grid.height, grid.width)}; the tile is at least "
+                          f"twice the image")
     return np.pad(img, ((0, pad_h), (0, pad_w)), mode="reflect")
 
 

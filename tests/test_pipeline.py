@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cordseg import data, ops, pipeline, tiling, unet
-from cordseg.errors import ShapeError
+from cordseg import data, metrics, ops, pipeline, tiling, unet
+from cordseg.errors import DomainError, ShapeError
 from cordseg.rng import SplitMix64
 from cordseg.unet import UNetConfig
 
@@ -19,67 +19,74 @@ def random_frame(seed, h, w):
     return (rng.u64_array(h * w) & np.uint64(255)).astype(np.uint8).reshape(h, w)
 
 
+def window_probabilities(model, frame, tile):
+    """The frame's probabilities from each window's own recording forward,
+    which allocates its own buffers where predict reuses one workspace."""
+    grid = tiling.compute_grid(frame.shape[1], frame.shape[0], tile)
+    padded = tiling.pad_image(frame, grid)
+    probs = np.empty(padded.shape, np.float32)
+    for win in tiling.windows(grid):
+        probs[win] = ops.sigmoid(unet.forward(model, data.to_unit(padded[win])[None, None])[0])[0, 0]
+    return probs[:frame.shape[0], :frame.shape[1]]
+
+
+def thresholds(probs):
+    """0.3, 0.5 and three of the reference's own values, each also one
+    float32 step above itself: a one-ulp drift at those pixels flips a bit."""
+    picks = np.sort(probs, axis=None)[[probs.size // 4, probs.size // 2, 3 * probs.size // 4]]
+    return [0.3, 0.5, *picks, *np.nextafter(picks, np.float32(1))]
+
+
+def assert_masks_threshold_the_window_forwards(model, frame, tile, threads):
+    probs = window_probabilities(model, frame, tile)
+    for t in thresholds(probs):
+        mask = pipeline.predict_frame(model, frame, tile_size=tile, threshold=t, threads=threads)
+        assert mask.dtype == np.uint8 and mask.shape == frame.shape
+        assert mask.tobytes() == metrics.binarize(probs, t).tobytes(), (threads, t)
+
+
 def test_predict_output_dims_match_input(small_model):
-    frame = random_frame(60, 70, 110)
-    mask, probs = pipeline.predict_frame(small_model, frame, tile_size=64, threads=1)
-    assert mask.shape == (70, 110)
-    assert probs.shape == (70, 110)
-    assert set(np.unique(mask)) <= {0, 1}
-
-
-def test_predict_probabilities_in_unit_interval(small_model):
-    frame = random_frame(61, 64, 64)
-    _, probs = pipeline.predict_frame(small_model, frame, tile_size=32, threads=1)
-    assert probs.min() >= 0.0
-    assert probs.max() <= 1.0
-    assert probs.dtype == np.float32
+    # neither side a multiple of the tile, then a frame smaller than one tile
+    for seed, (h, w) in ((60, (70, 110)), (68, (40, 40))):
+        assert_masks_threshold_the_window_forwards(small_model, random_frame(seed, h, w), 64, 1)
 
 
 def test_predict_threshold_zero_all_foreground(small_model):
     frame = random_frame(62, 40, 40)
-    mask, _ = pipeline.predict_frame(small_model, frame, tile_size=32, threshold=0.0, threads=1)
+    mask = pipeline.predict_frame(small_model, frame, tile_size=32, threshold=0.0, threads=1)
     assert np.all(mask == 1)
 
 
 def test_predict_thread_count_does_not_change_output(small_model):
     frame = random_frame(63, 100, 150)
-    mask1, probs1 = pipeline.predict_frame(small_model, frame, tile_size=32, threads=1)
-    mask4, probs4 = pipeline.predict_frame(small_model, frame, tile_size=32, threads=4)
-    assert np.array_equal(probs1, probs4)
-    assert np.array_equal(mask1, mask4)
+    for threads in (1, 4):
+        assert_masks_threshold_the_window_forwards(small_model, frame, 32, threads)
 
 
-def test_predict_probabilities_are_the_plain_tile_forwards_bitwise():
-    # each worker reuses one workspace across its tiles; the numbers must be
+def test_predict_masks_threshold_the_plain_tile_forwards_bitwise():
+    # each worker reuses one workspace across its tiles; the masks must be
     # those of a recording forward, which allocates its own buffers
     model = unet.init_params(UNetConfig(depth=2, base_channels=4), 43)
     frame = random_frame(66, 90, 130)
-    grid = tiling.compute_grid(130, 90, 32)
-    padded = tiling.pad_image(frame, grid)
-    want = np.zeros(padded.shape, np.float32)
-    for win in tiling.windows(grid):
-        want[win] = ops.sigmoid(unet.forward(model, data.to_unit(padded[win])[None, None])[0])[0, 0]
-    want = want[:90, :130]
     for threads in (1, 2, 3):
-        _, probs = pipeline.predict_frame(model, frame, tile_size=32, threads=threads)
-        assert probs.tobytes() == want.tobytes(), threads
+        assert_masks_threshold_the_window_forwards(model, frame, 32, threads)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_predict_holds_under_8_bytes_per_frame_pixel_beside_the_workspaces(threads):
-    # the padded frame, one float32 canvas and the mask: about 5.6 B/px; two
-    # more frame-sized copies of the tiles would break the bound
+def test_predict_holds_under_3_bytes_per_frame_pixel_beside_the_workspaces(threads):
+    # the padded uint8 frame and the uint8 mask: about 2.4 B/px; a float32
+    # probability map of the frame would break the bound
     model = unet.init_params(UNetConfig(depth=2, base_channels=8), 42)
     frame = random_frame(67, 2000, 2000)
     block = unet._inference_layout(model.cfg, (1, 1, 256, 256), 4).size * 4
     tracemalloc.start()
     try:
-        out = pipeline.predict_frame(model, frame, tile_size=256, threads=threads)
+        mask = pipeline.predict_frame(model, frame, tile_size=256, threads=threads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out[1].shape == frame.shape
-    assert peak - threads * block < 8 * frame.size, (peak - threads * block) / frame.size
+    assert mask.shape == frame.shape
+    assert peak - threads * block < 3 * frame.size, (peak - threads * block) / frame.size
 
 
 def test_predict_rejects_incompatible_tile(small_model, monkeypatch):
@@ -98,9 +105,16 @@ def test_predict_rejects_non_2d_frame(small_model):
         pipeline.predict_frame(small_model, np.zeros((2, 3, 4), np.uint8), tile_size=32)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_predict_rejects_probabilities_outside_the_unit_interval(small_model, threads):
+    # binarize's range check runs on each window's probabilities on the pool
+    # threads, and its error reaches the caller instead of a mask
+    nan_model = unet.Model(small_model.cfg, np.full_like(small_model.theta, np.nan))
+    with pytest.raises(DomainError, match=r"must lie in \[0, 1\]"):
+        pipeline.predict_frame(nan_model, random_frame(69, 40, 70), tile_size=32, threads=threads)
+
+
 def test_predict_tile_boundaries_do_not_leak(small_model):
-    # thresholding the cropped canvas equals thresholding per tile, since
-    # each tile writes its probabilities into its own window unchanged
-    frame = random_frame(65, 64, 96)
-    mask, probs = pipeline.predict_frame(small_model, frame, tile_size=32, threads=2)
-    assert np.array_equal(mask, (probs >= 0.5).astype(np.uint8))
+    # each window is thresholded on its own, which equals thresholding the
+    # frame's probabilities at once, since windows never overlap
+    assert_masks_threshold_the_window_forwards(small_model, random_frame(65, 64, 96), 32, 2)

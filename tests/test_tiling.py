@@ -74,10 +74,13 @@ def test_pad_preserves_original_region():
 
 
 def test_pad_rejects_tile_larger_than_twice_image():
-    img = np.zeros((10, 10), np.uint8)
-    grid = tiling.compute_grid(10, 10, 64)
-    with pytest.raises(DomainError):
-        tiling.pad_image(img, grid)
+    # a tile of exactly twice the image is rejected too; one pixel more is padded
+    for side in (10, 32):
+        grid = tiling.compute_grid(side, side, 64)
+        with pytest.raises(DomainError, match="at least twice"):
+            tiling.pad_image(np.zeros((side, side), np.uint8), grid)
+    padded = tiling.pad_image(np.zeros((33, 33), np.uint8), tiling.compute_grid(33, 33, 64))
+    assert padded.shape == (64, 64)
 
 
 def through_windows(img, grid):
