@@ -365,22 +365,26 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def bce_with_logits(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean binary cross-entropy on logits, in the numerically stable form
-    max(z, 0) - z*y + log(1 + exp(-|z|))."""
+def bce_with_logits(logits: np.ndarray, targets: np.ndarray,
+                    count: int | None = None) -> float:
+    """Binary cross-entropy on logits, in the numerically stable form
+    max(z, 0) - z*y + log(1 + exp(-|z|)), summed and divided by count
+    (default: the element count, giving the mean)."""
     if logits.shape != targets.shape:
         raise ShapeError(f"logits {logits.shape} and targets {targets.shape} differ")
     if not np.all((targets == 0) | (targets == 1)):
         raise DomainError("targets must be exactly 0 or 1")
     terms = np.maximum(logits, 0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
-    return float(terms.mean())
+    return float(terms.sum() / (terms.size if count is None else count))
 
 
-def bce_with_logits_backward(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-element gradient (sigmoid(z) - y) / count."""
+def bce_with_logits_backward(logits: np.ndarray, targets: np.ndarray,
+                             count: int | None = None) -> np.ndarray:
+    """Per-element gradient (sigmoid(z) - y) / count of bce_with_logits with
+    the same count (default: the element count)."""
     if logits.shape != targets.shape:
         raise ShapeError(f"logits {logits.shape} and targets {targets.shape} differ")
-    return (sigmoid(logits) - targets) / logits.size
+    return (sigmoid(logits) - targets) / (logits.size if count is None else count)
 
 
 def finite_diff_errors(f, theta: np.ndarray, step: float = 1e-3) -> np.ndarray:

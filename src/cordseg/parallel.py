@@ -1,11 +1,14 @@
-"""How cordseg's own worker threads share the cores with OpenBLAS.
+"""How cordseg's workers share the cores with OpenBLAS, and the forked
+helpers that training runs beside its own process.
 
-Tile inference runs on a pool of cordseg's own threads.  While several of
-them run GEMMs at once, an OpenBLAS that also asks for every core only
-spins on cores the other workers use, so for the length of such a
-parallel section the OpenBLAS that numpy loaded gets cores // workers
-threads (at least one), and gets its old count back afterwards.  Outside
-those sections, and for a single worker, the BLAS keeps its own count.
+Tile inference runs on a pool of cordseg's own threads; a training step
+runs its batch's shards in forked helper processes beside the main one
+(see `Helpers`).  While several workers run GEMMs at once, an OpenBLAS
+that also asks for every core only spins on cores the other workers use,
+so for the length of such a parallel section each process's OpenBLAS gets
+cores // workers threads (at least one), and the caller's gets its old
+count back afterwards.  Outside those sections, and for a single worker,
+the BLAS keeps its own count.
 
 OpenBLAS reads its thread variables when it loads, so the count goes
 through its run-time setter, which works whatever imported numpy first.  A
@@ -17,11 +20,17 @@ shrinks to the cores that count leaves per worker.
 from __future__ import annotations
 
 import ctypes
+import mmap
 import os
 import re
+import signal
 import threading
+from collections.abc import Callable
 from contextlib import contextmanager
 from functools import cache
+from typing import NoReturn
+
+import numpy as np
 
 # (set, get) thread-count symbols of the OpenBLAS builds numpy ships, newest first
 _SYMBOLS = tuple((f"{prefix}openblas_set_num_threads{suffix}",
@@ -33,6 +42,9 @@ _SYMBOLS = tuple((f"{prefix}openblas_set_num_threads{suffix}",
 # order OpenBLAS reads them, and the leading integer C's atoi reads from each
 _BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 _LEADING_INT = re.compile(r"\s*([+-]?\d+)", re.ASCII)
+
+# mallopt's parameter for the free bytes kept at the top of the heap, in glibc
+_M_TOP_PAD = -2
 
 # OpenBLAS's thread count is one per process, so are these: the parallel
 # sections now open, and the count the last of them to close restores
@@ -59,17 +71,16 @@ def _user_blas_threads() -> int | None:
 
 
 def default_workers() -> int:
-    """Tile workers when the caller names no count: one per available core,
-    or cores // b (at least one) when the user set the BLAS thread count b,
-    so that workers times BLAS threads do not exceed the cores."""
+    """Workers, tile threads or training processes, when the caller names no
+    count: one per available core, or cores // b (at least one) when the
+    user set the BLAS thread count b, so that workers times BLAS threads do
+    not exceed the cores."""
     return max(1, available_cores() // (_user_blas_threads() or 1))
 
 
 @cache
 def _openblas():
     """(set, get) thread-count functions of numpy's OpenBLAS, or None."""
-    import numpy  # noqa: F401  (loads the library to look for)
-
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -114,3 +125,110 @@ def share_cores(workers: int):
             _open_sections -= 1
             if _open_sections == 0:
                 setter(_restore_count)
+
+
+def shared_array(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed array in an anonymous MAP_SHARED mapping: processes forked
+    after it is made read and write the same pages."""
+    return np.frombuffer(mmap.mmap(-1, int(np.prod(shape)) * np.dtype(dtype).itemsize),
+                         dtype).reshape(shape)
+
+
+class Helpers:
+    """count helper processes forked from the caller, each serving tasks sent
+    to it over its own pipe: helper i replies to a task with work(i, task),
+    or with the exception that raised, which receive re-raises in the
+    caller with its type and message.  Only tasks and replies are pickled;
+    arrays in a shared_array made before the helpers are forked are seen
+    by both sides.  A helper runs OpenBLAS on its share of the cores, the
+    caller being one of count + 1 workers, and ends in os._exit, never
+    returning into the caller's code, when its pipe reads EOF.  Leaving the
+    with-block closes every pipe, kills the helpers if it left by an
+    exception (KeyboardInterrupt included), and reaps them all.
+    """
+
+    def __init__(self, count: int, work: Callable[[int, object], object]):
+        self._pids, self._pipes = [], []
+        if count < 1:
+            return
+        from multiprocessing.connection import Pipe  # only where helpers run
+
+        try:
+            for index in range(count):
+                mine, theirs = Pipe()
+                pid = os.fork()
+                if pid == 0:
+                    _serve(theirs, (*self._pipes, mine), index, work, count + 1)
+                theirs.close()
+                self._pids.append(pid)
+                self._pipes.append(mine)
+        except BaseException:
+            self.close(kill=True)
+            raise
+
+    def send(self, index: int, task) -> None:
+        self._pipes[index].send(task)
+
+    def receive(self, index: int):
+        """Helper index's reply to its last task; raises the task's exception."""
+        try:
+            ok, value = self._pipes[index].recv()
+        except EOFError:
+            raise ChildProcessError(f"helper {self._pids[index]} ended without "
+                                    f"replying") from None
+        if not ok:
+            raise value
+        return value
+
+    def close(self, kill: bool = False) -> None:
+        for pipe in self._pipes:
+            pipe.close()
+        if kill:
+            for pid in self._pids:
+                os.kill(pid, signal.SIGKILL)
+        for pid in self._pids:
+            os.waitpid(pid, 0)
+        self._pids, self._pipes = [], []
+
+    def __enter__(self) -> "Helpers":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(kill=exc_type is not None)
+
+
+def _serve(pipe, inherited, index: int, work, workers: int) -> NoReturn:
+    """A helper's whole life: close the caller's ends of the pipes, so each
+    helper reads EOF once the caller closes its end, then reply to each
+    task until EOF, then os._exit."""
+    code = 1
+    try:
+        for other in inherited:
+            other.close()
+        _keep_freed_heap()
+        with share_cores(workers):
+            while True:
+                try:
+                    task = pipe.recv()
+                except EOFError:
+                    code = 0
+                    break
+                try:
+                    reply = True, work(index, task)
+                except BaseException as exc:  # MemoryError too: the caller re-raises it
+                    reply = False, exc
+                pipe.send(reply)
+    finally:
+        os._exit(code)
+
+
+def _keep_freed_heap() -> None:
+    """Have glibc keep 64 MiB of freed memory at the top of this process's
+    heap.  A helper frees every buffer of a task when the task ends, so the
+    top of its heap is free between tasks; glibc would give it back to the
+    kernel and fault it in again on the next task, about 1.4k minor faults
+    a shard at the acceptance config, against none in the main process."""
+    libc = ctypes.CDLL(None)
+    if hasattr(libc, "mallopt"):
+        libc.mallopt.argtypes, libc.mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        libc.mallopt(_M_TOP_PAD, 64 << 20)

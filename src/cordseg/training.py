@@ -3,17 +3,24 @@ and evaluation.
 
 Training is bit-reproducible: the split, the per-epoch shuffles, and the
 augmentation draws all come from splitmix64 streams derived from the
-configured seed, and every reduction runs in a fixed order.
+configured seed, and every reduction runs in a fixed order.  Each batch
+splits into shards of _SHARD consecutive samples; every shard's gradient
+is computed on its own, and the batch gradient is their sum in shard
+order.  Shards run in parallel on forked helper processes (see
+parallel.Helpers) over one shared parameter vector, or all in the main
+process where there is no fork or one worker, and give the same bytes
+either way, so checkpoints do not depend on the core count.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import metrics, ops, unet
+from . import metrics, ops, parallel, unet
 from .data import Sample, to_unit
 from .errors import DomainError, NumericError, ShapeError
 from .metrics import ConfusionCounts
@@ -23,6 +30,9 @@ from .rng import SplitMix64, derive
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 # samples per evaluation forward pass; bounds evaluation memory
 _EVAL_BATCH = 8
+# samples per shard of a training batch; a shard's weight-gradient sums stop
+# at its edge, so the bytes depend on this, never on the worker count
+_SHARD = 2
 
 
 @dataclass(frozen=True)
@@ -184,16 +194,61 @@ def _check_tiles(samples: list[Sample], depth: int) -> None:
     unet.check_divisible("tile side", (h,), depth)
 
 
+def _shard_gradient(model: unet.Model, x: np.ndarray, y: np.ndarray, count: int):
+    """One shard's recording forward and backward.  Returns the sum of its
+    BCE terms and the gradient of that sum divided by count, the element
+    count of the whole batch."""
+    logits, cache = unet.forward(model, x)
+    return (ops.bce_with_logits(logits, y, count=1),
+            unet.backward(model, cache, ops.bce_with_logits_backward(logits, y, count)))
+
+
+def _batch_gradient(model: unet.Model, x: np.ndarray, y: np.ndarray,
+                    helpers: parallel.Helpers, slots: np.ndarray):
+    """(sum of the batch's BCE terms, gradient of their mean): the batch's
+    shards run in rounds of one per worker, the main process taking each
+    round's first, and their sums and gradients add up in shard order."""
+    shards = [(x[i:i + _SHARD], y[i:i + _SHARD], y.size) for i in range(0, len(x), _SHARD)]
+    terms, grad = 0.0, None
+    for first in range(0, len(shards), len(slots) + 1):
+        rest = shards[first + 1:first + 1 + len(slots)]
+        for index, task in enumerate(rest):
+            helpers.send(index, task)
+        shard_terms, shard_grad = _shard_gradient(model, *shards[first])
+        terms += shard_terms
+        if grad is None:
+            grad = shard_grad
+        else:
+            grad += shard_grad
+        for index in range(len(rest)):
+            terms += helpers.receive(index)
+            grad += slots[index]
+    return terms, grad
+
+
 def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
           on_epoch: Callable[[EpochRecord], None] | None = None):
     """Full training run; returns (model, per-epoch history).
 
     Per epoch: seeded reshuffle, batches of batch_size with the last partial
-    batch kept, optional per-sample dihedral augmentation, forward, BCE,
-    backward to one flat gradient, Adam in place on model.theta, which the
-    layers view; then an evaluation pass over the held-out split, whose
-    record goes to on_epoch as soon as it is made.
-    Deterministic for a fixed (cfg, samples, net_cfg).
+    batch kept, optional per-sample dihedral augmentation; each batch splits
+    into shards of _SHARD consecutive samples (the last may hold one), each
+    shard runs forward, BCE and backward on its own, and the batch gradient,
+    the shard gradients summed in shard order, takes one Adam step in place
+    on model.theta, which the layers view.  Then an evaluation pass over the
+    held-out split, in the main process, whose record goes to on_epoch as
+    soon as it is made; the epoch loss is every BCE term of the epoch over
+    their count.
+
+    Where os.fork exists, min(parallel.default_workers(), shards in a full
+    batch) - 1 helper processes are forked once per call.  theta and one
+    gradient slot per helper live in one parallel.shared_array; the main
+    process runs each round's first shard, and each helper another, holding
+    that shard's activations and copying its gradient into its slot.  While
+    the helpers live, each process's OpenBLAS has its share of the cores.
+    Every helper is reaped before train returns or raises, and a helper's
+    exception is raised here.  Deterministic for a fixed (cfg, samples,
+    net_cfg), whatever the worker count.
     """
     if not samples:
         raise DomainError("cannot train on an empty dataset")
@@ -206,30 +261,42 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
     if not train_set:
         raise DomainError(f"training split is empty for ratio {cfg.split_ratio} "
                           f"over {len(samples)} samples")
+    full = -(-min(cfg.batch_size, len(train_set)) // _SHARD)  # shards in a full batch
+    workers = min(parallel.default_workers(), full) if hasattr(os, "fork") else 1
+    shared = parallel.shared_array((workers, model.theta.size), model.theta.dtype)
+    shared[0] = model.theta
+    model, slots = unet.Model(net_cfg, shared[0]), shared[1:]
+
+    def helper_shard(index: int, task) -> float:
+        terms, slots[index][...] = _shard_gradient(model, *task)
+        return terms
+
     state = AdamState.zeros(model.theta)
-    for epoch in range(1, cfg.epochs + 1):
-        stream = SplitMix64(derive(cfg.seed, 0xE90C, epoch))
-        order = stream.permutation(len(train_set))
-        loss_sum = 0.0
-        seen = 0
-        for start in range(0, len(order), cfg.batch_size):
-            picked = [train_set[i] for i in order[start:start + cfg.batch_size]]
-            if cfg.augment:
-                picked = [Sample(s.name, *dihedral_augment(s.image, s.mask, stream))
-                          for s in picked]
-            x, y = _batch_arrays(picked)
-            logits, cache = unet.forward(model, x)
-            loss = ops.bce_with_logits(logits, y)
-            grad_logits = ops.bce_with_logits_backward(logits, y)
-            adam_step(model.theta, unet.backward(model, cache, grad_logits), state, cfg)
-            loss_sum += loss * len(picked)
-            seen += len(picked)
-        report = evaluate(model, test_set)
-        history.append(EpochRecord(epoch, loss_sum / seen, report.mean_iou,
-                                   report.pixel_accuracy, report.counts))
-        if on_epoch is not None:
-            on_epoch(history[-1])
-    return model, history
+    # evaluate runs on the share too: OpenBLAS threads it woke would spin on
+    # after it, on the cores the helpers' next shards run on
+    with parallel.Helpers(workers - 1, helper_shard) as helpers, parallel.share_cores(workers):
+        for epoch in range(1, cfg.epochs + 1):
+            stream = SplitMix64(derive(cfg.seed, 0xE90C, epoch))
+            order = stream.permutation(len(train_set))
+            terms = 0.0
+            seen = 0
+            for start in range(0, len(order), cfg.batch_size):
+                picked = [train_set[i] for i in order[start:start + cfg.batch_size]]
+                if cfg.augment:
+                    picked = [Sample(s.name, *dihedral_augment(s.image, s.mask, stream))
+                              for s in picked]
+                x, y = _batch_arrays(picked)
+                batch_terms, grad = _batch_gradient(model, x, y, helpers, slots)
+                adam_step(model.theta, grad, state, cfg)
+                terms += batch_terms
+                seen += y.size
+            report = evaluate(model, test_set)
+            history.append(EpochRecord(epoch, terms / seen, report.mean_iou,
+                                       report.pixel_accuracy, report.counts))
+            if on_epoch is not None:
+                on_epoch(history[-1])
+    # a copy of its own, so the mapping and the helpers' slots can go
+    return unet.Model(net_cfg, model.theta.copy()), history
 
 
 def history_csv(history: list[EpochRecord]) -> str:

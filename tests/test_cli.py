@@ -5,6 +5,7 @@ import inspect
 import json
 import os
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -195,7 +196,8 @@ def test_blas_thread_count_does_not_change_checkpoint_or_mask(tmp_path, dataset_
 
 # imports numpy before cordseg, as benchmarks/child.py does, so OpenBLAS has
 # already read its variables when the CLI starts; prints the OpenBLAS thread
-# count before the run, the counts unet.forward saw during it, and the count
+# count before the run, the counts unet.forward saw during it in this process
+# (training's forked helpers call their own copy of the spy), and the count
 # after it
 _BLAS_THREADS_SEEN_BY_CLI = """
 import json, sys
@@ -232,7 +234,8 @@ def test_blas_gets_its_share_of_the_cores_only_while_cordseg_workers_run(
         (predict + ["--threads", "2"], None, {share}),
         (predict + ["--threads", "1"], None, {None}),
         (predict + ["--threads", "2"], "2", {2}),
-        (train, None, {None}),
+        (train, None, {share}),  # the shards and evaluate, while a helper runs
+        (train, "2", {2}),  # one worker on 2 cores: no helper
         (["eval", "--model", str(trained[0]), "--data", str(dataset_dir)], None, {None}),
     ]
     for argv, threads, expected in cases:
@@ -244,6 +247,53 @@ def test_blas_gets_its_share_of_the_cores_only_while_cordseg_workers_run(
         before, seen, after = json.loads(res.stdout.splitlines()[-1])
         assert set(seen) == {before if n is None else n for n in expected}, (argv, threads, seen)
         assert after == before, (argv, threads, after)
+
+
+# runs the CLI and appends the pid of every process it forks to argv[1]
+_CLI_RECORDING_FORKS = """
+import os, sys
+from cordseg import cli
+fork, log = os.fork, open(sys.argv[1], "a")
+def recording_fork():
+    pid = fork()
+    if pid:
+        print(pid, file=log, flush=True)
+    return pid
+os.fork = recording_fork
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("ending", ["success", "numeric_error", "ctrl_c"])
+def test_train_leaves_no_process_behind(tmp_path, dataset_dir, ending):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one core: train forks no helper")
+    forks = tmp_path / "forks"
+    argv = ["train", "--data", str(dataset_dir), "--out", str(tmp_path / "m.ckpt"),
+            "--depth", "1", "--base-channels", "2", "--seed", "1", "--epochs",
+            {"success": "2", "numeric_error": "3", "ctrl_c": "100000"}[ending]]
+    if ending == "numeric_error":
+        argv += ["--lr", "1e30"]
+    proc = subprocess.Popen([sys.executable, "-c", _CLI_RECORDING_FORKS, str(forks), *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            env=_env_with_blas_threads(None), start_new_session=True)
+    try:
+        if ending == "ctrl_c":
+            for line in proc.stderr:
+                if line.startswith("epoch="):
+                    break
+            os.killpg(proc.pid, signal.SIGINT)  # as a terminal's Ctrl-C does
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == {"success": 0, "numeric_error": 3, "ctrl_c": -signal.SIGINT}[
+        ending], err
+    pids = [int(line) for line in forks.read_text().split()]
+    assert pids  # a helper ran
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_predict_full_scale_frame_165_tiles(tmp_path, trained):

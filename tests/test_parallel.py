@@ -1,13 +1,15 @@
-"""Sharing the cores between cordseg's worker threads and OpenBLAS."""
+"""Sharing the cores between cordseg's workers and OpenBLAS, and the forked helpers."""
 
 import os
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from cordseg import parallel
+from cordseg.errors import NumericError
 
 
 # (environment, BLAS count the user set, cores, default workers); OpenBLAS
@@ -130,3 +132,94 @@ def test_share_cores_leaves_the_blas_alone_exactly_when_the_user_set_a_count(
     with parallel.share_cores(2):
         assert (getter() == before) == (count is not None)
     assert getter() == before
+
+
+# --- forked helpers -----------------------------------------------------------------
+
+def _close_within(helpers, seconds=30):
+    """Close the helpers on a thread; fail if reaping them hangs."""
+    closing = threading.Thread(target=helpers.close)
+    closing.start()
+    closing.join(timeout=seconds)
+    assert not closing.is_alive()
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+
+
+@needs_fork
+def test_helpers_reply_through_pipes_and_share_arrays_made_before_the_fork():
+    shared = parallel.shared_array((3, 4), np.float64)
+    parent = os.getpid()
+
+    def work(index, task):
+        assert os.getpid() != parent
+        shared[index + 1] = shared[0] * task  # read the caller's row, write its own
+        return index, task
+
+    helpers = parallel.Helpers(2, work)
+    try:
+        for round_ in range(1, 4):
+            shared[0] = round_  # written after the fork, before the task
+            for index in range(2):
+                helpers.send(index, 10 * (index + 1))
+            assert [helpers.receive(index) for index in range(2)] == [(0, 10), (1, 20)]
+            assert shared[1:].tolist() == [[10.0 * round_] * 4, [20.0 * round_] * 4]
+    finally:
+        _close_within(helpers)  # helpers exit on EOF
+    _no_children_left()
+
+
+@needs_fork
+@pytest.mark.parametrize("error", [NumericError("helper saw nan"), MemoryError("helper"),
+                                   KeyError("k")])
+def test_a_helpers_exception_is_raised_in_the_caller_with_its_type_and_message(error):
+    def work(index, task):
+        if task == "fail":
+            raise error
+        return task
+
+    with pytest.raises(type(error)) as raised, parallel.Helpers(1, work) as helpers:
+        helpers.send(0, "ok")
+        assert helpers.receive(0) == "ok"
+        helpers.send(0, "fail")
+        helpers.receive(0)
+    assert str(raised.value) == str(error)
+    _no_children_left()
+
+
+@needs_fork
+def test_helpers_are_killed_and_reaped_when_the_caller_raises_mid_task():
+    def work(index, task):
+        time.sleep(60)  # a task the caller never waits for
+
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt), parallel.Helpers(2, work) as helpers:
+        helpers.send(0, None)
+        helpers.send(1, None)
+        raise KeyboardInterrupt
+    assert time.monotonic() - started < 30
+    _no_children_left()
+
+
+@needs_fork
+def test_a_helper_gets_its_blas_share(blas, monkeypatch):
+    setter, getter = blas
+    monkeypatch.setattr(parallel, "available_cores", lambda: 4)
+    before = getter()
+    with parallel.Helpers(1, lambda index, task: getter()) as helpers:
+        helpers.send(0, None)
+        assert helpers.receive(0) == 2  # two workers, the caller one of them
+        assert getter() == before  # the caller enters its own section, if any
+    _no_children_left()
+
+
+def test_no_helpers_fork_nothing():
+    with parallel.Helpers(0, None):
+        pass
+    _no_children_left()

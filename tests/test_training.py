@@ -1,9 +1,10 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from cordseg import data, ops, training, unet
+from cordseg import data, ops, parallel, training, unet
 from cordseg.data import Sample
 from cordseg.errors import DomainError, NumericError, ShapeError
 from cordseg.rng import SplitMix64
@@ -330,6 +331,7 @@ def test_cache_sized_bands_leave_training_bytes_unchanged(monkeypatch):
         band_counts.append(len(bands))
         return bands
 
+    # forked helpers call their own copy of the counter: it sees the main's shards only
     monkeypatch.setattr(ops, "_row_bands", counted)
     p1, h1 = training.train(cfg, samples, net_cfg)
     cached = band_counts[:]
@@ -341,25 +343,107 @@ def test_cache_sized_bands_leave_training_bytes_unchanged(monkeypatch):
     assert np.array_equal(p1.theta, p2.theta)
 
 
-def test_on_epoch_sees_each_record_before_train_returns():
-    class Stop(Exception):
-        pass
+def no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the cores train sees; no user BLAS count divides them."""
+    for name in parallel._BLAS_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    return lambda count: monkeypatch.setattr(parallel, "available_cores", lambda: count)
+
+
+@pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt])
+def test_on_epoch_sees_each_record_before_train_returns(cores, stop):
+    cores(2)  # one helper where fork exists
     seen = []
 
     def stop_after_first(record):
         seen.append(record)
-        raise Stop
+        raise stop
 
     samples = data.gen_synthetic(6, 32, 3)
     cfg = TrainConfig(epochs=3, seed=5)
     net_cfg = UNetConfig(depth=1, base_channels=2)
-    with pytest.raises(Stop):
+    with pytest.raises(stop):
         training.train(cfg, samples, net_cfg, on_epoch=stop_after_first)
     assert [r.epoch for r in seen] == [1]
+    no_children_left()
     seen.clear()
     _, history = training.train(cfg, samples, net_cfg, on_epoch=seen.append)
     assert seen == history
+    no_children_left()
+
+
+def test_train_bytes_do_not_depend_on_the_worker_count(monkeypatch, cores):
+    # 7 training samples in batches of 5 (shards of 2, 2 and 1) and 2; on
+    # 2 cores the 3 shards of a full batch run in two rounds, on 3 in one
+    samples = data.gen_synthetic(9, 32, 4)
+    cfg = TrainConfig(epochs=2, seed=6, batch_size=5)
+    net_cfg = UNetConfig(depth=1, base_channels=2)
+    forks = []
+    runs = []
+    real_fork = getattr(os, "fork", None)
+    for count, fork in ((1, True), (2, True), (3, True), (3, False)):
+        cores(count)
+        if fork and real_fork:
+            monkeypatch.setattr(os, "fork", lambda: forks.append(count) or real_fork())
+        elif real_fork:
+            monkeypatch.delattr(os, "fork")  # the in-process route
+        model, history = training.train(cfg, samples, net_cfg)
+        if real_fork:
+            monkeypatch.setattr(os, "fork", real_fork, raising=False)
+        runs.append((model.theta.tobytes(), training.history_csv(history), history))
+        no_children_left()
+    if real_fork:
+        assert forks == [2, 3, 3]  # min(cores, 3 shards) - 1 helpers
+    assert all(run == runs[0] for run in runs[1:])
+
+
+@pytest.mark.parametrize("batch", [1, 4, 5])
+def test_sharded_batch_gradient_is_the_whole_batch_gradient(batch):
+    # float64 parameters, so only the summation order separates the two
+    net_cfg = UNetConfig(depth=1, base_channels=2)
+    model = unet.Model(net_cfg, unet.init_params(net_cfg, 8).theta.astype(np.float64))
+    stream = SplitMix64(31)
+    x = stream.normal_array(batch * 16 * 16).reshape(batch, 1, 16, 16)
+    y = (stream.f64_array(batch * 16 * 16) < 0.5).astype(np.float64).reshape(x.shape)
+    with parallel.Helpers(0, None) as helpers:
+        terms, grad = training._batch_gradient(model, x, y, helpers,
+                                               np.empty((0, model.theta.size)))
+    logits, cache = unet.forward(model, x)
+    want = unet.backward(model, cache, ops.bce_with_logits_backward(logits, y))
+    assert terms / y.size == pytest.approx(ops.bce_with_logits(logits, y), rel=1e-12)
+    np.testing.assert_allclose(grad, want, rtol=1e-9, atol=1e-15)
+
+
+def test_a_helpers_numeric_error_reaches_the_caller(monkeypatch, cores, tmp_path):
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork: every shard runs in the caller")
+    from cordseg import cli
+
+    main = os.getpid()
+    shard_gradient = training._shard_gradient
+
+    def fails_in_helpers(*args):
+        if os.getpid() != main:
+            raise NumericError("non-finite loss in a helper")
+        return shard_gradient(*args)
+
+    cores(2)
+    monkeypatch.setattr(training, "_shard_gradient", fails_in_helpers)
+    samples = data.gen_synthetic(6, 32, 3)
+    with pytest.raises(NumericError, match="non-finite loss in a helper"):
+        training.train(TrainConfig(epochs=1), samples, UNetConfig(depth=1, base_channels=2))
+    no_children_left()
+    data.save_dataset(tmp_path / "ds", samples)
+    assert cli.main(["train", "--data", str(tmp_path / "ds"), "--out",
+                     str(tmp_path / "m.ckpt"), "--depth", "1", "--base-channels", "2",
+                     "--epochs", "1"]) == 3
+    no_children_left()
 
 
 def test_train_rejects_inconsistent_tile_sizes():
