@@ -31,7 +31,15 @@ def _history_path(checkpoint_path: str) -> Path:
     return Path(checkpoint_path).with_suffix(".history.csv")
 
 
+def _check_out_dir(out: str) -> None:
+    """Fail before any work where --out's directory does not exist."""
+    parent = Path(out).parent
+    if not parent.is_dir():
+        raise NotADirectoryError(f"cannot write {out}: {parent} is not a directory")
+
+
 def run_train(args) -> int:
+    _check_out_dir(args.out)
     samples = data.load_dataset(args.data)
     net_cfg = _net_config(args)
     cfg = training.TrainConfig(epochs=args.epochs, learning_rate=args.lr,
@@ -67,6 +75,7 @@ def run_train(args) -> int:
 
 
 def run_predict(args) -> int:
+    _check_out_dir(args.out)
     model = unet.load_checkpoint(args.model)
     frame = data.load_grayscale(args.image)
     started = time.perf_counter()

@@ -327,9 +327,11 @@ def upconv2(x: np.ndarray, p: ConvParams, alloc=np.empty) -> np.ndarray:
     n, _, h, w = x.shape
     kernel = p.weights.transpose(1, 2, 3, 0).reshape(4 * oc, ic, 1, 1)
     out = alloc((n, oc, 2 * h, 2 * w), np.result_type(kernel, x))
-    planes = conv2d(x, ConvParams(kernel, np.repeat(p.bias, 4)), alloc)
-    np.copyto(out.reshape(n, oc, h, 2, w, 2),
-              planes.reshape(n, oc, 2, 2, h, w).transpose(0, 1, 4, 2, 5, 3))
+    planes = conv2d(x, ConvParams(kernel, np.repeat(p.bias, 4)), alloc).reshape(n, oc, 2, 2, h, w)
+    # depth to space as four strided copies, each with rows of w elements
+    for u in range(2):
+        for v in range(2):
+            np.copyto(out[:, :, u::2, v::2], planes[:, :, u, v])
     return out
 
 

@@ -6,10 +6,12 @@ augmentation draws all come from splitmix64 streams derived from the
 configured seed, and every reduction runs in a fixed order.  Each batch
 splits into shards of _SHARD consecutive samples; every shard's gradient
 is computed on its own, and the batch gradient is their sum in shard
-order.  Shards run in parallel on forked helper processes (see
-parallel.Helpers) over one shared parameter vector, or all in the main
-process where there is no fork or one worker, and give the same bytes
-either way, so checkpoints do not depend on the core count.
+order.  Evaluation runs in the same shards, each one forward whose
+per-sample confusion counts are kept in sample order.  Shards run in
+parallel on forked helper processes (see parallel.Helpers) over one shared
+parameter vector, or all in the main process where there is no fork or
+one worker, and give the same bytes either way, so checkpoints and
+histories do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -28,10 +30,9 @@ from .rng import SplitMix64, derive
 
 # Adam's moment decays and denominator guard, as Kingma & Ba 2015 fix them
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
-# samples per evaluation forward pass; bounds evaluation memory
-_EVAL_BATCH = 8
-# samples per shard of a training batch; a shard's weight-gradient sums stop
-# at its edge, so the bytes depend on this, never on the worker count
+# samples per shard of a training batch or of the held-out split; a shard's
+# weight-gradient sums stop at its edge, so the bytes depend on this, never
+# on the worker count, and it bounds an evaluation forward's workspace
 _SHARD = 2
 
 
@@ -158,33 +159,43 @@ def _batch_arrays(samples: list[Sample]):
     return x, y
 
 
-def evaluate(model: unet.Model, samples: list[Sample],
-             threshold: float = 0.5) -> EvalReport:
-    """Forward (in one workspace) + sigmoid + binarize every sample, all of
-    one size, and score against truth; a partial last batch re-plans the
-    workspace."""
-    if not samples:
-        raise DomainError("cannot evaluate on an empty sample list")
-    _one_size(samples)
-    per_image = []
-    pooled = ConfusionCounts(0, 0, 0, 0)
+def _counts(model: unet.Model, samples: list[Sample],
+            threshold: float = 0.5) -> list[ConfusionCounts]:
+    """Per-sample confusion counts of binarized sigmoid outputs against truth,
+    in sample order; each forward covers one shard of _SHARD consecutive
+    samples, in one workspace, which a partial last shard re-plans."""
     workspace = unet.Workspace()
-    for start in range(0, len(samples), _EVAL_BATCH):
-        chunk = samples[start:start + _EVAL_BATCH]
-        x, _ = _batch_arrays(chunk)
+    counts = []
+    for start in range(0, len(samples), _SHARD):
+        shard = samples[start:start + _SHARD]
+        x, _ = _batch_arrays(shard)
         logits, _ = unet.forward(model, x, workspace)
         probs = ops.sigmoid(logits)
-        for i, s in enumerate(chunk):
-            pred = metrics.binarize(probs[i, 0], threshold)
-            counts = metrics.confusion(pred, s.mask)
-            per_image.append(metrics.iou(counts))
-            pooled = pooled + counts
+        counts += [metrics.confusion(metrics.binarize(prob[0], threshold), s.mask)
+                   for prob, s in zip(probs, shard)]
+    return counts
+
+
+def _report(counts: list[ConfusionCounts]) -> EvalReport:
+    pooled = sum(counts, ConfusionCounts(0, 0, 0, 0))
     return EvalReport(
-        mean_iou=float(np.mean(per_image)),
+        mean_iou=float(np.mean([metrics.iou(c) for c in counts])),
         pooled_iou=metrics.iou(pooled),
         pixel_accuracy=metrics.pixel_accuracy(pooled),
         counts=pooled,
     )
+
+
+def evaluate(model: unet.Model, samples: list[Sample],
+             threshold: float = 0.5) -> EvalReport:
+    """Score every sample, all of one size, in this process: the mean of the
+    per-image IoUs in sample order, and the pooled counts' IoU and pixel
+    accuracy.  train's held-out scores are the same bytes, whatever the
+    worker count."""
+    if not samples:
+        raise DomainError("cannot evaluate on an empty sample list")
+    _one_size(samples)
+    return _report(_counts(model, samples, threshold))
 
 
 def _check_tiles(samples: list[Sample], depth: int) -> None:
@@ -235,8 +246,9 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
     into shards of _SHARD consecutive samples (the last may hold one), each
     shard runs forward, BCE and backward on its own, and the batch gradient,
     the shard gradients summed in shard order, takes one Adam step in place
-    on model.theta, which the layers view.  Then an evaluation pass over the
-    held-out split, in the main process, whose record goes to on_epoch as
+    on model.theta, which the layers view.  Then the held-out split is scored
+    in shards of _SHARD consecutive samples, and the record, whose scores
+    are evaluate's report of the epoch's parameters, goes to on_epoch as
     soon as it is made; the epoch loss is every BCE term of the epoch over
     their count.
 
@@ -244,11 +256,15 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
     batch) - 1 helper processes are forked once per call.  theta and one
     gradient slot per helper live in one parallel.shared_array; the main
     process runs each round's first shard, and each helper another, holding
-    that shard's activations and copying its gradient into its slot.  While
-    the helpers live, each process's OpenBLAS has its share of the cores.
-    Every helper is reaped before train returns or raises, and a helper's
-    exception is raised here.  Deterministic for a fixed (cfg, samples,
-    net_cfg), whatever the worker count.
+    that shard's activations and copying its gradient into its slot.  The
+    held-out shards split into contiguous runs, one per worker: the main
+    process scores the first, and each helper one of the rest, reading the
+    held-out samples it inherited at the fork and replying with their
+    confusion counts, the only data pickled.  While the helpers live, each
+    process's OpenBLAS has its share of the cores.  Every helper is reaped
+    before train returns or raises, and a helper's exception is raised
+    here.  Deterministic for a fixed (cfg, samples, net_cfg), whatever the
+    worker count.
     """
     if not samples:
         raise DomainError("cannot train on an empty dataset")
@@ -267,14 +283,19 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
     shared[0] = model.theta
     model, slots = unet.Model(net_cfg, shared[0]), shared[1:]
 
-    def helper_shard(index: int, task) -> float:
+    # the held-out runs of whole shards, the main process's first; a split of
+    # fewer shards than workers leaves the last helpers none
+    span = -(-len(test_set) // (_SHARD * workers)) * _SHARD
+    runs = [slice(start, start + span) for start in range(0, len(test_set), span)]
+
+    def helper_task(index: int, task):
+        if isinstance(task, slice):  # a held-out run
+            return _counts(model, test_set[task])
         terms, slots[index][...] = _shard_gradient(model, *task)
         return terms
 
     state = AdamState.zeros(model.theta)
-    # evaluate runs on the share too: OpenBLAS threads it woke would spin on
-    # after it, on the cores the helpers' next shards run on
-    with parallel.Helpers(workers - 1, helper_shard) as helpers, parallel.share_cores(workers):
+    with parallel.Helpers(workers - 1, helper_task) as helpers, parallel.share_cores(workers):
         for epoch in range(1, cfg.epochs + 1):
             stream = SplitMix64(derive(cfg.seed, 0xE90C, epoch))
             order = stream.permutation(len(train_set))
@@ -290,7 +311,12 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
                 adam_step(model.theta, grad, state, cfg)
                 terms += batch_terms
                 seen += y.size
-            report = evaluate(model, test_set)
+            for index, run in enumerate(runs[1:]):
+                helpers.send(index, run)
+            counts = _counts(model, test_set[runs[0]])
+            for index in range(len(runs) - 1):
+                counts += helpers.receive(index)
+            report = _report(counts)
             history.append(EpochRecord(epoch, terms / seen, report.mean_iou,
                                        report.pixel_accuracy, report.counts))
             if on_epoch is not None:

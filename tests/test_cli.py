@@ -566,6 +566,33 @@ def test_synth_size_too_large_for_numpy_exits_2(tmp_path):
     assert not out.exists()
 
 
+def _refuses_missing_out_dir(monkeypatch, capsys, tmp_path, module, name, argv):
+    """cli.main(argv) with --out in a missing directory: exit 2 with one
+    error line, and module.name, the command's work, never called."""
+    called = []
+    monkeypatch.setattr(module, name, lambda *a, **k: called.append(a))
+    out = tmp_path / "missing" / "dir" / "out"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and "not a directory" in err, err
+    assert called == []
+    assert not (tmp_path / "missing").exists()
+
+
+def test_train_out_in_missing_directory_exits_2_before_training(
+        monkeypatch, capsys, tmp_path, dataset_dir):
+    _refuses_missing_out_dir(monkeypatch, capsys, tmp_path, training, "train",
+                             ["train", "--data", str(dataset_dir), "--depth", "1",
+                              "--base-channels", "2", "--epochs", "1"])
+
+
+def test_predict_out_in_missing_directory_exits_2_before_tiling(
+        monkeypatch, capsys, tmp_path, trained, dataset_dir):
+    _refuses_missing_out_dir(monkeypatch, capsys, tmp_path, pipeline, "predict_frame",
+                             ["predict", "--model", str(trained[0]), "--image",
+                              str(sorted((dataset_dir / "images").iterdir())[0])])
+
+
 def test_gradcheck_passes_and_prints_scientific(trained):
     res = run_cli("gradcheck", "--seed", "42")
     assert res.returncode == 0, res.stderr

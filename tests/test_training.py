@@ -378,19 +378,20 @@ def test_on_epoch_sees_each_record_before_train_returns(cores, stop):
     no_children_left()
 
 
-def test_train_bytes_do_not_depend_on_the_worker_count(monkeypatch, cores):
+def assert_train_bytes_do_not_depend_on_the_worker_count(monkeypatch, cores, count, split):
     # 7 training samples in batches of 5 (shards of 2, 2 and 1) and 2; on
     # 2 cores the 3 shards of a full batch run in two rounds, on 3 in one
-    samples = data.gen_synthetic(9, 32, 4)
-    cfg = TrainConfig(epochs=2, seed=6, batch_size=5)
+    samples = data.gen_synthetic(count, 32, 4)
+    cfg = TrainConfig(epochs=2, seed=6, batch_size=5, split_ratio=split)
+    assert len(training.split_dataset(samples, split, 6)[0]) == 7
     net_cfg = UNetConfig(depth=1, base_channels=2)
     forks = []
     runs = []
     real_fork = getattr(os, "fork", None)
-    for count, fork in ((1, True), (2, True), (3, True), (3, False)):
-        cores(count)
+    for cores_seen, fork in ((1, True), (2, True), (3, True), (3, False)):
+        cores(cores_seen)
         if fork and real_fork:
-            monkeypatch.setattr(os, "fork", lambda: forks.append(count) or real_fork())
+            monkeypatch.setattr(os, "fork", lambda: forks.append(cores_seen) or real_fork())
         elif real_fork:
             monkeypatch.delattr(os, "fork")  # the in-process route
         model, history = training.train(cfg, samples, net_cfg)
@@ -401,6 +402,52 @@ def test_train_bytes_do_not_depend_on_the_worker_count(monkeypatch, cores):
     if real_fork:
         assert forks == [2, 3, 3]  # min(cores, 3 shards) - 1 helpers
     assert all(run == runs[0] for run in runs[1:])
+
+
+def test_train_bytes_do_not_depend_on_the_worker_count(monkeypatch, cores):
+    # 5 held-out samples are 3 shards (2, 2 and 1): runs of 2 shards and 1
+    # on 2 cores, one shard each on 3
+    assert_train_bytes_do_not_depend_on_the_worker_count(monkeypatch, cores, 12, 0.6)
+
+
+def test_train_bytes_do_not_depend_on_the_worker_count_when_helpers_score_nothing(
+        monkeypatch, cores):
+    # 2 held-out samples are one shard: no helper gets a held-out run
+    assert_train_bytes_do_not_depend_on_the_worker_count(monkeypatch, cores, 9, 0.8)
+
+
+@pytest.mark.parametrize("cores_seen", [1, 2])
+def test_last_epoch_record_is_evaluate_of_the_returned_model(cores, cores_seen):
+    cores(cores_seen)
+    samples = data.gen_synthetic(12, 32, 4)
+    cfg = TrainConfig(epochs=2, seed=6, split_ratio=0.6)  # 5 held out: 3 shards
+    model, history = training.train(cfg, samples, UNetConfig(depth=1, base_channels=2))
+    report = training.evaluate(model, training.split_dataset(samples, 0.6, 6)[1])
+    last = history[-1]
+    assert (last.test_iou, last.test_pixel_acc, last.test_counts) == (
+        report.mean_iou, report.pixel_accuracy, report.counts)
+    no_children_left()
+
+
+def test_no_evaluation_forward_plans_for_more_than_a_shard(monkeypatch, cores):
+    cores(2)  # one helper where fork exists: its plans raise in it, and reach train
+    planned = []
+    layout = unet._inference_layout
+
+    def spy(cfg, shape, itemsize):
+        assert shape[0] <= training._SHARD, shape
+        planned.append(shape[0])
+        return layout(cfg, shape, itemsize)
+
+    monkeypatch.setattr(unet, "_inference_layout", spy)
+    samples = data.gen_synthetic(12, 32, 4)
+    training.train(TrainConfig(epochs=2, seed=6, split_ratio=0.6), samples,
+                   UNetConfig(depth=1, base_channels=2))
+    assert planned  # the main process scored a run each epoch
+    planned.clear()
+    training.evaluate(unet.init_params(UNetConfig(depth=1, base_channels=2), 0), samples[:5])
+    assert planned == [2, 1]  # the partial last shard re-plans
+    no_children_left()
 
 
 @pytest.mark.parametrize("batch", [1, 4, 5])
@@ -420,30 +467,44 @@ def test_sharded_batch_gradient_is_the_whole_batch_gradient(batch):
     np.testing.assert_allclose(grad, want, rtol=1e-9, atol=1e-15)
 
 
-def test_a_helpers_numeric_error_reaches_the_caller(monkeypatch, cores, tmp_path):
+def assert_a_helpers_numeric_error_reaches_the_caller(monkeypatch, cores, tmp_path, work):
+    """A NumericError raised only in helpers, by training.work, reaches
+    train's caller, and cli.main's train exits 3."""
     if not hasattr(os, "fork"):
         pytest.skip("no os.fork: every shard runs in the caller")
     from cordseg import cli
 
     main = os.getpid()
-    shard_gradient = training._shard_gradient
+    real = getattr(training, work)
 
     def fails_in_helpers(*args):
         if os.getpid() != main:
             raise NumericError("non-finite loss in a helper")
-        return shard_gradient(*args)
+        return real(*args)
 
     cores(2)
-    monkeypatch.setattr(training, "_shard_gradient", fails_in_helpers)
-    samples = data.gen_synthetic(6, 32, 3)
+    monkeypatch.setattr(training, work, fails_in_helpers)
+    # 6 training samples (full batches of 2 shards) and 4 held out (2 shards)
+    samples = data.gen_synthetic(10, 32, 3)
     with pytest.raises(NumericError, match="non-finite loss in a helper"):
-        training.train(TrainConfig(epochs=1), samples, UNetConfig(depth=1, base_channels=2))
+        training.train(TrainConfig(epochs=1, split_ratio=0.6), samples,
+                       UNetConfig(depth=1, base_channels=2))
     no_children_left()
     data.save_dataset(tmp_path / "ds", samples)
     assert cli.main(["train", "--data", str(tmp_path / "ds"), "--out",
                      str(tmp_path / "m.ckpt"), "--depth", "1", "--base-channels", "2",
-                     "--epochs", "1"]) == 3
+                     "--epochs", "1", "--split", "0.6"]) == 3
     no_children_left()
+
+
+def test_a_helpers_numeric_error_reaches_the_caller(monkeypatch, cores, tmp_path):
+    assert_a_helpers_numeric_error_reaches_the_caller(monkeypatch, cores, tmp_path,
+                                                      "_shard_gradient")
+
+
+def test_a_helpers_numeric_error_in_evaluation_reaches_the_caller(monkeypatch, cores,
+                                                                   tmp_path):
+    assert_a_helpers_numeric_error_reaches_the_caller(monkeypatch, cores, tmp_path, "_counts")
 
 
 def test_train_rejects_inconsistent_tile_sizes():
