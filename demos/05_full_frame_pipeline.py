@@ -41,7 +41,7 @@ print("\nscore against the generator's truth:")
 print("   " + metrics.report_line(metrics.iou(counts), metrics.pixel_accuracy(counts), counts))
 
 single = pipeline.predict_frame(model, frame, tile_size=64, threads=1)
-print("\nthread count never changes the output:",
+print("\nworker count never changes the output:",
       bool(np.array_equal(mask, single)))
 
 print("\npredicted foreground (downsampled ASCII, frame left half):")

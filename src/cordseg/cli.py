@@ -31,15 +31,17 @@ def _history_path(checkpoint_path: str) -> Path:
     return Path(checkpoint_path).with_suffix(".history.csv")
 
 
-def _check_out_dir(out: str) -> None:
-    """Fail before any work where --out's directory does not exist."""
-    parent = Path(out).parent
-    if not parent.is_dir():
-        raise NotADirectoryError(f"cannot write {out}: {parent} is not a directory")
+def _check_out(out) -> None:
+    """Fail before any work where out is a directory or in a missing one."""
+    if Path(out).is_dir():
+        raise IsADirectoryError(f"cannot write {out}: it is a directory")
+    if not Path(out).parent.is_dir():
+        raise NotADirectoryError(f"cannot write {out}: {Path(out).parent} is not a directory")
 
 
 def run_train(args) -> int:
-    _check_out_dir(args.out)
+    _check_out(args.out)
+    _check_out(_history_path(args.out))
     samples = data.load_dataset(args.data)
     net_cfg = _net_config(args)
     cfg = training.TrainConfig(epochs=args.epochs, learning_rate=args.lr,
@@ -75,7 +77,7 @@ def run_train(args) -> int:
 
 
 def run_predict(args) -> int:
-    _check_out_dir(args.out)
+    _check_out(args.out)
     model = unet.load_checkpoint(args.model)
     frame = data.load_grayscale(args.image)
     started = time.perf_counter()
@@ -178,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=_probability, default=0.5,
                    help="foreground threshold on probabilities (default 0.5)")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="tile inference workers (default: available cores, divided by "
-                        "the first positive one of OPENBLAS_NUM_THREADS, "
+                   help="tile inference worker processes (default: available cores, "
+                        "divided by the first positive one of OPENBLAS_NUM_THREADS, "
                         "GOTO_NUM_THREADS and OMP_NUM_THREADS)")
     p.set_defaults(func=run_predict)
 

@@ -1,20 +1,20 @@
-"""How cordseg's workers share the cores with OpenBLAS, and the forked
-helpers that training runs beside its own process.
+"""How cordseg's worker processes share the cores with OpenBLAS: the forked
+helpers that run beside the main process, and the runs that split work
+between them.
 
-Tile inference runs on a pool of cordseg's own threads; a training step
-runs its batch's shards in forked helper processes beside the main one
-(see `Helpers`).  While several workers run GEMMs at once, an OpenBLAS
-that also asks for every core only spins on cores the other workers use,
-so for the length of such a parallel section each process's OpenBLAS gets
-cores // workers threads (at least one), and the caller's gets its old
-count back afterwards.  Outside those sections, and for a single worker,
-the BLAS keeps its own count.
+Training and tile inference both run in the main process and in helpers
+forked beside it (see `Helpers`).  While several workers run GEMMs at
+once, an OpenBLAS that also asks for every core only spins on cores the
+other workers use, so for the length of such a parallel section each
+process's OpenBLAS gets cores // workers threads (at least one), and its
+old count back afterwards.  Outside those sections, and for a single
+worker, the BLAS keeps its own count.
 
 OpenBLAS reads its thread variables when it loads, so the count goes
 through its run-time setter, which works whatever imported numpy first.  A
 count the user chose through those variables is left alone, and so is a
-process with no OpenBLAS, no setter or no /proc; the default pool then
-shrinks to the cores that count leaves per worker.
+process with no OpenBLAS, no setter or no /proc; the default worker count
+then shrinks to the cores that count leaves per worker.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import mmap
 import os
 import re
 import signal
-import threading
 from collections.abc import Callable
 from contextlib import contextmanager
 from functools import cache
@@ -46,12 +45,6 @@ _LEADING_INT = re.compile(r"\s*([+-]?\d+)", re.ASCII)
 # mallopt's parameter for the free bytes kept at the top of the heap, in glibc
 _M_TOP_PAD = -2
 
-# OpenBLAS's thread count is one per process, so are these: the parallel
-# sections now open, and the count the last of them to close restores
-_lock = threading.Lock()
-_open_sections = 0
-_restore_count = 0
-
 
 def available_cores() -> int:
     """CPUs this process may run on; the host count where affinity is unknown."""
@@ -71,7 +64,7 @@ def _user_blas_threads() -> int | None:
 
 
 def default_workers() -> int:
-    """Workers, tile threads or training processes, when the caller names no
+    """Worker processes, for tiles or training, when the caller names no
     count: one per available core, or cores // b (at least one) when the
     user set the BLAS thread count b, so that workers times BLAS threads do
     not exceed the cores."""
@@ -102,29 +95,29 @@ def _openblas():
 
 @contextmanager
 def share_cores(workers: int):
-    """Run the enclosed section, in which workers threads of cordseg's own run
-    GEMMs at once, with OpenBLAS on cores // workers threads (at least one);
-    restore its count on exit.  A single worker changes nothing.  Sections
-    may overlap, from one thread or several: the first to open sets the
-    count and the last to close restores it."""
-    global _open_sections, _restore_count
+    """Run the enclosed section, in which workers processes of cordseg's own
+    run GEMMs at once, with this process's OpenBLAS on cores // workers
+    threads (at least one); restore the count it had on exit, so nested
+    sections restore in turn.  A single worker changes nothing."""
     blas = None if workers < 2 or _user_blas_threads() else _openblas()
     if blas is None:
         yield
         return
     setter, getter = blas
-    with _lock:
-        if _open_sections == 0:
-            _restore_count = getter()
-            setter(max(1, available_cores() // workers))
-        _open_sections += 1
+    restore = getter()
+    setter(max(1, available_cores() // workers))
     try:
         yield
     finally:
-        with _lock:
-            _open_sections -= 1
-            if _open_sections == 0:
-                setter(_restore_count)
+        setter(restore)
+
+
+def runs(count: int, workers: int, unit: int = 1) -> list[slice]:
+    """range(count) cut into contiguous runs of whole units, at most one per
+    worker: every run but the last spans ceil(count / (unit * workers))
+    units, so fewer units than workers leave the last workers none."""
+    span = max(1, -(-count // (unit * workers))) * unit
+    return [slice(start, start + span) for start in range(0, count, span)]
 
 
 def shared_array(shape: tuple, dtype) -> np.ndarray:

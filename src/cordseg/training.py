@@ -282,11 +282,7 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
     shared = parallel.shared_array((workers, model.theta.size), model.theta.dtype)
     shared[0] = model.theta
     model, slots = unet.Model(net_cfg, shared[0]), shared[1:]
-
-    # the held-out runs of whole shards, the main process's first; a split of
-    # fewer shards than workers leaves the last helpers none
-    span = -(-len(test_set) // (_SHARD * workers)) * _SHARD
-    runs = [slice(start, start + span) for start in range(0, len(test_set), span)]
+    runs = parallel.runs(len(test_set), workers, _SHARD)  # held-out runs, the main's first
 
     def helper_task(index: int, task):
         if isinstance(task, slice):  # a held-out run

@@ -247,8 +247,8 @@ class Workspace:
     shape, dtype), such as a partial last batch; forwards of the same shape
     then take the planned buffers in order and reuse the same pages.  Each
     kernel request must match its planned buffer's shape and dtype, or
-    ShapeError names both.  A workspace serves one forward at a time: give
-    each thread its own.
+    ShapeError names both.  A workspace serves one forward at a time: each
+    worker process uses its own.
     """
 
     def __init__(self):

@@ -9,6 +9,7 @@ import signal
 import struct
 import subprocess
 import sys
+import time
 import zlib
 
 import numpy as np
@@ -264,36 +265,70 @@ sys.exit(cli.main(sys.argv[2:]))
 """
 
 
-@pytest.mark.parametrize("ending", ["success", "numeric_error", "ctrl_c"])
-def test_train_leaves_no_process_behind(tmp_path, dataset_dir, ending):
-    if len(os.sched_getaffinity(0)) < 2:
-        pytest.skip("one core: train forks no helper")
+def _assert_no_fork_outlives(tmp_path, argv, ending, before_ctrl_c):
+    """Run the CLI on argv under _CLI_RECORDING_FORKS in a session of its
+    own; for ctrl_c, send its process group SIGINT, as a terminal's Ctrl-C
+    does, once before_ctrl_c(proc, forks) returns.  The exit code must be
+    the ending's, and no process it forked may exist afterwards."""
     forks = tmp_path / "forks"
-    argv = ["train", "--data", str(dataset_dir), "--out", str(tmp_path / "m.ckpt"),
-            "--depth", "1", "--base-channels", "2", "--seed", "1", "--epochs",
-            {"success": "2", "numeric_error": "3", "ctrl_c": "100000"}[ending]]
-    if ending == "numeric_error":
-        argv += ["--lr", "1e30"]
     proc = subprocess.Popen([sys.executable, "-c", _CLI_RECORDING_FORKS, str(forks), *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
                             env=_env_with_blas_threads(None), start_new_session=True)
     try:
         if ending == "ctrl_c":
-            for line in proc.stderr:
-                if line.startswith("epoch="):
-                    break
-            os.killpg(proc.pid, signal.SIGINT)  # as a terminal's Ctrl-C does
+            before_ctrl_c(proc, forks)
+            os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=120)
     finally:
         proc.kill()
         proc.wait()
-    assert proc.returncode == {"success": 0, "numeric_error": 3, "ctrl_c": -signal.SIGINT}[
-        ending], err
+    assert proc.returncode == {"success": 0, "input_error": 2, "numeric_error": 3,
+                               "ctrl_c": -signal.SIGINT}[ending], err
     pids = [int(line) for line in forks.read_text().split()]
     assert pids  # a helper ran
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
+
+
+@pytest.mark.parametrize("ending", ["success", "numeric_error", "ctrl_c"])
+def test_train_leaves_no_process_behind(tmp_path, dataset_dir, ending):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one core: train forks no helper")
+    argv = ["train", "--data", str(dataset_dir), "--out", str(tmp_path / "m.ckpt"),
+            "--depth", "1", "--base-channels", "2", "--seed", "1", "--epochs",
+            {"success": "2", "numeric_error": "3", "ctrl_c": "100000"}[ending]]
+    if ending == "numeric_error":
+        argv += ["--lr", "1e30"]
+
+    def first_epoch(proc, forks):
+        for line in proc.stderr:
+            if line.startswith("epoch="):
+                break
+
+    _assert_no_fork_outlives(tmp_path, argv, ending, first_epoch)
+
+
+@pytest.mark.parametrize("ending", ["success", "input_error", "ctrl_c"])
+def test_predict_leaves_no_process_behind(tmp_path, ending):
+    model = unet.init_params(unet.UNetConfig(depth=2, base_channels=8), 0)
+    if ending == "input_error":  # finite weights whose forwards overflow into nan
+        model = unet.Model(model.cfg, model.theta * np.float32(1e36))
+    unet.save_checkpoint(model, tmp_path / "m.ckpt")
+    side = 3072 if ending == "ctrl_c" else 128  # 2304 tiles: seconds to interrupt
+    frame = (np.arange(side * side) % 251).astype(np.uint8).reshape(side, side)
+    (tmp_path / "frame.pgm").write_bytes(data.encode_pgm(frame))
+    argv = ["predict", "--model", str(tmp_path / "m.ckpt"), "--image",
+            str(tmp_path / "frame.pgm"), "--out", str(tmp_path / "mask.pgm"),
+            "--tile", "64", "--threads", "2"]
+
+    def first_fork(proc, forks):
+        deadline = time.monotonic() + 60
+        while not (forks.exists() and forks.read_text().strip()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+
+    _assert_no_fork_outlives(tmp_path, argv, ending, first_fork)
 
 
 def test_predict_full_scale_frame_165_tiles(tmp_path, trained):
@@ -566,31 +601,59 @@ def test_synth_size_too_large_for_numpy_exits_2(tmp_path):
     assert not out.exists()
 
 
-def _refuses_missing_out_dir(monkeypatch, capsys, tmp_path, module, name, argv):
-    """cli.main(argv) with --out in a missing directory: exit 2 with one
-    error line, and module.name, the command's work, never called."""
+def _refuses_out(monkeypatch, capsys, tmp_path, module, name, argv, case):
+    """cli.main(argv) with an --out it cannot write: exit 2 with one error
+    line naming why, and module.name, the command's work, never called.
+    The cases: --out in a missing directory, --out an existing directory,
+    and train's history CSV beside it an existing directory."""
     called = []
     monkeypatch.setattr(module, name, lambda *a, **k: called.append(a))
-    out = tmp_path / "missing" / "dir" / "out"
+    out = tmp_path / "missing" / "dir" / "m.out" if case == "missing_dir" else tmp_path / "m.out"
+    made = {"directory": out, "history_directory": tmp_path / "m.history.csv"}.get(case)
+    if made is not None:
+        made.mkdir()
     assert cli.main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: ") and "not a directory" in err, err
+    reason = "not a directory" if made is None else "is a directory"
+    assert err.count("\n") == 1 and err.startswith("error: ") and reason in err, err
     assert called == []
     assert not (tmp_path / "missing").exists()
+    assert made is None or (made.is_dir() and not any(made.iterdir()))
+
+
+def _train_argv(dataset_dir):
+    return ["train", "--data", str(dataset_dir), "--depth", "1", "--base-channels", "2",
+            "--epochs", "1"]
+
+
+def _predict_argv(trained, dataset_dir):
+    return ["predict", "--model", str(trained[0]), "--image",
+            str(sorted((dataset_dir / "images").iterdir())[0])]
 
 
 def test_train_out_in_missing_directory_exits_2_before_training(
         monkeypatch, capsys, tmp_path, dataset_dir):
-    _refuses_missing_out_dir(monkeypatch, capsys, tmp_path, training, "train",
-                             ["train", "--data", str(dataset_dir), "--depth", "1",
-                              "--base-channels", "2", "--epochs", "1"])
+    _refuses_out(monkeypatch, capsys, tmp_path, training, "train",
+                 _train_argv(dataset_dir), "missing_dir")
+
+
+@pytest.mark.parametrize("case", ["directory", "history_directory"])
+def test_train_out_that_is_a_directory_exits_2_before_training(
+        monkeypatch, capsys, tmp_path, dataset_dir, case):
+    _refuses_out(monkeypatch, capsys, tmp_path, training, "train",
+                 _train_argv(dataset_dir), case)
 
 
 def test_predict_out_in_missing_directory_exits_2_before_tiling(
         monkeypatch, capsys, tmp_path, trained, dataset_dir):
-    _refuses_missing_out_dir(monkeypatch, capsys, tmp_path, pipeline, "predict_frame",
-                             ["predict", "--model", str(trained[0]), "--image",
-                              str(sorted((dataset_dir / "images").iterdir())[0])])
+    _refuses_out(monkeypatch, capsys, tmp_path, pipeline, "predict_frame",
+                 _predict_argv(trained, dataset_dir), "missing_dir")
+
+
+def test_predict_out_that_is_a_directory_exits_2_before_tiling(
+        monkeypatch, capsys, tmp_path, trained, dataset_dir):
+    _refuses_out(monkeypatch, capsys, tmp_path, pipeline, "predict_frame",
+                 _predict_argv(trained, dataset_dir), "directory")
 
 
 def test_gradcheck_passes_and_prints_scientific(trained):

@@ -1,7 +1,6 @@
 """Sharing the cores between cordseg's workers and OpenBLAS, and the forked helpers."""
 
 import os
-import sys
 import threading
 import time
 
@@ -66,6 +65,11 @@ def test_share_cores_sets_the_blas_share_and_restores_it(blas, monkeypatch):
         assert getter() == 1
         raise RuntimeError
     assert getter() == before
+    with parallel.share_cores(2):  # nested: each exit restores what its entry found
+        with parallel.share_cores(4):
+            assert getter() == 1
+        assert getter() == 2
+    assert getter() == before
 
 
 def test_one_worker_or_a_user_count_leaves_the_blas_alone(blas, monkeypatch):
@@ -78,34 +82,22 @@ def test_one_worker_or_a_user_count_leaves_the_blas_alone(blas, monkeypatch):
         assert getter() == before
 
 
-def test_overlapping_sections_restore_the_count_once_all_close(blas, monkeypatch):
-    setter, getter = blas
-    monkeypatch.setattr(parallel, "available_cores", lambda: 4)
-    before = getter()
-    wrong = []
-    start = threading.Barrier(16)
-
-    def worker():
-        start.wait()
-        for _ in range(50):
-            with parallel.share_cores(4):
-                time.sleep(0)  # let the other threads open and close sections
-                if getter() != 1:
-                    wrong.append(getter())
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(16)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    assert getter() == before
+@pytest.mark.parametrize("count, workers, unit, spans", [
+    (7, 2, 1, [(0, 4), (4, 7)]),
+    (6, 3, 1, [(0, 2), (2, 4), (4, 6)]),
+    (5, 4, 1, [(0, 2), (2, 4), (4, 5)]),  # three runs of two cover five: one worker idles
+    (2, 4, 1, [(0, 1), (1, 2)]),
+    (19, 2, 2, [(0, 10), (10, 19)]),  # whole units of two, the last run partial
+    (3, 2, 2, [(0, 2), (2, 3)]),
+    (2, 2, 2, [(0, 2)]),
+    (1, 1, 1, [(0, 1)]),
+    (0, 2, 1, []),
+])
+def test_runs_cut_contiguous_runs_of_whole_units_at_most_one_per_worker(
+        count, workers, unit, spans):
+    runs = parallel.runs(count, workers, unit)
+    assert [(r.start, min(r.stop, count)) for r in runs] == spans
+    assert [i for r in runs for i in range(count)[r]] == list(range(count))
 
 
 def test_available_cores_counts_the_affinity_mask(monkeypatch):
