@@ -180,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=_probability, default=0.5,
                    help="foreground threshold on probabilities (default 0.5)")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="tile inference worker processes (default: available cores, "
-                        "divided by the first positive one of OPENBLAS_NUM_THREADS, "
-                        "GOTO_NUM_THREADS and OMP_NUM_THREADS)")
+                   help="tile inference worker processes, at most the available cores "
+                        "(default: the cores divided by the first positive one of "
+                        "OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS)")
     p.set_defaults(func=run_predict)
 
     p = sub.add_parser("eval", help="score a model against a paired dataset")

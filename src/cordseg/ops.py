@@ -358,13 +358,11 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, branch on sign so neither tail overflows."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    """Elementwise logistic function from e = exp(-|x|), which never
+    overflows: 1 / (1 + e) where x >= 0, e / (1 + e) elsewhere."""
+    e = np.exp(-np.abs(x))
+    d = 1 + e
+    return np.where(x >= 0, 1 / d, e / d)
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray,

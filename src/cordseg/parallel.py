@@ -2,13 +2,13 @@
 helpers that run beside the main process, and the runs that split work
 between them.
 
-Training and tile inference both run in the main process and in helpers
-forked beside it (see `Helpers`).  While several workers run GEMMs at
-once, an OpenBLAS that also asks for every core only spins on cores the
-other workers use, so for the length of such a parallel section each
-process's OpenBLAS gets cores // workers threads (at least one), and its
-old count back afterwards.  Outside those sections, and for a single
-worker, the BLAS keeps its own count.
+Training, evaluation and tile inference each fork helpers beside the main
+process and split their work with one call (see `Helpers.map`).  While
+several workers run GEMMs at once, an OpenBLAS that also asks for every
+core only spins on cores the other workers use, so in such a parallel
+section each process's OpenBLAS gets cores // workers threads (at least
+one), and its old count back afterwards.  Outside those sections, and for
+a single worker, the BLAS keeps its own count.
 
 OpenBLAS reads its thread variables when it loads, so the count goes
 through its run-time setter, which works whatever imported numpy first.  A
@@ -130,17 +130,19 @@ def shared_array(shape: tuple, dtype) -> np.ndarray:
 class Helpers:
     """count helper processes forked from the caller, each serving tasks sent
     to it over its own pipe: helper i replies to a task with work(i, task),
-    or with the exception that raised, which receive re-raises in the
-    caller with its type and message.  Only tasks and replies are pickled;
-    arrays in a shared_array made before the helpers are forked are seen
-    by both sides.  A helper runs OpenBLAS on its share of the cores, the
-    caller being one of count + 1 workers, and ends in os._exit, never
-    returning into the caller's code, when its pipe reads EOF.  Leaving the
-    with-block closes every pipe, kills the helpers if it left by an
-    exception (KeyboardInterrupt included), and reaps them all.
+    or with the exception that raised, which map re-raises in the caller
+    with its type and message.  Only tasks and replies are pickled; arrays
+    in a shared_array made before the helpers are forked are seen by both
+    sides.  Helpers, and the caller inside the with-block, run OpenBLAS on
+    a share_cores(workers) share, workers being count + 1; a helper ends in
+    os._exit, never returning into the caller's code, at EOF on its pipe.
+    Leaving the with-block, by an exception or not, restores the caller's
+    count, closes every pipe, and kills and reaps every helper: each is idle
+    unless an exception (KeyboardInterrupt too) cut a map short.
     """
 
     def __init__(self, count: int, work: Callable[[int, object], object]):
+        self.workers = count + 1
         self._pids, self._pipes = [], []
         if count < 1:
             return
@@ -151,43 +153,48 @@ class Helpers:
                 mine, theirs = Pipe()
                 pid = os.fork()
                 if pid == 0:
-                    _serve(theirs, (*self._pipes, mine), index, work, count + 1)
+                    _serve(theirs, (*self._pipes, mine), index, work, self.workers)
                 theirs.close()
                 self._pids.append(pid)
                 self._pipes.append(mine)
         except BaseException:
-            self.close(kill=True)
+            self.close()
             raise
 
-    def send(self, index: int, task) -> None:
-        self._pipes[index].send(task)
+    def map(self, local: Callable[[object], object], tasks: list) -> list:
+        """Run local(tasks[0]) here and tasks[1:] on helpers 0, 1, ...: the
+        replies in task order; raises a task's exception, IndexError past the helpers."""
+        for index, task in enumerate(tasks[1:]):
+            self._pipes[index].send(task)
+        replies = [local(tasks[0])]
+        for pid, pipe in zip(self._pids, self._pipes[:len(tasks) - 1]):
+            try:
+                ok, value = pipe.recv()
+            except EOFError:
+                raise ChildProcessError(f"helper {pid} ended without replying") from None
+            if not ok:
+                raise value
+            replies.append(value)
+        return replies
 
-    def receive(self, index: int):
-        """Helper index's reply to its last task; raises the task's exception."""
-        try:
-            ok, value = self._pipes[index].recv()
-        except EOFError:
-            raise ChildProcessError(f"helper {self._pids[index]} ended without "
-                                    f"replying") from None
-        if not ok:
-            raise value
-        return value
-
-    def close(self, kill: bool = False) -> None:
+    def close(self) -> None:
         for pipe in self._pipes:
             pipe.close()
-        if kill:
-            for pid in self._pids:
-                os.kill(pid, signal.SIGKILL)
         for pid in self._pids:
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         self._pids, self._pipes = [], []
 
     def __enter__(self) -> "Helpers":
+        self._section = share_cores(self.workers)
+        self._section.__enter__()
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(kill=exc_type is not None)
+    def __exit__(self, *exc) -> None:
+        try:
+            self._section.__exit__(None, None, None)
+        finally:
+            self.close()
 
 
 def _serve(pipe, inherited, index: int, work, workers: int) -> NoReturn:

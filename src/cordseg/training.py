@@ -7,11 +7,10 @@ configured seed, and every reduction runs in a fixed order.  Each batch
 splits into shards of _SHARD consecutive samples; every shard's gradient
 is computed on its own, and the batch gradient is their sum in shard
 order.  Evaluation runs in the same shards, each one forward whose
-per-sample confusion counts are kept in sample order.  Shards run in
-parallel on forked helper processes (see parallel.Helpers) over one shared
-parameter vector, or all in the main process where there is no fork or
-one worker, and give the same bytes either way, so checkpoints and
-histories do not depend on the core count.
+per-sample confusion counts are kept in sample order.  Shards, or runs of
+them, go to forked helpers by one parallel.Helpers.map call per round, or
+all run in the main process where there is no fork or one worker, with the
+same bytes either way: checkpoints and scores do not depend on the cores.
 """
 
 from __future__ import annotations
@@ -176,7 +175,13 @@ def _counts(model: unet.Model, samples: list[Sample],
     return counts
 
 
-def _report(counts: list[ConfusionCounts]) -> EvalReport:
+def _score(helpers: parallel.Helpers, model: unet.Model, samples: list[Sample],
+           threshold: float = 0.5) -> EvalReport:
+    """evaluate's report, over runs of whole shards, one per worker.  The
+    helpers' work must reply to a run with _counts of samples[run], which
+    they inherited at the fork, so only runs and counts are pickled."""
+    runs = parallel.runs(len(samples), helpers.workers, _SHARD)
+    counts = sum(helpers.map(lambda run: _counts(model, samples[run], threshold), runs), [])
     pooled = sum(counts, ConfusionCounts(0, 0, 0, 0))
     return EvalReport(
         mean_iou=float(np.mean([metrics.iou(c) for c in counts])),
@@ -188,14 +193,19 @@ def _report(counts: list[ConfusionCounts]) -> EvalReport:
 
 def evaluate(model: unet.Model, samples: list[Sample],
              threshold: float = 0.5) -> EvalReport:
-    """Score every sample, all of one size, in this process: the mean of the
-    per-image IoUs in sample order, and the pooled counts' IoU and pixel
-    accuracy.  train's held-out scores are the same bytes, whatever the
-    worker count."""
+    """Score every sample, all of one size, as train scores its held-out
+    split: the mean of the per-image IoUs in sample order, and the pooled
+    counts' IoU and pixel accuracy, the same bytes on any number of workers
+    (this process and helpers forked for the call, default_workers() at
+    most).  Every helper is reaped before this returns, its error raised."""
     if not samples:
         raise DomainError("cannot evaluate on an empty sample list")
     _one_size(samples)
-    return _report(_counts(model, samples, threshold))
+    workers = parallel.default_workers() if hasattr(os, "fork") else 1
+    runs = parallel.runs(len(samples), workers, _SHARD)
+    with parallel.Helpers(len(runs) - 1,
+                          lambda index, run: _counts(model, samples[run], threshold)) as helpers:
+        return _score(helpers, model, samples, threshold)
 
 
 def _check_tiles(samples: list[Sample], depth: int) -> None:
@@ -218,21 +228,20 @@ def _batch_gradient(model: unet.Model, x: np.ndarray, y: np.ndarray,
                     helpers: parallel.Helpers, slots: np.ndarray):
     """(sum of the batch's BCE terms, gradient of their mean): the batch's
     shards run in rounds of one per worker, the main process taking each
-    round's first, and their sums and gradients add up in shard order."""
+    round's first and helper i writing slots[i], and their sums and
+    gradients add up in shard order."""
     shards = [(x[i:i + _SHARD], y[i:i + _SHARD], y.size) for i in range(0, len(x), _SHARD)]
     terms, grad = 0.0, None
-    for first in range(0, len(shards), len(slots) + 1):
-        rest = shards[first + 1:first + 1 + len(slots)]
-        for index, task in enumerate(rest):
-            helpers.send(index, task)
-        shard_terms, shard_grad = _shard_gradient(model, *shards[first])
+    for first in range(0, len(shards), helpers.workers):
+        (shard_terms, shard_grad), *rest = helpers.map(
+            lambda shard: _shard_gradient(model, *shard), shards[first:first + helpers.workers])
         terms += shard_terms
         if grad is None:
             grad = shard_grad
         else:
             grad += shard_grad
-        for index in range(len(rest)):
-            terms += helpers.receive(index)
+        for index, helper_terms in enumerate(rest):
+            terms += helper_terms
             grad += slots[index]
     return terms, grad
 
@@ -247,24 +256,19 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
     shard runs forward, BCE and backward on its own, and the batch gradient,
     the shard gradients summed in shard order, takes one Adam step in place
     on model.theta, which the layers view.  Then the held-out split is scored
-    in shards of _SHARD consecutive samples, and the record, whose scores
-    are evaluate's report of the epoch's parameters, goes to on_epoch as
-    soon as it is made; the epoch loss is every BCE term of the epoch over
-    their count.
+    as evaluate scores it, on this call's helpers, and the record, whose
+    scores are evaluate's report of the epoch's parameters, goes to on_epoch
+    as soon as it is made; the epoch loss is every BCE term of the epoch
+    over their count.
 
     Where os.fork exists, min(parallel.default_workers(), shards in a full
     batch) - 1 helper processes are forked once per call.  theta and one
     gradient slot per helper live in one parallel.shared_array; the main
     process runs each round's first shard, and each helper another, holding
-    that shard's activations and copying its gradient into its slot.  The
-    held-out shards split into contiguous runs, one per worker: the main
-    process scores the first, and each helper one of the rest, reading the
-    held-out samples it inherited at the fork and replying with their
-    confusion counts, the only data pickled.  While the helpers live, each
-    process's OpenBLAS has its share of the cores.  Every helper is reaped
-    before train returns or raises, and a helper's exception is raised
-    here.  Deterministic for a fixed (cfg, samples, net_cfg), whatever the
-    worker count.
+    that shard's activations and copying its gradient into its slot.  Every
+    helper is reaped before train returns or raises, and a helper's
+    exception is raised here.  Deterministic for a fixed (cfg, samples,
+    net_cfg), whatever the worker count.
     """
     if not samples:
         raise DomainError("cannot train on an empty dataset")
@@ -282,7 +286,6 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
     shared = parallel.shared_array((workers, model.theta.size), model.theta.dtype)
     shared[0] = model.theta
     model, slots = unet.Model(net_cfg, shared[0]), shared[1:]
-    runs = parallel.runs(len(test_set), workers, _SHARD)  # held-out runs, the main's first
 
     def helper_task(index: int, task):
         if isinstance(task, slice):  # a held-out run
@@ -291,7 +294,7 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
         return terms
 
     state = AdamState.zeros(model.theta)
-    with parallel.Helpers(workers - 1, helper_task) as helpers, parallel.share_cores(workers):
+    with parallel.Helpers(workers - 1, helper_task) as helpers:
         for epoch in range(1, cfg.epochs + 1):
             stream = SplitMix64(derive(cfg.seed, 0xE90C, epoch))
             order = stream.permutation(len(train_set))
@@ -307,12 +310,7 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
                 adam_step(model.theta, grad, state, cfg)
                 terms += batch_terms
                 seen += y.size
-            for index, run in enumerate(runs[1:]):
-                helpers.send(index, run)
-            counts = _counts(model, test_set[runs[0]])
-            for index in range(len(runs) - 1):
-                counts += helpers.receive(index)
-            report = _report(counts)
+            report = _score(helpers, model, test_set)
             history.append(EpochRecord(epoch, terms / seen, report.mean_iou,
                                        report.pixel_accuracy, report.counts))
             if on_epoch is not None:

@@ -2,6 +2,10 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
+from cordseg import parallel
+
 # make the sibling reference module importable regardless of invocation dir
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -10,3 +14,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Sets the cores cordseg sees; no user BLAS count divides them."""
+    for name in parallel._BLAS_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    return lambda count: monkeypatch.setattr(parallel, "available_cores", lambda: count)

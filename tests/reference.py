@@ -266,6 +266,18 @@ def relu(x):
     return np.maximum(x, 0)
 
 
+def sigmoid_two_branch(x):
+    """The logistic function branched on the sign through boolean masks, so
+    neither tail overflows: 1 / (1 + exp(-x)) where x >= 0, e / (1 + e)
+    with e = exp(x) elsewhere."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def sigmoid_backward(y, grad_out):
     """Reverse mode of the logistic function from its output y = sigmoid(x)."""
     return grad_out * y * (1.0 - y)

@@ -237,7 +237,7 @@ def test_blas_gets_its_share_of_the_cores_only_while_cordseg_workers_run(
         (predict + ["--threads", "2"], "2", {2}),
         (train, None, {share}),  # the shards and evaluate, while a helper runs
         (train, "2", {2}),  # one worker on 2 cores: no helper
-        (["eval", "--model", str(trained[0]), "--data", str(dataset_dir)], None, {None}),
+        (["eval", "--model", str(trained[0]), "--data", str(dataset_dir)], None, {share}),
     ]
     for argv, threads, expected in cases:
         res = subprocess.run([sys.executable, "-c", _BLAS_THREADS_SEEN_BY_CLI, *argv],
@@ -291,6 +291,13 @@ def _assert_no_fork_outlives(tmp_path, argv, ending, before_ctrl_c):
             os.kill(pid, 0)
 
 
+def _first_fork(proc, forks):
+    deadline = time.monotonic() + 60
+    while not (forks.exists() and forks.read_text().strip()):
+        assert proc.poll() is None and time.monotonic() < deadline
+        time.sleep(0.01)
+
+
 @pytest.mark.parametrize("ending", ["success", "numeric_error", "ctrl_c"])
 def test_train_leaves_no_process_behind(tmp_path, dataset_dir, ending):
     if len(os.sched_getaffinity(0)) < 2:
@@ -321,14 +328,42 @@ def test_predict_leaves_no_process_behind(tmp_path, ending):
     argv = ["predict", "--model", str(tmp_path / "m.ckpt"), "--image",
             str(tmp_path / "frame.pgm"), "--out", str(tmp_path / "mask.pgm"),
             "--tile", "64", "--threads", "2"]
+    _assert_no_fork_outlives(tmp_path, argv, ending, _first_fork)
 
-    def first_fork(proc, forks):
-        deadline = time.monotonic() + 60
-        while not (forks.exists() and forks.read_text().strip()):
-            assert proc.poll() is None and time.monotonic() < deadline
-            time.sleep(0.01)
 
-    _assert_no_fork_outlives(tmp_path, argv, ending, first_fork)
+@pytest.mark.parametrize("ending", ["success", "input_error", "ctrl_c"])
+def test_eval_leaves_no_process_behind(tmp_path, ending):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one core: eval forks no helper")
+    model = unet.init_params(unet.UNetConfig(depth=2, base_channels=8), 0)
+    if ending == "input_error":  # finite weights whose forwards overflow into nan
+        model = unet.Model(model.cfg, model.theta * np.float32(1e36))
+    unet.save_checkpoint(model, tmp_path / "m.ckpt")
+    # 96 samples of 256x256: seconds of forwards to interrupt
+    count, side = (96, 256) if ending == "ctrl_c" else (6, 32)
+    frames = (np.arange(count * side * side) % 251).astype(np.uint8).reshape(count, side, side)
+    data.save_dataset(tmp_path / "ds", [data.Sample(f"s{i}", frame, (frame > 125).astype(np.uint8))
+                                        for i, frame in enumerate(frames)])
+    argv = ["eval", "--model", str(tmp_path / "m.ckpt"), "--data", str(tmp_path / "ds")]
+    _assert_no_fork_outlives(tmp_path, argv, ending, _first_fork)
+
+
+def test_predict_workers_are_capped_at_the_cores(tmp_path, trained):
+    # more threads than cores, on a frame of two tiles per thread: at most
+    # one worker per core, the main process one of them
+    cores = len(os.sched_getaffinity(0))
+    tiles = 2 * (cores + 2)
+    frame = (np.arange(32 * 32 * tiles) % 251).astype(np.uint8).reshape(32, -1)
+    (tmp_path / "frame.pgm").write_bytes(data.encode_pgm(frame))
+    forks = tmp_path / "forks"
+    res = subprocess.run([sys.executable, "-c", _CLI_RECORDING_FORKS, str(forks), "predict",
+                          "--model", str(trained[0]), "--image", str(tmp_path / "frame.pgm"),
+                          "--out", str(tmp_path / "mask.pgm"), "--tile", "32",
+                          "--threads", str(cores + 2)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert f"tiles={tiles} " in res.stderr
+    pids = forks.read_text().split() if forks.exists() else []
+    assert len(pids) <= cores - 1, pids
 
 
 def test_predict_full_scale_frame_165_tiles(tmp_path, trained):

@@ -11,7 +11,7 @@ from cordseg.rng import SplitMix64
 
 from reference import (conv2d_backward_reference, conv2d_reference, finite_diff_check,
                        maxpool2_backward_reference, maxpool2_reference, relu, sigmoid_backward,
-                       upconv2_backward_reference, upconv2_reference)
+                       sigmoid_two_branch, upconv2_backward_reference, upconv2_reference)
 
 
 def random_tensor(rng, shape, lo=-1.0, hi=1.0):
@@ -550,6 +550,20 @@ def test_sigmoid_values_and_saturation():
     assert y[0, 0, 0, 1] == 1.0           # saturates cleanly, no overflow
     assert y[0, 0, 0, 2] == pytest.approx(0.0, abs=1e-17)
     assert np.isfinite(y).all()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_is_bitwise_the_two_branch_form(dtype):
+    # random logits over both tails, then zeros of both signs, infinities,
+    # the edge of float32's exp range and the smallest subnormal
+    x = (SplitMix64(71).normal_array(10**6) * 30).astype(dtype)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, 88.7, -88.7, 1e-45, -1e-45], dtype)
+    for values in (x, special, x.reshape(10, 1, 100, 1000)):
+        got, want = ops.sigmoid(values), sigmoid_two_branch(values)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    got = ops.sigmoid(np.array([np.nan, 1.0], dtype))
+    assert np.isnan(got[0]) and got[1] == sigmoid_two_branch(np.array([1.0], dtype))[0]
 
 
 def test_sigmoid_backward_quarter_at_zero():

@@ -146,24 +146,29 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 @needs_fork
 def test_helpers_reply_through_pipes_and_share_arrays_made_before_the_fork():
-    shared = parallel.shared_array((3, 4), np.float64)
+    # map replies in task order, task 0 running in the caller
+    shared = parallel.shared_array((4, 4), np.float64)
     parent = os.getpid()
 
     def work(index, task):
         assert os.getpid() != parent
         shared[index + 1] = shared[0] * task  # read the caller's row, write its own
-        return index, task
+        return index, task, os.getpid()
 
-    helpers = parallel.Helpers(2, work)
+    def local(task):
+        return None, task, os.getpid()
+
+    helpers = parallel.Helpers(3, work)
     try:
         for round_ in range(1, 4):
-            shared[0] = round_  # written after the fork, before the task
-            for index in range(2):
-                helpers.send(index, 10 * (index + 1))
-            assert [helpers.receive(index) for index in range(2)] == [(0, 10), (1, 20)]
-            assert shared[1:].tolist() == [[10.0 * round_] * 4, [20.0 * round_] * 4]
+            shared[0] = round_  # written after the fork, before the tasks
+            replies = helpers.map(local, [5, 10, 20, 30])
+            assert [reply[:2] for reply in replies] == [(None, 5), (0, 10), (1, 20), (2, 30)]
+            assert replies[0][2] == parent and len({reply[2] for reply in replies}) == 4
+            assert shared[1:].tolist() == [[t * round_] * 4 for t in (10.0, 20.0, 30.0)]
+        assert [r[:2] for r in helpers.map(local, [1, 2])] == [(None, 1), (0, 2)]  # fewer tasks
     finally:
-        _close_within(helpers)  # helpers exit on EOF
+        _close_within(helpers)
     _no_children_left()
 
 
@@ -176,11 +181,9 @@ def test_a_helpers_exception_is_raised_in_the_caller_with_its_type_and_message(e
             raise error
         return task
 
-    with pytest.raises(type(error)) as raised, parallel.Helpers(1, work) as helpers:
-        helpers.send(0, "ok")
-        assert helpers.receive(0) == "ok"
-        helpers.send(0, "fail")
-        helpers.receive(0)
+    with pytest.raises(type(error)) as raised, parallel.Helpers(2, work) as helpers:
+        assert helpers.map(str.upper, ["a", "ok", "ok"]) == ["A", "ok", "ok"]
+        helpers.map(str.upper, ["a", "ok", "fail"])
     assert str(raised.value) == str(error)
     _no_children_left()
 
@@ -190,28 +193,59 @@ def test_helpers_are_killed_and_reaped_when_the_caller_raises_mid_task():
     def work(index, task):
         time.sleep(60)  # a task the caller never waits for
 
-    started = time.monotonic()
-    with pytest.raises(KeyboardInterrupt), parallel.Helpers(2, work) as helpers:
-        helpers.send(0, None)
-        helpers.send(1, None)
-        raise KeyboardInterrupt
-    assert time.monotonic() - started < 30
-    _no_children_left()
+    for stop in (RuntimeError, KeyboardInterrupt):
+        def local(task):
+            raise stop
+
+        started = time.monotonic()
+        with pytest.raises(stop), parallel.Helpers(2, work) as helpers:
+            helpers.map(local, [None, None, None])
+        assert time.monotonic() - started < 30
+        _no_children_left()
 
 
 @needs_fork
 def test_a_helper_gets_its_blas_share(blas, monkeypatch):
+    # and the caller gets its own inside the with-block only
     setter, getter = blas
     monkeypatch.setattr(parallel, "available_cores", lambda: 4)
     before = getter()
-    with parallel.Helpers(1, lambda index, task: getter()) as helpers:
-        helpers.send(0, None)
-        assert helpers.receive(0) == 2  # two workers, the caller one of them
-        assert getter() == before  # the caller enters its own section, if any
+    helpers = parallel.Helpers(1, lambda index, task: getter())
+    assert getter() == before  # forking alone changes nothing
+    with helpers:
+        # two workers, the caller one of them: each gets 4 // 2 threads
+        assert helpers.map(lambda task: getter(), [None, None]) == [2, 2]
+    assert getter() == before
+    with pytest.raises(RuntimeError), parallel.Helpers(3, lambda index, task: None):
+        assert getter() == 1
+        raise RuntimeError
+    assert getter() == before
+    _no_children_left()
+
+
+@needs_fork
+def test_a_helper_exits_by_itself_at_eof_on_its_pipe():
+    # as when the caller dies without closing the helpers
+    helpers = parallel.Helpers(2, lambda index, task: task)
+    pids, pipes = helpers._pids, helpers._pipes
+    helpers._pids, helpers._pipes = [], []  # so nothing but EOF ends them
+    for pipe in pipes:
+        pipe.close()
+    statuses = []
+    reaping = threading.Thread(target=lambda: statuses.extend(os.waitpid(pid, 0)[1]
+                                                                for pid in pids))
+    reaping.start()
+    reaping.join(timeout=30)
+    assert not reaping.is_alive()
+    assert statuses == [0, 0]
     _no_children_left()
 
 
 def test_no_helpers_fork_nothing():
-    with parallel.Helpers(0, None):
-        pass
+    # and the one task runs here
+    with parallel.Helpers(0, None) as helpers:
+        assert helpers.workers == 1
+        assert helpers.map(lambda task: (task, os.getpid()), ["only"]) == [("only", os.getpid())]
+        with pytest.raises(IndexError):  # a task no worker would run
+            helpers.map(str.upper, ["a", "b"])
     _no_children_left()

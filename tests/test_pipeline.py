@@ -58,7 +58,8 @@ def test_predict_threshold_zero_all_foreground(small_model):
     assert np.all(mask == 1)
 
 
-def test_predict_thread_count_does_not_change_output(small_model, monkeypatch):
+def test_predict_thread_count_does_not_change_output(small_model, monkeypatch, cores):
+    cores(4)  # threads 4 runs 4 workers on any machine
     frame = random_frame(63, 100, 150)
     for threads in (1, 4):
         assert_masks_threshold_the_window_forwards(small_model, frame, 32, threads)
@@ -66,9 +67,10 @@ def test_predict_thread_count_does_not_change_output(small_model, monkeypatch):
     assert_masks_threshold_the_window_forwards(small_model, frame, 32, 4)
 
 
-def test_predict_masks_threshold_the_plain_tile_forwards_bitwise():
+def test_predict_masks_threshold_the_plain_tile_forwards_bitwise(cores):
     # each worker reuses one workspace across its tiles; the masks must be
     # those of a recording forward, which allocates its own buffers
+    cores(3)  # threads 3 runs 3 workers on any machine
     model = unet.init_params(UNetConfig(depth=2, base_channels=4), 43)
     frame = random_frame(66, 90, 130)
     for threads in (1, 2, 3):

@@ -348,14 +348,6 @@ def no_children_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture
-def cores(monkeypatch):
-    """Sets the cores train sees; no user BLAS count divides them."""
-    for name in parallel._BLAS_VARIABLES:
-        monkeypatch.delenv(name, raising=False)
-    return lambda count: monkeypatch.setattr(parallel, "available_cores", lambda: count)
-
-
 @pytest.mark.parametrize("stop", [RuntimeError, KeyboardInterrupt])
 def test_on_epoch_sees_each_record_before_train_returns(cores, stop):
     cores(2)  # one helper where fork exists
@@ -445,9 +437,34 @@ def test_no_evaluation_forward_plans_for_more_than_a_shard(monkeypatch, cores):
                    UNetConfig(depth=1, base_channels=2))
     assert planned  # the main process scored a run each epoch
     planned.clear()
-    training.evaluate(unet.init_params(UNetConfig(depth=1, base_channels=2), 0), samples[:5])
+    model = unet.init_params(UNetConfig(depth=1, base_channels=2), 0)
+    training.evaluate(model, samples[:5])  # the helper plans the partial shard
+    assert planned == ([2] if hasattr(os, "fork") else [2, 1])
+    planned.clear()
+    cores(1)
+    training.evaluate(model, samples[:5])
     assert planned == [2, 1]  # the partial last shard re-plans
     no_children_left()
+
+
+def test_evaluate_does_not_depend_on_the_worker_count(monkeypatch, cores):
+    # 9 samples are 5 shards: runs of 3 shards and 2 on 2 cores, 2, 2 and 1 on 3
+    samples = data.gen_synthetic(9, 32, 5)
+    model = unet.init_params(UNetConfig(depth=1, base_channels=2), 4)
+    forks, reports = [], []
+    real_fork = getattr(os, "fork", None)
+    for count in (1, 2, 3):
+        cores(count)
+        if real_fork:
+            monkeypatch.setattr(os, "fork", lambda: forks.append(count) or real_fork())
+        reports.append(training.evaluate(model, samples))
+        no_children_left()
+    if real_fork:
+        monkeypatch.delattr(os, "fork")  # the in-process route
+        reports.append(training.evaluate(model, samples))
+        assert forks == [2, 3, 3]  # one helper per run but the first
+    assert 0 < reports[0].counts.tp < reports[0].counts.tp + reports[0].counts.fp
+    assert all(report == reports[0] for report in reports[1:])
 
 
 @pytest.mark.parametrize("batch", [1, 4, 5])
