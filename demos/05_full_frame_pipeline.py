@@ -28,9 +28,9 @@ frame = big.image[:250, :190]
 truth = big.mask[:250, :190]
 print(f"\nframe: {frame.shape[1]}x{frame.shape[0]} pixels")
 
-grid = tiling.compute_grid(frame.shape[1], frame.shape[0], 64)
-print(f"grid: {grid.cols} cols x {grid.rows} rows = {grid.tile_count} tiles of 64, "
-      f"padded to {grid.padded_width}x{grid.padded_height}")
+padded = tiling.pad_image(frame, 64)
+print(f"tiles: {len(tiling.windows(*frame.shape, 64))} of 64, "
+      f"the frame reflect-padded to {padded.shape[1]}x{padded.shape[0]}")
 
 mask = pipeline.predict_frame(model, frame, tile_size=64, threads=2)
 print(f"predicted mask: {mask.shape[1]}x{mask.shape[0]} "

@@ -83,9 +83,9 @@ def run_predict(args) -> int:
     started = time.perf_counter()
     mask = pipeline.predict_frame(model, frame, tile_size=args.tile,
                                   threshold=args.threshold, threads=args.threads)
-    grid = tiling.compute_grid(frame.shape[1], frame.shape[0], args.tile)
     data.save_mask(args.out, mask)
-    _log(f"frame {frame.shape[1]}x{frame.shape[0]}: tiles={grid.tile_count} of "
+    _log(f"frame {frame.shape[1]}x{frame.shape[0]}: "
+         f"tiles={len(tiling.windows(*frame.shape, args.tile))} of "
          f"{args.tile} (depth {model.cfg.depth}) in {time.perf_counter() - started:.1f}s")
     _log(f"mask written to {args.out}")
     return 0

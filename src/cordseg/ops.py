@@ -359,10 +359,15 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Elementwise logistic function from e = exp(-|x|), which never
-    overflows: 1 / (1 + e) where x >= 0, e / (1 + e) elsewhere."""
-    e = np.exp(-np.abs(x))
+    overflows: 1 / (1 + e) where x >= 0, e / (1 + e) elsewhere.  Both
+    branches are computed in place, in e's and 1 + e's own buffers."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     d = 1 + e
-    return np.where(x >= 0, 1 / d, e / d)
+    np.divide(e, d, out=e)
+    np.divide(1, d, out=d)
+    return np.where(x >= 0, d, e)
 
 
 def bce_with_logits(logits: np.ndarray, targets: np.ndarray,

@@ -2,8 +2,10 @@
 helpers that run beside the main process, and the runs that split work
 between them.
 
-Training, evaluation and tile inference each fork helpers beside the main
-process and split their work with one call (see `Helpers.map`).  While
+Training, evaluation and tile inference each take their worker count from
+one rule (see `workers`), fork that many less one helpers beside the main
+process, and split their work with one call (see `Helpers.map`); without
+os.fork there is one worker, and every task runs in the main process.  While
 several workers run GEMMs at once, an OpenBLAS that also asks for every
 core only spins on cores the other workers use, so in such a parallel
 section each process's OpenBLAS gets cores // workers threads (at least
@@ -30,6 +32,8 @@ from functools import cache
 from typing import NoReturn
 
 import numpy as np
+
+from .errors import DomainError
 
 # (set, get) thread-count symbols of the OpenBLAS builds numpy ships, newest first
 _SYMBOLS = tuple((f"{prefix}openblas_set_num_threads{suffix}",
@@ -63,12 +67,21 @@ def _user_blas_threads() -> int | None:
     return None
 
 
-def default_workers() -> int:
-    """Worker processes, for tiles or training, when the caller names no
-    count: one per available core, or cores // b (at least one) when the
-    user set the BLAS thread count b, so that workers times BLAS threads do
-    not exceed the cores."""
-    return max(1, available_cores() // (_user_blas_threads() or 1))
+def workers(wanted: int | None = None) -> int:
+    """Worker processes for one parallel loop (training, evaluation or
+    tiles): wanted, or by default one per available core, or cores // b
+    (at least one) when the user set the BLAS thread count b, so that
+    workers times BLAS threads do not exceed the cores; never more than
+    the available cores, and 1, the calling process alone, where there is
+    no os.fork.  A wanted count below 1 raises DomainError."""
+    if wanted is not None and wanted < 1:
+        raise DomainError(f"worker count must be at least 1, got {wanted}")
+    if not hasattr(os, "fork"):
+        return 1
+    cores = available_cores()
+    if wanted is None:
+        return max(1, cores // (_user_blas_threads() or 1))
+    return min(wanted, cores)
 
 
 @cache
@@ -154,8 +167,8 @@ class Helpers:
                 pid = os.fork()
                 if pid == 0:
                     _serve(theirs, (*self._pipes, mine), index, work, self.workers)
-                theirs.close()
                 self._pids.append(pid)
+                theirs.close()
                 self._pipes.append(mine)
         except BaseException:
             self.close()
@@ -186,8 +199,12 @@ class Helpers:
         self._pids, self._pipes = [], []
 
     def __enter__(self) -> "Helpers":
-        self._section = share_cores(self.workers)
-        self._section.__enter__()
+        try:  # a Ctrl-C here, say while OpenBLAS is first looked up, skips __exit__
+            self._section = share_cores(self.workers)
+            self._section.__enter__()
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def __exit__(self, *exc) -> None:

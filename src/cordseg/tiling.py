@@ -1,78 +1,49 @@
 """Frame geometry: pad a full frame out to a whole number of fixed-size
 tiles, and name each tile's window on the padded canvas.
 
-Images and masks are 2-D numpy arrays indexed (row, column); any dtype
-works, so the same windows read the padded uint8 frame and write a uint8
-mask of the frame, which numpy clips them to.  Windows are non-overlapping,
-ordered row-major, and cover the padded canvas exactly once.
+Both take the frame's shape and the tile side as they are: the canvas is
+ceil(height / tile) x ceil(width / tile) tiles.  Images and masks are 2-D
+numpy arrays indexed (row, column); any dtype works, so the same windows
+read the padded uint8 frame and write a uint8 mask of the frame, which
+numpy clips them to.  Windows are non-overlapping, ordered row-major, and
+cover the padded canvas exactly once.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class TileGrid:
-    """Padding and tile-coordinate plan for one frame size."""
-
-    width: int
-    height: int
-    tile_size: int
-    cols: int
-    rows: int
-
-    @property
-    def padded_width(self) -> int:
-        return self.cols * self.tile_size
-
-    @property
-    def padded_height(self) -> int:
-        return self.rows * self.tile_size
-
-    @property
-    def tile_count(self) -> int:
-        return self.cols * self.rows
-
-
-def compute_grid(width: int, height: int, tile_size: int) -> TileGrid:
-    """Smallest grid of tile_size squares covering a width x height frame."""
-    if width < 1 or height < 1 or tile_size < 1:
-        raise DomainError(f"frame {width}x{height} and tile size {tile_size} "
+def _check_positive(height: int, width: int, tile: int) -> None:
+    if height < 1 or width < 1 or tile < 1:
+        raise DomainError(f"frame {width}x{height} and tile size {tile} "
                           f"must all be positive")
-    return TileGrid(width, height, tile_size,
-                    cols=math.ceil(width / tile_size),
-                    rows=math.ceil(height / tile_size))
 
 
-def pad_image(img: np.ndarray, grid: TileGrid) -> np.ndarray:
-    """Reflect-pad the right and bottom edges out to the grid's padded size.
+def pad_image(img: np.ndarray, tile: int) -> np.ndarray:
+    """Reflect-pad the right and bottom edges of a 2-D image out to whole tiles.
 
     Reflection mirrors without repeating the border pixel, so a row
     [a, b, c] padded by 2 becomes [a, b, c, b, a]; the original region is
     returned unchanged.
     """
-    if img.shape != (grid.height, grid.width):
-        raise ShapeError(f"image {img.shape} does not match grid frame "
-                         f"{(grid.height, grid.width)}")
-    pad_h = grid.padded_height - grid.height
-    pad_w = grid.padded_width - grid.width
+    height, width = img.shape
+    _check_positive(height, width, tile)
+    pad_h, pad_w = -height % tile, -width % tile
     if pad_h == 0 and pad_w == 0:
         return img
-    if pad_h >= grid.height or pad_w >= grid.width:
+    if pad_h >= height or pad_w >= width:
         raise DomainError(f"padding {(pad_h, pad_w)} meets or exceeds the image "
-                          f"size {(grid.height, grid.width)}; the tile is at least "
+                          f"size {(height, width)}; the tile is at least "
                           f"twice the image")
     return np.pad(img, ((0, pad_h), (0, pad_w)), mode="reflect")
 
 
-def windows(grid: TileGrid) -> list[tuple[slice, slice]]:
-    """Each tile's (rows, cols) slices of the padded canvas, row-major."""
-    t = grid.tile_size
-    return [(slice(r * t, (r + 1) * t), slice(c * t, (c + 1) * t))
-            for r in range(grid.rows) for c in range(grid.cols)]
+def windows(height: int, width: int, tile: int) -> list[tuple[slice, slice]]:
+    """Each tile's (rows, cols) slices of a height x width frame's padded
+    canvas, row-major."""
+    _check_positive(height, width, tile)
+    return [(slice(r, r + tile), slice(c, c + tile))
+            for r in range(0, height, tile) for c in range(0, width, tile)]

@@ -9,13 +9,13 @@ is computed on its own, and the batch gradient is their sum in shard
 order.  Evaluation runs in the same shards, each one forward whose
 per-sample confusion counts are kept in sample order.  Shards, or runs of
 them, go to forked helpers by one parallel.Helpers.map call per round, or
-all run in the main process where there is no fork or one worker, with the
-same bytes either way: checkpoints and scores do not depend on the cores.
+all run in the main process where parallel.workers gives one worker (as it
+does without os.fork), with the same bytes either way: checkpoints and
+scores do not depend on the cores.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -152,10 +152,9 @@ def _one_size(samples: list[Sample]) -> tuple[int, int]:
     return sizes.pop()
 
 
-def _batch_arrays(samples: list[Sample]):
-    x = np.stack([to_unit(s.image) for s in samples])[:, None]
-    y = np.stack([s.mask.astype(np.float32) for s in samples])[:, None]
-    return x, y
+def _images(samples: list[Sample]) -> np.ndarray:
+    """The samples' images as one (N, 1, H, W) float32 batch in [0, 1]."""
+    return np.stack([to_unit(s.image) for s in samples])[:, None]
 
 
 def _counts(model: unet.Model, samples: list[Sample],
@@ -167,21 +166,20 @@ def _counts(model: unet.Model, samples: list[Sample],
     counts = []
     for start in range(0, len(samples), _SHARD):
         shard = samples[start:start + _SHARD]
-        x, _ = _batch_arrays(shard)
-        logits, _ = unet.forward(model, x, workspace)
+        logits, _ = unet.forward(model, _images(shard), workspace)
         probs = ops.sigmoid(logits)
         counts += [metrics.confusion(metrics.binarize(prob[0], threshold), s.mask)
                    for prob, s in zip(probs, shard)]
     return counts
 
 
-def _score(helpers: parallel.Helpers, model: unet.Model, samples: list[Sample],
-           threshold: float = 0.5) -> EvalReport:
-    """evaluate's report, over runs of whole shards, one per worker.  The
-    helpers' work must reply to a run with _counts of samples[run], which
-    they inherited at the fork, so only runs and counts are pickled."""
-    runs = parallel.runs(len(samples), helpers.workers, _SHARD)
-    counts = sum(helpers.map(lambda run: _counts(model, samples[run], threshold), runs), [])
+def _score(helpers: parallel.Helpers, runs: list[slice],
+           count: Callable[[slice], list[ConfusionCounts]]) -> EvalReport:
+    """evaluate's report from count(run), the per-sample counts of one run
+    of whole shards, over runs, at most one per worker.  The helpers' work
+    must reply to a run with count(run) on the samples they inherited at
+    the fork, so only runs and counts are pickled."""
+    counts = sum(helpers.map(count, runs), [])
     pooled = sum(counts, ConfusionCounts(0, 0, 0, 0))
     return EvalReport(
         mean_iou=float(np.mean([metrics.iou(c) for c in counts])),
@@ -196,16 +194,18 @@ def evaluate(model: unet.Model, samples: list[Sample],
     """Score every sample, all of one size, as train scores its held-out
     split: the mean of the per-image IoUs in sample order, and the pooled
     counts' IoU and pixel accuracy, the same bytes on any number of workers
-    (this process and helpers forked for the call, default_workers() at
+    (this process and helpers forked for the call, parallel.workers() at
     most).  Every helper is reaped before this returns, its error raised."""
     if not samples:
         raise DomainError("cannot evaluate on an empty sample list")
     _one_size(samples)
-    workers = parallel.default_workers() if hasattr(os, "fork") else 1
-    runs = parallel.runs(len(samples), workers, _SHARD)
-    with parallel.Helpers(len(runs) - 1,
-                          lambda index, run: _counts(model, samples[run], threshold)) as helpers:
-        return _score(helpers, model, samples, threshold)
+    runs = parallel.runs(len(samples), parallel.workers(), _SHARD)
+
+    def count(run: slice) -> list[ConfusionCounts]:
+        return _counts(model, samples[run], threshold)
+
+    with parallel.Helpers(len(runs) - 1, lambda index, run: count(run)) as helpers:
+        return _score(helpers, runs, count)
 
 
 def _check_tiles(samples: list[Sample], depth: int) -> None:
@@ -261,8 +261,8 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
     as soon as it is made; the epoch loss is every BCE term of the epoch
     over their count.
 
-    Where os.fork exists, min(parallel.default_workers(), shards in a full
-    batch) - 1 helper processes are forked once per call.  theta and one
+    min(parallel.workers(), shards in a full batch) - 1 helper processes
+    are forked once per call, none without os.fork.  theta and one
     gradient slot per helper live in one parallel.shared_array; the main
     process runs each round's first shard, and each helper another, holding
     that shard's activations and copying its gradient into its slot.  Every
@@ -282,14 +282,18 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
         raise DomainError(f"training split is empty for ratio {cfg.split_ratio} "
                           f"over {len(samples)} samples")
     full = -(-min(cfg.batch_size, len(train_set)) // _SHARD)  # shards in a full batch
-    workers = min(parallel.default_workers(), full) if hasattr(os, "fork") else 1
+    workers = min(parallel.workers(), full)
     shared = parallel.shared_array((workers, model.theta.size), model.theta.dtype)
     shared[0] = model.theta
     model, slots = unet.Model(net_cfg, shared[0]), shared[1:]
+    held_out = parallel.runs(len(test_set), workers, _SHARD)
+
+    def count(run: slice) -> list[ConfusionCounts]:
+        return _counts(model, test_set[run])
 
     def helper_task(index: int, task):
         if isinstance(task, slice):  # a held-out run
-            return _counts(model, test_set[task])
+            return count(task)
         terms, slots[index][...] = _shard_gradient(model, *task)
         return terms
 
@@ -305,12 +309,13 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
                 if cfg.augment:
                     picked = [Sample(s.name, *dihedral_augment(s.image, s.mask, stream))
                               for s in picked]
-                x, y = _batch_arrays(picked)
+                x = _images(picked)
+                y = np.stack([s.mask.astype(np.float32) for s in picked])[:, None]
                 batch_terms, grad = _batch_gradient(model, x, y, helpers, slots)
                 adam_step(model.theta, grad, state, cfg)
                 terms += batch_terms
                 seen += y.size
-            report = _score(helpers, model, test_set)
+            report = _score(helpers, held_out, count)
             history.append(EpochRecord(epoch, terms / seen, report.mean_iou,
                                        report.pixel_accuracy, report.counts))
             if on_epoch is not None:

@@ -83,13 +83,13 @@ def test_kernel_oracle_equivalence():
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
 
-def window_round_trip(img, grid):
+def window_round_trip(img, tile):
     """Pad, copy every window of the padded frame into a fresh canvas, crop."""
-    padded = tiling.pad_image(img, grid)
+    padded = tiling.pad_image(img, tile)
     canvas = np.zeros_like(padded)
-    for win in tiling.windows(grid):
+    for win in tiling.windows(*img.shape, tile):
         canvas[win] = padded[win]
-    return canvas[:grid.height, :grid.width]
+    return canvas[:img.shape[0], :img.shape[1]]
 
 
 def test_tiling_fidelity():
@@ -101,14 +101,14 @@ def test_tiling_fidelity():
             h, w = 1 + rng.randbelow(300), 1 + rng.randbelow(300)
             t = 1 + rng.randbelow(min(h, w))
             img = (rng.u64_array(h * w) & np.uint64(255)).astype(np.uint8).reshape(h, w)
-            grid = tiling.compute_grid(w, h, t)
-            assert np.array_equal(window_round_trip(img, grid), img), (h, w, t)
+            assert np.array_equal(window_round_trip(img, t), img), (h, w, t)
         frame = (rng.u64_array(3840 * 2700) & np.uint64(255)).astype(np.uint8).reshape(2700, 3840)
-        grid = tiling.compute_grid(3840, 2700, 256)
-        assert (grid.cols, grid.rows, grid.tile_count) == (15, 11, 165)
-        assert (grid.padded_width, grid.padded_height) == (3840, 2816)
-        assert len(tiling.windows(grid)) == 165
-        assert np.array_equal(window_round_trip(frame, grid), frame)
+        wins = tiling.windows(2700, 3840, 256)
+        assert len(wins) == 165
+        assert len({r.start for r, _ in wins}) == 11  # rows of tiles
+        assert len({c.start for _, c in wins}) == 15  # columns of tiles
+        assert tiling.pad_image(frame, 256).shape == (2816, 3840)
+        assert np.array_equal(window_round_trip(frame, 256), frame)
         elapsed = time.perf_counter() - started
         assert elapsed < 30.0, f"took {elapsed:.1f}s"
 

@@ -566,6 +566,19 @@ def test_sigmoid_is_bitwise_the_two_branch_form(dtype):
     assert np.isnan(got[0]) and got[1] == sigmoid_two_branch(np.array([1.0], dtype))[0]
 
 
+def test_sigmoid_holds_under_4_inputs_of_temporaries():
+    # exp(-|x|) and 1 + exp(-|x|) in one buffer each, the x >= 0 mask and
+    # the output: 3.25 times the input's bytes
+    x = SplitMix64(72).normal_array(256 * 256).astype(np.float32).reshape(1, 1, 256, 256)
+    tracemalloc.start()
+    try:
+        ops.sigmoid(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * x.nbytes, peak / x.nbytes
+
+
 def test_sigmoid_backward_quarter_at_zero():
     y = ops.sigmoid(np.zeros((1, 1, 1, 1), np.float32))
     g = np.ones_like(y)

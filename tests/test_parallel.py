@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cordseg import parallel
-from cordseg.errors import NumericError
+from cordseg.errors import DomainError, NumericError
 
 
 # (environment, BLAS count the user set, cores, default workers); OpenBLAS
@@ -111,7 +111,29 @@ def test_default_workers_divide_the_cores_by_the_blas_count_openblas_reads(
     set_user_counts(monkeypatch, env)
     monkeypatch.setattr(parallel, "available_cores", lambda: cores)
     assert parallel._user_blas_threads() == count
-    assert parallel.default_workers() == workers
+    assert parallel.workers() == workers
+    assert parallel.workers(cores) == cores  # a count the caller names still wins
+
+
+def test_workers_is_the_wanted_count_capped_at_the_cores(cores):
+    cores(4)
+    assert [parallel.workers(wanted) for wanted in (1, 3, 4, 5, 165)] == [1, 3, 4, 4, 4]
+
+
+@pytest.mark.parametrize("wanted", [0, -1, -165])
+def test_workers_rejects_a_count_below_one(cores, wanted):
+    cores(4)
+    with pytest.raises(DomainError, match="at least 1"):
+        parallel.workers(wanted)
+
+
+def test_workers_is_one_without_fork(monkeypatch, cores):
+    # read when called, so a platform without os.fork runs every task in the caller
+    cores(4)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert [parallel.workers(), parallel.workers(1), parallel.workers(3)] == [1, 1, 1]
+    with pytest.raises(DomainError, match="at least 1"):
+        parallel.workers(0)
 
 
 @pytest.mark.parametrize("env, count, cores, workers", USER_COUNTS)
@@ -202,6 +224,17 @@ def test_helpers_are_killed_and_reaped_when_the_caller_raises_mid_task():
             helpers.map(local, [None, None, None])
         assert time.monotonic() - started < 30
         _no_children_left()
+
+
+@needs_fork
+def test_helpers_are_killed_and_reaped_when_entering_the_block_raises(monkeypatch):
+    def interrupted(workers):
+        raise KeyboardInterrupt  # as a Ctrl-C while OpenBLAS is first looked up
+
+    monkeypatch.setattr(parallel, "share_cores", interrupted)
+    with pytest.raises(KeyboardInterrupt), parallel.Helpers(2, lambda index, task: task):
+        pass
+    _no_children_left()
 
 
 @needs_fork

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cordseg import data, metrics, ops, pipeline, tiling, unet
+from cordseg import data, metrics, ops, pipeline, unet
 from cordseg.errors import DomainError, ShapeError
 from cordseg.rng import SplitMix64
 from cordseg.unet import UNetConfig
@@ -22,13 +22,17 @@ def random_frame(seed, h, w):
 
 def window_probabilities(model, frame, tile):
     """The frame's probabilities from each window's own recording forward,
-    which allocates its own buffers where predict reuses one workspace."""
-    grid = tiling.compute_grid(frame.shape[1], frame.shape[0], tile)
-    padded = tiling.pad_image(frame, grid)
+    which allocates its own buffers where predict reuses one workspace, on
+    the frame reflect-padded by numpy out to whole tiles."""
+    h, w = frame.shape
+    padded = np.pad(frame, ((0, -h % tile), (0, -w % tile)), mode="reflect")
     probs = np.empty(padded.shape, np.float32)
-    for win in tiling.windows(grid):
-        probs[win] = ops.sigmoid(unet.forward(model, data.to_unit(padded[win])[None, None])[0])[0, 0]
-    return probs[:frame.shape[0], :frame.shape[1]]
+    for r in range(0, h, tile):
+        for c in range(0, w, tile):
+            win = slice(r, r + tile), slice(c, c + tile)
+            probs[win] = ops.sigmoid(
+                unet.forward(model, data.to_unit(padded[win])[None, None])[0])[0, 0]
+    return probs[:h, :w]
 
 
 def thresholds(probs):
@@ -107,6 +111,22 @@ def test_predict_rejects_incompatible_tile(small_model, monkeypatch):
         pipeline.predict_frame(params, random_frame(64, 32, 32), tile_size=12)
     assert "8" in str(err.value)  # names the required divisor 2^depth
     assert forwards == []
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_predict_rejects_a_worker_count_below_one_before_any_fork(
+        small_model, monkeypatch, cores, threads):
+    # 4 tiles of 32 on a 64x64 frame: a worker count taken as given, or 0
+    # read as the default, would fork up to 3 helpers
+    cores(4)
+    forks = []
+    real_fork = getattr(os, "fork", None)
+    if real_fork:
+        monkeypatch.setattr(os, "fork", lambda: forks.append(threads) or real_fork())
+    with pytest.raises(DomainError, match="at least 1"):
+        pipeline.predict_frame(small_model, random_frame(70, 64, 64), tile_size=32,
+                               threads=threads)
+    assert forks == []
 
 
 def test_predict_rejects_non_2d_frame(small_model):

@@ -1,5 +1,6 @@
 """Every public top-level function and class in src/cordseg has a caller in
-src/cordseg: code that only the tests use belongs in tests/.
+src/cordseg: code that only the tests use belongs in tests/.  And one module,
+parallel, reads os.fork: every other module takes its worker count from it.
 
 References are found in the syntax tree, not by text search: a bare name
 bound at a module's top level or imported from a package module, or an
@@ -83,3 +84,41 @@ def test_the_reference_finder_sees_attribute_name_and_imported_uses():
                        "def caller():\n    return a.used(), Shape\n"),
     }
     assert _public_definitions(trees) - _referenced(trees) == {("a", "lonely"), ("b", "caller")}
+
+
+def _reads_os_fork(tree) -> bool:
+    """Whether a module reads os.fork: as an attribute of the imported os
+    module, through hasattr/getattr(os, "fork"), or by `from os import fork`."""
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names if alias.name == "os"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            if any(alias.name == "fork" for alias in node.names):
+                return True
+        elif isinstance(node, ast.Attribute) and node.attr == "fork":
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                return True
+        elif isinstance(node, ast.Call) and len(node.args) >= 2:
+            target, name = node.args[:2]
+            if (isinstance(target, ast.Name) and target.id in aliases
+                    and isinstance(name, ast.Constant) and name.value == "fork"):
+                return True
+    return False
+
+
+def test_only_parallel_reads_os_fork():
+    readers = {module for module, tree in _modules().items() if _reads_os_fork(tree)}
+    assert readers == {"parallel"}
+
+
+def test_the_fork_finder_sees_attributes_reflection_and_imports():
+    sources = {
+        "import os\npid = os.fork()\n": True,
+        "import os as system\nok = hasattr(system, 'fork')\n": True,
+        "import os\nfork = getattr(os, 'fork', None)\n": True,
+        "from os import fork\n": True,
+        '"""Helpers forked with os.fork."""\nimport os\npid = os.getpid()\n': False,
+        "import os\nok = hasattr(os, 'sched_getaffinity')\n": False,
+    }
+    for source, reads in sources.items():
+        assert _reads_os_fork(ast.parse(source)) == reads, source
