@@ -30,7 +30,7 @@ class ConfusionCounts:
                                self.fn + other.fn, self.tn + other.tn)
 
 
-def binarize(probs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
+def binarize(probs: np.ndarray, threshold: float) -> np.ndarray:
     """Threshold a probability map to a {0, 1} mask; ties go to foreground."""
     probs = np.asarray(probs)
     if probs.size and not (probs.min() >= 0.0 and probs.max() <= 1.0):  # NaN fails both

@@ -6,13 +6,13 @@ parallel.Helpers.map call runs them: the main process segments the first,
 and helpers forked for the call the others, reading the padded frame and
 the model inherited at the fork; only runs and errors cross the pipes.
 parallel.workers sets the worker count, one without os.fork, so that every
-window runs in the main process.  A tile size the model cannot pool, or a
-worker count below one, is rejected before the frame is padded or a
-helper forked.  Each process runs its forwards in one unet.Workspace and
-thresholds each tile's probabilities into its window of one uint8 mask of
-the frame, a shared mapping made before the fork, so the output is the
-same for any worker count.  Thresholding is pointwise and windows never
-overlap, so tile boundaries cannot shift it.
+window runs in the main process.  A tile size the model cannot pool is
+rejected before any window is listed, and a worker count below one before
+the frame is padded or a helper forked.  Each process runs its forwards in
+one unet.Workspace and thresholds each tile's probabilities into its
+window of one uint8 mask of the frame, a shared mapping made before the
+fork, so the output is the same for any worker count.  Thresholding is
+pointwise and windows never overlap, so tile boundaries cannot shift it.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ def predict_frame(model: unet.Model, frame: np.ndarray,
     raised here."""
     if frame.ndim != 2:
         raise ShapeError(f"frame must be a 2-D grayscale image, got shape {frame.shape}")
-    windows = tiling.windows(*frame.shape, tile_size)
     unet.check_divisible("tile size", (tile_size,), model.cfg.depth)
+    windows = tiling.windows(*frame.shape, tile_size)
     runs = parallel.runs(len(windows), parallel.workers(threads))
     padded = tiling.pad_image(frame, tile_size)
     mask = parallel.shared_array(frame.shape, np.uint8)

@@ -104,13 +104,12 @@ class SplitMix64:
         start, pairs = self._claim_pairs(n)
         return mean + std * self._normals(start, start + pairs, pairs)[:n]
 
-    def normal_blocks(self, n: int, block_pairs: int, mean: float = 0.0, std: float = 1.0):
-        """normal_array(n, mean, std), bit for bit, as consecutive blocks of at
-        most 2 * block_pairs draws, so that its float64 temporaries stay that
+    def normal_blocks(self, n: int, block_pairs: int):
+        """normal_array(n), bit for bit, as consecutive blocks of at most
+        2 * block_pairs draws, so that its float64 temporaries stay that
         small.  The stream advances past all n draws at once."""
         start, pairs = self._claim_pairs(n)
-        return (mean + std * self._normals(start + j, start + pairs + j,
-                                           min(block_pairs, pairs - j))[:n - 2 * j]
+        return (self._normals(start + j, start + pairs + j, min(block_pairs, pairs - j))[:n - 2 * j]
                 for j in range(0, pairs, block_pairs))
 
     def randbelow(self, bound: int) -> int:

@@ -61,7 +61,7 @@ class EpochRecord:
     train_loss: float
     test_iou: float
     test_pixel_acc: float
-    test_counts: ConfusionCounts | None = None   # pooled held-out confusion counts
+    test_counts: ConfusionCounts   # pooled held-out confusion counts
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,9 @@ The network is the classic contracting/expansive shape: each encoder level
 is two (conv 3x3 -> relu) then a 2x2 max-pool; the bottleneck is two
 (conv -> relu); each decoder level is a 2x2 transposed conv, then two
 (conv -> relu), the first reading its output and the matching encoder skip
-as one channel concatenation that is never built; a final 1x1 conv
-produces one logit plane per output channel.  Same-padding keeps the output
-spatial size equal to the input everywhere, so masks align with tiles.
+as one channel concatenation that is never built; a final 1x1 conv makes
+the logit plane.  It reads one channel and emits one, and same-padding keeps
+the output the input's spatial size everywhere, so masks align with tiles.
 
 Parameters live in one canonical order: encoder blocks top-down (conv1,
 conv2 per level), bottleneck (conv1, conv2), decoder blocks bottom-up
@@ -49,11 +49,9 @@ from .rng import SplitMix64, derive
 class UNetConfig:
     depth: int = 4
     base_channels: int = 64
-    in_channels: int = 1
-    out_channels: int = 1
 
     def __post_init__(self):
-        for name in ("depth", "base_channels", "in_channels", "out_channels"):
+        for name in ("depth", "base_channels"):
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise DomainError(f"{name} must be a positive integer, got {v!r}")
@@ -70,7 +68,7 @@ def layer_plan(cfg: UNetConfig) -> list[tuple[str, int, int, int]]:
     """Canonical layer list as (kind, in_channels, out_channels, kernel_side)."""
     plan: list[tuple[str, int, int, int]] = []
     base = cfg.base_channels
-    prev = cfg.in_channels
+    prev = 1
     for i in range(cfg.depth):
         c = base << i
         plan.append(("conv", prev, c, 3))
@@ -86,7 +84,7 @@ def layer_plan(cfg: UNetConfig) -> list[tuple[str, int, int, int]]:
         plan.append(("conv", 2 * c, c, 3))
         plan.append(("conv", c, c, 3))
         prev = c
-    plan.append(("conv", base, cfg.out_channels, 1))
+    plan.append(("conv", base, 1, 1))
     return plan
 
 
@@ -296,8 +294,8 @@ def forward(model: Model, batch: np.ndarray, workspace: Workspace | None = None)
     cfg, params = model.cfg, model.layers
     ops._check_tensor4(batch, "batch")
     n, c, h, w = batch.shape
-    if c != cfg.in_channels:
-        raise ShapeError(f"batch has {c} channels, model expects {cfg.in_channels}")
+    if c != 1:
+        raise ShapeError(f"batch has {c} channels, model expects 1")
     check_divisible("spatial size", (h, w), cfg.depth)
     records = []
     keep = records.append if workspace is None else (lambda _: None)
@@ -396,17 +394,19 @@ def _kink_margin(model: Model, cache: ActivationCache) -> float:
     return margin
 
 
-def gradient_check(cfg: UNetConfig | None = None, side: int = 8, seed: int = 42,
-                   step: float = 1e-5):
+_GRADCHECK_SHAPE = (1, 1, 8, 8)  # the gradient check's one input and target
+
+
+def gradient_check(cfg: UNetConfig | None = None, seed: int = 42, step: float = 1e-5):
     """Finite-difference sweep over every parameter of a small model.
 
     Builds a seeded model, evaluates loss and analytic gradients in
-    float64, and compares against central differences.  The seeded input is
-    drawn by deterministic rejection until the forward pass sits at least a
-    small margin away from every relu/pool kink, so the comparison happens
-    where the loss is actually differentiable; with the margin in place the
-    small step cannot cross a kink.  Returns (max relative error, index of
-    the worst coordinate in checkpoint order).
+    float64, and compares against central differences.  The seeded 8x8
+    input is drawn by deterministic rejection until the forward pass sits at
+    least a small margin away from every relu/pool kink, so the comparison
+    happens where the loss is actually differentiable; with the margin in
+    place the small step cannot cross a kink.  Returns (max relative error,
+    index of the worst coordinate in checkpoint order).
     """
     cfg = cfg or UNetConfig(depth=1, base_channels=2)
     theta = init_params(cfg, seed).theta.astype(np.float64)
@@ -414,10 +414,8 @@ def gradient_check(cfg: UNetConfig | None = None, side: int = 8, seed: int = 42,
     margin_needed = 200.0 * step
     for attempt in range(500):
         stream = SplitMix64(derive(seed, 0xDA7A, attempt))
-        x = stream.normal_array(cfg.in_channels * side * side)
-        x = x.reshape(1, cfg.in_channels, side, side)
-        y = (stream.f64_array(cfg.out_channels * side * side) < 0.5).astype(np.float64)
-        y = y.reshape(1, cfg.out_channels, side, side)
+        x = stream.normal_array(math.prod(_GRADCHECK_SHAPE)).reshape(_GRADCHECK_SHAPE)
+        y = (stream.f64_array(x.size) < 0.5).astype(np.float64).reshape(x.shape)
         _, cache = forward(model, x)
         if _kink_margin(model, cache) >= margin_needed:
             break
@@ -440,8 +438,8 @@ def gradient_check(cfg: UNetConfig | None = None, side: int = 8, seed: int = 42,
 # --- checkpoint format -------------------------------------------------------
 #
 # Little-endian throughout: magic "UNET"; u32 version = 1; u32 depth,
-# base_channels, in_channels, out_channels; then each tensor of the canonical
-# stream as u32 rank, rank * u32 dims, row-major float32 values.  No padding.
+# base_channels, in_channels = 1, out_channels = 1; then each tensor of the
+# canonical stream as u32 rank, rank * u32 dims, row-major float32 values, unpadded.
 
 CHECKPOINT_MAGIC = b"UNET"
 CHECKPOINT_VERSION = 1
@@ -471,8 +469,7 @@ class CheckpointDimError(CheckpointError):
 def save_checkpoint(model: Model, path) -> None:
     cfg = model.cfg
     blob = bytearray(CHECKPOINT_MAGIC)
-    blob += struct.pack("<5I", CHECKPOINT_VERSION, cfg.depth, cfg.base_channels,
-                        cfg.in_channels, cfg.out_channels)
+    blob += struct.pack("<5I", CHECKPOINT_VERSION, cfg.depth, cfg.base_channels, 1, 1)
     for tensor in (t for p in model.layers for t in (p.weights, p.bias)):
         if any(d >= _MAX_DIM for d in tensor.shape):
             raise CheckpointDimError(f"dimension too large to store: {tensor.shape}")
@@ -522,11 +519,12 @@ class _Reader:
 def load_checkpoint(path) -> Model:
     """Read a checkpoint into a float32 Model. Round trip is bitwise exact.
 
-    Each tensor's dims must be the ones the header's config implies, and its
-    values finite.  The file is read one tensor at a time, through one scratch
-    array the size of the largest, into the model's vector; both are allocated
-    only when the file holds exactly the bytes its header declares.  Any other
-    file is walked without reading its data, to name what is wrong with it.
+    A header must declare 1 input and 1 output channel, and each tensor must
+    have the dims its config implies and finite values.  The file is read one
+    tensor at a time, through one scratch array the size of the largest, into
+    the model's vector; both are allocated only when the file holds exactly
+    the bytes its header declares.  Any other file is walked without reading
+    its data, to name what is wrong with it.
     """
     with open(path, "rb") as fh:
         reader = _Reader(fh)
@@ -538,10 +536,11 @@ def load_checkpoint(path) -> Model:
             raise CheckpointVersionError(f"unsupported version {version}")
         header = [reader.u32(f) for f in ("depth", "base_channels", "in_channels",
                                           "out_channels")]
-        if any(v < 1 or v > 0xFFFF for v in header):
-            raise CheckpointDimError(f"config fields out of range: {header}")
+        if any(v < 1 or v > 0xFFFF for v in header) or header[2:] != [1, 1]:
+            raise CheckpointDimError(f"config fields out of range: {header}; depth and base_channels "
+                                     f"lie in [1, 65535], in_channels and out_channels are 1")
         try:
-            cfg = UNetConfig(*header)
+            cfg = UNetConfig(*header[:2])
         except DomainError as exc:
             raise CheckpointDimError(str(exc)) from None
         shapes = [shape for pair in param_shapes(cfg) for shape in pair]

@@ -234,8 +234,9 @@ def adam_reference(theta, grad, m, v, t, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e
     return theta, m, v, t
 
 
-def unet_parameter_count_reference(depth, base, in_channels=1, out_channels=1):
-    """Count parameters from the channel plan, independently of the package.
+def unet_parameter_count_reference(depth, base):
+    """Count parameters from the channel plan, one channel in and one out,
+    independently of the package.
 
     conv(c_in -> c_out, k): c_out*c_in*k*k + c_out
     upconv(c_in -> c_out): c_in*c_out*4 + c_out
@@ -244,7 +245,7 @@ def unet_parameter_count_reference(depth, base, in_channels=1, out_channels=1):
         return co * ci * k * k + co
 
     total = 0
-    prev = in_channels
+    prev = 1
     for i in range(depth):
         c = base * 2 ** i
         total += conv(prev, c, 3) + conv(c, c, 3)
@@ -257,8 +258,23 @@ def unet_parameter_count_reference(depth, base, in_channels=1, out_channels=1):
         total += prev * c * 4 + c          # transposed conv
         total += conv(2 * c, c, 3) + conv(c, c, 3)
         prev = c
-    total += conv(base, out_channels, 1)
+    total += conv(base, 1, 1)
     return total
+
+
+def checkpoint_declaring(in_channels, out_channels):
+    """The bytes of a depth-1 base-2 checkpoint whose header declares the
+    given channel counts: its first conv reads in_channels planes, its head
+    emits out_channels, and every value is 0.25."""
+    tensors = [(2, in_channels, 3, 3), (2,), (2, 2, 3, 3), (2,),         # encoder
+               (4, 2, 3, 3), (4,), (4, 4, 3, 3), (4,),                   # bottleneck
+               (4, 2, 2, 2), (2,), (2, 4, 3, 3), (2,), (2, 2, 3, 3), (2,),  # decoder
+               (out_channels, 2, 1, 1), (out_channels,)]                 # head
+    blob = b"UNET" + struct.pack("<5I", 1, 1, 2, in_channels, out_channels)
+    for dims in tensors:
+        blob += struct.pack(f"<{1 + len(dims)}I", len(dims), *dims)
+        blob += np.full(dims, 0.25, "<f4").tobytes()
+    return blob
 
 
 def relu(x):

@@ -42,7 +42,7 @@ def run_cli(*args):
 def test_gradient_correctness():
     with criterion("gradient correctness (depth-1 base-2, 8x8, max rel err < 1e-3, < 30 s)"):
         started = time.perf_counter()
-        error, _ = unet.gradient_check(UNetConfig(depth=1, base_channels=2), side=8, seed=42)
+        error, _ = unet.gradient_check(UNetConfig(depth=1, base_channels=2), seed=42)
         elapsed = time.perf_counter() - started
         assert error < 1e-3, f"max relative error {error}"
         assert elapsed < 30.0, f"took {elapsed:.1f}s"

@@ -10,6 +10,8 @@ from cordseg.rng import SplitMix64
 from cordseg.unet import (CheckpointDimError, CheckpointError, CheckpointMagicError,
                           CheckpointTruncatedError, CheckpointVersionError, UNetConfig)
 
+from reference import checkpoint_declaring
+
 
 @pytest.fixture
 def saved(tmp_path):
@@ -44,6 +46,24 @@ def test_header_layout(saved):
     assert int.from_bytes(blob[4:8], "little") == 1
     assert int.from_bytes(blob[8:12], "little") == cfg.depth
     assert int.from_bytes(blob[12:16], "little") == cfg.base_channels
+    assert struct.unpack("<2I", blob[16:24]) == (1, 1)  # in_channels, out_channels
+
+
+def test_a_one_channel_file_written_by_hand_loads(tmp_path):
+    path = tmp_path / "hand.ckpt"
+    path.write_bytes(checkpoint_declaring(1, 1))
+    model = unet.load_checkpoint(path)
+    assert model.cfg == UNetConfig(depth=1, base_channels=2)
+    assert np.all(model.theta == np.float32(0.25))
+
+
+@pytest.mark.parametrize("in_channels, out_channels", [(1, 2), (2, 1)])
+def test_a_header_declaring_other_channel_counts_is_refused(tmp_path, in_channels, out_channels):
+    # every tensor has the dims the declared counts imply: only the counts are wrong
+    path = tmp_path / "wide.ckpt"
+    path.write_bytes(checkpoint_declaring(in_channels, out_channels))
+    with pytest.raises(CheckpointDimError, match="in_channels and out_channels are 1"):
+        unet.load_checkpoint(path)
 
 
 def test_bad_magic(saved, tmp_path):

@@ -17,6 +17,8 @@ import pytest
 
 from cordseg import cli, data, parallel, pipeline, training, unet
 
+from reference import checkpoint_declaring
+
 REPORT_RE = re.compile(
     r"^iou=\d\.\d{6} pixel_acc=\d\.\d{6} tp=\d+ fp=\d+ fn=\d+ tn=\d+$")
 
@@ -506,6 +508,23 @@ def test_non_finite_checkpoint_exits_2_in_predict_and_eval(tmp_path, dataset_dir
         res = run_cli(*args, "--model", str(tmp_path / "bad.ckpt"))
         assert res.returncode == 2, (args[0], res.stderr)
         assert "tensor 15 holds a non-finite value" in res.stderr and res.stdout == ""
+    assert not (tmp_path / "m.pgm").exists()
+
+
+@pytest.mark.parametrize("in_channels, out_channels", [(1, 2), (2, 1)])
+def test_checkpoint_declaring_other_channel_counts_exits_2_in_predict_and_eval(
+        tmp_path, dataset_dir, in_channels, out_channels):
+    # refused at load, before any image is decoded or helper forked
+    (tmp_path / "wide.ckpt").write_bytes(checkpoint_declaring(in_channels, out_channels))
+    image = min((dataset_dir / "images").iterdir())
+    for args in (("predict", "--image", str(image), "--out", str(tmp_path / "m.pgm"),
+                  "--tile", "32"),
+                 ("eval", "--data", str(dataset_dir))):
+        res = run_cli(*args, "--model", str(tmp_path / "wide.ckpt"))
+        assert res.returncode == 2, (args[0], res.stderr)
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+        assert "in_channels and out_channels are 1" in lines[0] and res.stdout == ""
     assert not (tmp_path / "m.pgm").exists()
 
 

@@ -37,11 +37,11 @@ def test_binarize_monotone_in_threshold():
 
 def test_binarize_rejects_out_of_range():
     with pytest.raises(DomainError):
-        metrics.binarize(np.array([[1.5]]))
+        metrics.binarize(np.array([[1.5]]), 0.5)
     with pytest.raises(DomainError):
-        metrics.binarize(np.array([[-0.1]]))
+        metrics.binarize(np.array([[-0.1]]), 0.5)
     with pytest.raises(DomainError):  # NaN fails every comparison
-        metrics.binarize(np.array([[0.2, np.nan, 0.7]]))
+        metrics.binarize(np.array([[0.2, np.nan, 0.7]]), 0.5)
 
 
 # --- confusion ----------------------------------------------------------------

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cordseg import data, metrics, ops, pipeline, unet
+from cordseg import data, metrics, ops, pipeline, tiling, unet
 from cordseg.errors import DomainError, ShapeError
 from cordseg.rng import SplitMix64
 from cordseg.unet import UNetConfig
@@ -111,6 +111,17 @@ def test_predict_rejects_incompatible_tile(small_model, monkeypatch):
         pipeline.predict_frame(params, random_frame(64, 32, 32), tile_size=12)
     assert "8" in str(err.value)  # names the required divisor 2^depth
     assert forwards == []
+
+
+def test_predict_checks_the_tile_before_listing_windows(small_model, monkeypatch):
+    # a 1-pixel tile of this frame has 3,000,000 windows: listing them costs
+    # seconds and hundreds of MB, for a tile the model cannot pool
+    def listed(*args):
+        raise AssertionError(f"windows{args} listed before the tile was checked")
+
+    monkeypatch.setattr(tiling, "windows", listed)
+    with pytest.raises(ShapeError, match="divisible by 2"):
+        pipeline.predict_frame(small_model, np.zeros((1500, 2000), np.uint8), tile_size=1)
 
 
 @pytest.mark.parametrize("threads", [0, -1])

@@ -1,6 +1,8 @@
 """Every public top-level function and class in src/cordseg has a caller in
-src/cordseg: code that only the tests use belongs in tests/.  And one module,
+src/cordseg: code that only the tests use belongs in tests/.  One module,
 parallel, reads os.fork: every other module takes its worker count from it.
+And the command line sets every field of the config objects it builds: a
+field that only tests set is a setting without a caller.
 
 References are found in the syntax tree, not by text search: a bare name
 bound at a module's top level or imported from a package module, or an
@@ -10,11 +12,15 @@ top-level definition than the one it names.
 """
 
 import ast
+import dataclasses
+import importlib
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cordseg"
 # the command-line entry points: called by the installed script and by users
 ENTRY_POINTS = {("cli", "main"), ("cli", "build_parser")}
+# the config objects whose every field the command line sets
+CONFIGS = {("unet", "UNetConfig"), ("training", "TrainConfig")}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -122,3 +128,42 @@ def test_the_fork_finder_sees_attributes_reflection_and_imports():
     }
     for source, reads in sources.items():
         assert _reads_os_fork(ast.parse(source)) == reads, source
+
+
+def _builds(tree, classes):
+    """(class, positional argument count, keyword names) of every call in a
+    module that builds one of the given (module, name) classes, named as an
+    attribute of an imported package module or imported from one."""
+    modules, names = _imports(tree)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func, called = node.func, None
+        if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id in modules):
+            called = modules[func.value.id], func.attr
+        elif isinstance(func, ast.Name):
+            called = names.get(func.id)
+        if called in classes:
+            yield called, len(node.args), {k.arg for k in node.keywords}
+
+
+def test_cli_passes_every_config_field_by_keyword():
+    builds = list(_builds(_modules()["cli"], CONFIGS))
+    assert {called for called, _, _ in builds} == CONFIGS
+    for (module, name), positional, keywords in builds:
+        config = getattr(importlib.import_module(f"cordseg.{module}"), name)
+        fields = {f.name for f in dataclasses.fields(config)}
+        assert positional == 0 and keywords == fields, (name, sorted(fields - keywords))
+
+
+def test_the_config_finder_sees_attribute_and_imported_builds():
+    tree = ast.parse("from . import unet\nfrom .training import TrainConfig\n\n"
+                     "def build(args):\n"
+                     "    return unet.UNetConfig(depth=args.depth), TrainConfig(1, seed=2)\n"
+                     "other = unet.init_params(unet.UNetConfig(), 0)\n")
+    assert sorted(_builds(tree, CONFIGS)) == [
+        (("training", "TrainConfig"), 1, {"seed"}),
+        (("unet", "UNetConfig"), 0, set()),
+        (("unet", "UNetConfig"), 0, {"depth"}),
+    ]

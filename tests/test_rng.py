@@ -78,8 +78,8 @@ def test_permutation_deterministic_per_seed():
 def test_normal_blocks_are_normal_array_bitwise_and_consume_as_much():
     for n in (0, 1, 8194, 8195, 100001):
         whole, blocked = SplitMix64(11), SplitMix64(11)
-        want = whole.normal_array(n, mean=3.0, std=0.5)
-        blocks = list(blocked.normal_blocks(n, 4097, mean=3.0, std=0.5))
+        want = whole.normal_array(n)
+        blocks = list(blocked.normal_blocks(n, 4097))
         assert all(b.size <= 2 * 4097 for b in blocks)
         got = np.concatenate([np.empty(0), *blocks])
         assert got.tobytes() == want.tobytes(), n

@@ -7,6 +7,7 @@ import pytest
 from cordseg import data, ops, parallel, training, unet
 from cordseg.data import Sample
 from cordseg.errors import DomainError, NumericError, ShapeError
+from cordseg.metrics import ConfusionCounts
 from cordseg.rng import SplitMix64
 from cordseg.training import AdamState, TrainConfig, adam_step
 from cordseg.unet import UNetConfig
@@ -549,8 +550,9 @@ def test_train_loss_decreases_on_single_repeated_sample():
 
 
 def test_history_csv_format():
-    history = [training.EpochRecord(1, 0.5, 0.25, 0.75),
-               training.EpochRecord(2, 1 / 3, 2 / 3, 0.999999)]
+    counts = ConfusionCounts(1, 2, 3, 4)  # the CSV leaves the counts out
+    history = [training.EpochRecord(1, 0.5, 0.25, 0.75, counts),
+               training.EpochRecord(2, 1 / 3, 2 / 3, 0.999999, counts)]
     text = training.history_csv(history)
     lines = text.splitlines()
     assert lines[0] == "epoch,train_loss,test_iou,test_pixel_acc"

@@ -11,9 +11,9 @@ from cordseg.unet import UNetConfig
 from reference import unet_parameter_count_reference
 
 
-def small_input(seed, n=1, c=1, side=8):
+def small_input(seed, n=1, side=8):
     stream = SplitMix64(derive(seed, 0x601D))
-    return stream.normal_array(n * c * side * side).astype(np.float32).reshape(n, c, side, side)
+    return stream.normal_array(n * side * side).astype(np.float32).reshape(n, 1, side, side)
 
 
 def test_config_validation():
@@ -113,7 +113,7 @@ def gemm_kernels(model):
 
 
 def test_gemm_kernels_are_views_of_the_parameter_vector(tmp_path):
-    cfg = UNetConfig(depth=2, base_channels=4, in_channels=2, out_channels=3)
+    cfg = UNetConfig(depth=2, base_channels=4)
     path = tmp_path / "model.ckpt"
     unet.save_checkpoint(unet.init_params(cfg, 5), path)
     for model in (unet.init_params(cfg, 5), unet.load_checkpoint(path)):
@@ -137,6 +137,18 @@ def test_forward_shape_contract():
     x = small_input(1, n=1, side=64)
     logits, _ = unet.forward(params, x)
     assert logits.shape == (1, 1, 64, 64)
+
+
+def test_the_network_reads_one_channel_and_emits_one():
+    cfg = UNetConfig(depth=2, base_channels=4)
+    plan = unet.layer_plan(cfg)
+    assert plan[0][1] == 1 and plan[-1][2] == 1
+    model = unet.init_params(cfg, 42)
+    for c in (2, 3):
+        x = np.zeros((1, c, 16, 16), np.float32)
+        for workspace in (None, unet.Workspace()):
+            with pytest.raises(ShapeError, match=f"batch has {c} channels, model expects 1"):
+                unet.forward(model, x, workspace)
 
 
 def test_forward_rejects_indivisible_size_naming_divisor():
@@ -232,15 +244,15 @@ def test_recorded_activations_hold_each_skip_once():
 @pytest.mark.parametrize("cfg, n, sides, dtype", [
     (UNetConfig(depth=3, base_channels=4), 1, (8, 24, 64), np.float32),
     (UNetConfig(depth=3, base_channels=4), 2, (16, 40), np.float32),
-    (UNetConfig(depth=1, base_channels=3, in_channels=2, out_channels=3), 5, (6, 10), np.float32),
-    (UNetConfig(depth=2, base_channels=4, in_channels=2, out_channels=3), 5, (12, 20), np.float64),
+    (UNetConfig(depth=1, base_channels=3), 5, (6, 10), np.float32),
+    (UNetConfig(depth=2, base_channels=4), 5, (12, 20), np.float64),
     (UNetConfig(depth=4, base_channels=2), 5, (16, 48), np.float64),
 ])
 def test_forward_in_a_workspace_gives_the_recording_forward_logits_bitwise(cfg, n, sides, dtype):
     model = unet.Model(cfg, unet.init_params(cfg, 42).theta.astype(dtype))
     workspace = unet.Workspace()
     for side in sides + sides[:1]:  # a new shape plans anew; a known one replays
-        x = small_input(side, n=n, c=cfg.in_channels, side=side).astype(dtype)
+        x = small_input(side, n=n, side=side).astype(dtype)
         want, _ = unet.forward(model, x)
         for _ in range(2):
             got, cache = unet.forward(model, x, workspace)
@@ -382,7 +394,7 @@ def test_backward_skips_the_image_gradient(monkeypatch):
     # GEMM (an upconv is a 1x1 conv); layer 0's input gradient is the image's and is skipped
     want = sum(1 + (k if kind == "conv" else 1) for kind, _, _, k in unet.layer_plan(cfg)) - 1
     assert len(calls) == want
-    assert (3 * cfg.in_channels, 3 * cfg.base_channels) not in calls  # layer 0's flipped kernel
+    assert (3, 3 * cfg.base_channels) not in calls  # layer 0's flipped kernel, one input channel
 
 
 def test_backward_rejects_wrong_gradient_shape():
@@ -393,7 +405,7 @@ def test_backward_rejects_wrong_gradient_shape():
 
 
 def test_full_model_gradient_check():
-    err, _ = unet.gradient_check(UNetConfig(depth=1, base_channels=2), side=8, seed=42)
+    err, _ = unet.gradient_check(UNetConfig(depth=1, base_channels=2), seed=42)
     assert err < 1e-3
 
 
@@ -421,11 +433,11 @@ def test_gradient_check_reports_the_worst_index_in_checkpoint_order(monkeypatch)
         return grad
 
     monkeypatch.setattr(unet, "backward", sabotaged)
-    err, worst = unet.gradient_check(cfg, side=8, seed=42)
+    err, worst = unet.gradient_check(cfg, seed=42)
     assert err > 0.5
     assert worst == want
 
 
 def test_gradient_check_depth2():
-    err, _ = unet.gradient_check(UNetConfig(depth=2, base_channels=2), side=8, seed=1)
+    err, _ = unet.gradient_check(UNetConfig(depth=2, base_channels=2), seed=1)
     assert err < 1e-3
