@@ -20,8 +20,8 @@ print(f"model: depth={net_cfg.depth} base={net_cfg.base_channels} "
 
 model, history = training.train(cfg, samples, net_cfg)
 for r in history:
-    bar = "#" * int(40 * r.test_iou)
-    print(f"epoch {r.epoch:2d}  loss={r.train_loss:.4f}  iou={r.test_iou:.3f} {bar}")
+    bar = "#" * int(40 * r.test.mean_iou)
+    print(f"epoch {r.epoch:2d}  loss={r.train_loss:.4f}  iou={r.test.mean_iou:.3f} {bar}")
 
 report = training.evaluate(model, test_set, threshold=0.5)
 print("\nheld-out metrics (per-image mean IoU, pooled pixel accuracy):")

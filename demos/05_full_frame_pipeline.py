@@ -20,7 +20,7 @@ samples = data.gen_synthetic(count=24, size=64, seed=5)
 model, history = training.train(
     TrainConfig(epochs=10, seed=42, batch_size=2, learning_rate=3e-3),
     samples, UNetConfig(depth=1, base_channels=8))
-print(f"   after {len(history)} epochs: tile-level test IoU {history[-1].test_iou:.3f}")
+print(f"   after {len(history)} epochs: tile-level test IoU {history[-1].test.mean_iou:.3f}")
 
 # build a larger frame (and its truth) from a fresh generator draw
 big = data.gen_synthetic(count=1, size=256, seed=99)[0]

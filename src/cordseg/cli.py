@@ -57,7 +57,8 @@ def run_train(args) -> int:
         nonlocal last
         now = time.perf_counter()
         _log(f"epoch={record.epoch} train_loss={record.train_loss:.6f} "
-             f"test_iou={record.test_iou:.6f} test_pixel_acc={record.test_pixel_acc:.6f} "
+             f"test_iou={record.test.mean_iou:.6f} "
+             f"test_pixel_acc={record.test.pixel_accuracy:.6f} "
              f"wall_s={now - last:.2f}")
         last = now
 
@@ -67,12 +68,9 @@ def run_train(args) -> int:
     history_path.write_text(training.history_csv(history))
     _log(f"trained {cfg.epochs} epochs in {time.perf_counter() - started:.1f}s; "
          f"checkpoint {args.out}, history {history_path}")
-    if history:  # the last epoch already scored the final parameters
-        last = history[-1]
-        print(metrics.report_line(last.test_iou, last.test_pixel_acc, last.test_counts))
-    else:
-        report = training.evaluate(model, test_set)
-        print(metrics.report_line(report.mean_iou, report.pixel_accuracy, report.counts))
+    # the last epoch already scored the final parameters
+    report = history[-1].test if history else training.evaluate(model, test_set)
+    print(metrics.report_line(report.mean_iou, report.pixel_accuracy, report.counts))
     return 0
 
 

@@ -105,7 +105,8 @@ def _row_bands(n: int, h: int, w: int, column_bytes: int, halo: int):
     """Split the (h, n, w) output grid, in order, into (rows, images, xs)
     bands whose columns, halo rows included, take at most the budget at
     column_bytes each (or one output pixel): whole rows across all images if
-    one fits, else images of one row, else part of one image's row.  The
+    one fits, else part of one image's row (several images of one row need
+    whole rows to fit for the at most 2 images of every conv run).  The
     budget is _CACHE_BYTES (if smaller) when its whole-row bands hold at
     least 8 output rows per halo row, else _BAND_BYTES."""
     cache = min(_CACHE_BYTES, _BAND_BYTES)
@@ -114,10 +115,6 @@ def _row_bands(n: int, h: int, w: int, column_bytes: int, halo: int):
     if per >= (1 + halo) * n * w:
         k = per // (n * w) - halo
         return [(slice(r, min(r + k, h)), slice(0, n), slice(0, w)) for r in range(0, h, k)]
-    if per >= (1 + halo) * w:
-        k = per // ((1 + halo) * w)
-        return [(slice(r, r + 1), slice(i, min(i + k, n)), slice(0, w))
-                for r in range(h) for i in range(0, n, k)]
     k = max(1, per // (1 + halo))
     return [(slice(r, r + 1), slice(i, i + 1), slice(s, min(s + k, w)))
             for r in range(h) for i in range(n) for s in range(0, w, k)]

@@ -4,13 +4,15 @@ between them.
 
 Training, evaluation and tile inference each take their worker count from
 one rule (see `workers`), fork that many less one helpers beside the main
-process, and split their work with one call (see `Helpers.map`); without
-os.fork there is one worker, and every task runs in the main process.  While
-several workers run GEMMs at once, an OpenBLAS that also asks for every
-core only spins on cores the other workers use, so in such a parallel
-section each process's OpenBLAS gets cores // workers threads (at least
-one), and its old count back afterwards.  Outside those sections, and for
-a single worker, the BLAS keeps its own count.
+process for one with-block (see `helpers`), and split their work with the
+one call it yields; without os.fork there is one worker, and every task
+runs in the main process.  While several workers run GEMMs at once, an
+OpenBLAS that also asks for every core only spins on cores the other
+workers use, so in such a parallel section each process's OpenBLAS gets
+cores // workers threads (at least one): the main process takes its share
+before the helpers fork, they inherit it, and it gets its old count back
+afterwards.  Outside those sections, and for a single worker, the BLAS
+keeps its own count.
 
 OpenBLAS reads its thread variables when it loads, so the count goes
 through its run-time setter, which works whatever imported numpy first.  A
@@ -140,47 +142,30 @@ def shared_array(shape: tuple, dtype) -> np.ndarray:
                          dtype).reshape(shape)
 
 
-class Helpers:
-    """count helper processes forked from the caller, each serving tasks sent
-    to it over its own pipe: helper i replies to a task with work(i, task),
-    or with the exception that raised, which map re-raises in the caller
-    with its type and message.  Only tasks and replies are pickled; arrays
-    in a shared_array made before the helpers are forked are seen by both
-    sides.  Helpers, and the caller inside the with-block, run OpenBLAS on
-    a share_cores(workers) share, workers being count + 1; a helper ends in
-    os._exit, never returning into the caller's code, at EOF on its pipe.
-    Leaving the with-block, by an exception or not, restores the caller's
-    count, closes every pipe, and kills and reaps every helper: each is idle
-    unless an exception (KeyboardInterrupt too) cut a map short.
+@contextmanager
+def helpers(count: int, work: Callable[[int, object], object]):
+    """Fork count helper processes for the with-block, each serving tasks
+    sent to it over its own pipe: helper i replies to a task with
+    work(i, task), or with the exception that raised, which the yielded
+    map_tasks re-raises in the caller with its type and message.  Only
+    tasks and replies are pickled; arrays in a shared_array made before
+    the block are seen by both sides.  The caller takes its
+    share_cores(count + 1) share before the first fork, and each helper
+    inherits it there; a helper ends in os._exit, never returning into the
+    caller's code, at EOF on its pipe.  Nothing forks before the block is
+    entered.  Leaving it, by an exception or not (KeyboardInterrupt during
+    a fork too), closes every pipe, kills and reaps every helper, each idle
+    unless an exception cut a map_tasks short, and restores the caller's count.
     """
+    pids, pipes = [], []
 
-    def __init__(self, count: int, work: Callable[[int, object], object]):
-        self.workers = count + 1
-        self._pids, self._pipes = [], []
-        if count < 1:
-            return
-        from multiprocessing.connection import Pipe  # only where helpers run
-
-        try:
-            for index in range(count):
-                mine, theirs = Pipe()
-                pid = os.fork()
-                if pid == 0:
-                    _serve(theirs, (*self._pipes, mine), index, work, self.workers)
-                self._pids.append(pid)
-                theirs.close()
-                self._pipes.append(mine)
-        except BaseException:
-            self.close()
-            raise
-
-    def map(self, local: Callable[[object], object], tasks: list) -> list:
+    def map_tasks(local: Callable[[object], object], tasks: list) -> list:
         """Run local(tasks[0]) here and tasks[1:] on helpers 0, 1, ...: the
         replies in task order; raises a task's exception, IndexError past the helpers."""
         for index, task in enumerate(tasks[1:]):
-            self._pipes[index].send(task)
+            pipes[index].send(task)
         replies = [local(tasks[0])]
-        for pid, pipe in zip(self._pids, self._pipes[:len(tasks) - 1]):
+        for pid, pipe in zip(pids, pipes[:len(tasks) - 1]):
             try:
                 ok, value = pipe.recv()
             except EOFError:
@@ -190,31 +175,28 @@ class Helpers:
             replies.append(value)
         return replies
 
-    def close(self) -> None:
-        for pipe in self._pipes:
-            pipe.close()
-        for pid in self._pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        self._pids, self._pipes = [], []
-
-    def __enter__(self) -> "Helpers":
-        try:  # a Ctrl-C here, say while OpenBLAS is first looked up, skips __exit__
-            self._section = share_cores(self.workers)
-            self._section.__enter__()
-        except BaseException:
-            self.close()
-            raise
-        return self
-
-    def __exit__(self, *exc) -> None:
+    with share_cores(count + 1):
         try:
-            self._section.__exit__(None, None, None)
+            if count > 0:
+                from multiprocessing.connection import Pipe  # only where helpers run
+            for index in range(count):
+                mine, theirs = Pipe()
+                pipes.append(mine)
+                pid = os.fork()
+                if pid == 0:
+                    _serve(theirs, pipes, index, work)
+                pids.append(pid)
+                theirs.close()
+            yield map_tasks
         finally:
-            self.close()
+            for pipe in pipes:
+                pipe.close()
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
-def _serve(pipe, inherited, index: int, work, workers: int) -> NoReturn:
+def _serve(pipe, inherited, index: int, work) -> NoReturn:
     """A helper's whole life: close the caller's ends of the pipes, so each
     helper reads EOF once the caller closes its end, then reply to each
     task until EOF, then os._exit."""
@@ -223,18 +205,17 @@ def _serve(pipe, inherited, index: int, work, workers: int) -> NoReturn:
         for other in inherited:
             other.close()
         _keep_freed_heap()
-        with share_cores(workers):
-            while True:
-                try:
-                    task = pipe.recv()
-                except EOFError:
-                    code = 0
-                    break
-                try:
-                    reply = True, work(index, task)
-                except BaseException as exc:  # MemoryError too: the caller re-raises it
-                    reply = False, exc
-                pipe.send(reply)
+        while True:
+            try:
+                task = pipe.recv()
+            except EOFError:
+                code = 0
+                break
+            try:
+                reply = True, work(index, task)
+            except BaseException as exc:  # MemoryError too: the caller re-raises it
+                reply = False, exc
+            pipe.send(reply)
     finally:
         os._exit(code)
 

@@ -1,18 +1,19 @@
 """Full-frame segmentation: pad the frame once, segment each tile's window
 of it, and threshold each window straight into one uint8 mask.
 
-The windows split into contiguous runs, one per worker, and one
-parallel.Helpers.map call runs them: the main process segments the first,
-and helpers forked for the call the others, reading the padded frame and
-the model inherited at the fork; only runs and errors cross the pipes.
-parallel.workers sets the worker count, one without os.fork, so that every
-window runs in the main process.  A tile size the model cannot pool is
-rejected before any window is listed, and a worker count below one before
-the frame is padded or a helper forked.  Each process runs its forwards in
-one unet.Workspace and thresholds each tile's probabilities into its
-window of one uint8 mask of the frame, a shared mapping made before the
-fork, so the output is the same for any worker count.  Thresholding is
-pointwise and windows never overlap, so tile boundaries cannot shift it.
+The windows split into contiguous runs, one per worker, and one call of
+the map_tasks that a parallel.helpers block yields runs them: the main
+process segments the first, and helpers forked for the block the others,
+reading the padded frame and the model inherited at the fork; only runs
+and errors cross the pipes.  parallel.workers sets the worker count, one
+without os.fork, so that every window runs in the main process.  A tile
+size the model cannot pool is rejected before any window is listed, and a
+worker count below one before the frame is padded or a helper forked.
+Each process runs its forwards in one unet.Workspace and thresholds each
+tile's probabilities into its window of one uint8 mask of the frame, a
+shared mapping made before the fork, so the output is the same for any
+worker count.  Thresholding is pointwise and windows never overlap, so
+tile boundaries cannot shift it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,6 @@ def predict_frame(model: unet.Model, frame: np.ndarray,
             h, w = mask[window].shape  # the window clipped to the frame
             mask[window] = metrics.binarize(ops.sigmoid(logits)[0, 0, :h, :w], threshold)
 
-    with parallel.Helpers(len(runs) - 1, lambda index, run: segment(run)) as helpers:
-        helpers.map(segment, runs)
+    with parallel.helpers(len(runs) - 1, lambda index, run: segment(run)) as map_tasks:
+        map_tasks(segment, runs)
     return mask

@@ -8,10 +8,10 @@ splits into shards of _SHARD consecutive samples; every shard's gradient
 is computed on its own, and the batch gradient is their sum in shard
 order.  Evaluation runs in the same shards, each one forward whose
 per-sample confusion counts are kept in sample order.  Shards, or runs of
-them, go to forked helpers by one parallel.Helpers.map call per round, or
-all run in the main process where parallel.workers gives one worker (as it
-does without os.fork), with the same bytes either way: checkpoints and
-scores do not depend on the cores.
+them, go to forked helpers by one call per round of the map_tasks that a
+parallel.helpers block yields, or all run in the main process where
+parallel.workers gives one worker (as it does without os.fork), with the
+same bytes either way: checkpoints and scores do not depend on the cores.
 """
 
 from __future__ import annotations
@@ -56,20 +56,18 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
-class EpochRecord:
-    epoch: int
-    train_loss: float
-    test_iou: float
-    test_pixel_acc: float
-    test_counts: ConfusionCounts   # pooled held-out confusion counts
-
-
-@dataclass(frozen=True)
 class EvalReport:
     mean_iou: float          # mean of per-image IoU (headline number)
     pooled_iou: float        # IoU of the pooled confusion counts
     pixel_accuracy: float    # corpus-level: total correct / total pixels
     counts: ConfusionCounts
+
+
+@dataclass(frozen=True)
+class EpochRecord:
+    epoch: int
+    train_loss: float
+    test: EvalReport         # the held-out split scored after the epoch
 
 
 def split_dataset(samples: list, ratio: float, seed: int):
@@ -173,13 +171,14 @@ def _counts(model: unet.Model, samples: list[Sample],
     return counts
 
 
-def _score(helpers: parallel.Helpers, runs: list[slice],
+def _score(map_tasks: Callable, runs: list[slice],
            count: Callable[[slice], list[ConfusionCounts]]) -> EvalReport:
     """evaluate's report from count(run), the per-sample counts of one run
-    of whole shards, over runs, at most one per worker.  The helpers' work
-    must reply to a run with count(run) on the samples they inherited at
-    the fork, so only runs and counts are pickled."""
-    counts = sum(helpers.map(count, runs), [])
+    of whole shards, over runs, at most one per worker, by the map_tasks of
+    a parallel.helpers block.  The helpers' work must reply to a run with
+    count(run) on the samples they inherited at the fork, so only runs and
+    counts are pickled."""
+    counts = sum(map_tasks(count, runs), [])
     pooled = sum(counts, ConfusionCounts(0, 0, 0, 0))
     return EvalReport(
         mean_iou=float(np.mean([metrics.iou(c) for c in counts])),
@@ -195,17 +194,18 @@ def evaluate(model: unet.Model, samples: list[Sample],
     split: the mean of the per-image IoUs in sample order, and the pooled
     counts' IoU and pixel accuracy, the same bytes on any number of workers
     (this process and helpers forked for the call, parallel.workers() at
-    most).  Every helper is reaped before this returns, its error raised."""
+    most).  A size the model cannot pool is rejected before any fork.
+    Every helper is reaped before this returns, its error raised."""
     if not samples:
         raise DomainError("cannot evaluate on an empty sample list")
-    _one_size(samples)
+    unet.check_divisible("image size", _one_size(samples), model.cfg.depth)
     runs = parallel.runs(len(samples), parallel.workers(), _SHARD)
 
     def count(run: slice) -> list[ConfusionCounts]:
         return _counts(model, samples[run], threshold)
 
-    with parallel.Helpers(len(runs) - 1, lambda index, run: count(run)) as helpers:
-        return _score(helpers, runs, count)
+    with parallel.helpers(len(runs) - 1, lambda index, run: count(run)) as map_tasks:
+        return _score(map_tasks, runs, count)
 
 
 def _check_tiles(samples: list[Sample], depth: int) -> None:
@@ -225,16 +225,18 @@ def _shard_gradient(model: unet.Model, x: np.ndarray, y: np.ndarray, count: int)
 
 
 def _batch_gradient(model: unet.Model, x: np.ndarray, y: np.ndarray,
-                    helpers: parallel.Helpers, slots: np.ndarray):
+                    map_tasks: Callable, slots: np.ndarray):
     """(sum of the batch's BCE terms, gradient of their mean): the batch's
-    shards run in rounds of one per worker, the main process taking each
-    round's first and helper i writing slots[i], and their sums and
-    gradients add up in shard order."""
+    shards run in rounds of one per worker, by the map_tasks of a
+    parallel.helpers block with one helper per slot, the main process
+    taking each round's first and helper i writing slots[i], and their sums
+    and gradients add up in shard order."""
     shards = [(x[i:i + _SHARD], y[i:i + _SHARD], y.size) for i in range(0, len(x), _SHARD)]
+    workers = len(slots) + 1
     terms, grad = 0.0, None
-    for first in range(0, len(shards), helpers.workers):
-        (shard_terms, shard_grad), *rest = helpers.map(
-            lambda shard: _shard_gradient(model, *shard), shards[first:first + helpers.workers])
+    for first in range(0, len(shards), workers):
+        (shard_terms, shard_grad), *rest = map_tasks(
+            lambda shard: _shard_gradient(model, *shard), shards[first:first + workers])
         terms += shard_terms
         if grad is None:
             grad = shard_grad
@@ -257,18 +259,19 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
     the shard gradients summed in shard order, takes one Adam step in place
     on model.theta, which the layers view.  Then the held-out split is scored
     as evaluate scores it, on this call's helpers, and the record, whose
-    scores are evaluate's report of the epoch's parameters, goes to on_epoch
-    as soon as it is made; the epoch loss is every BCE term of the epoch
-    over their count.
+    test report is evaluate's report of the epoch's parameters, goes to
+    on_epoch as soon as it is made; the epoch loss is every BCE term of the
+    epoch over their count.
 
     min(parallel.workers(), shards in a full batch) - 1 helper processes
-    are forked once per call, none without os.fork.  theta and one
-    gradient slot per helper live in one parallel.shared_array; the main
-    process runs each round's first shard, and each helper another, holding
-    that shard's activations and copying its gradient into its slot.  Every
-    helper is reaped before train returns or raises, and a helper's
-    exception is raised here.  Deterministic for a fixed (cfg, samples,
-    net_cfg), whatever the worker count.
+    are forked once per call, for one parallel.helpers block, none without
+    os.fork.  theta and one gradient slot per helper live in one
+    parallel.shared_array; the main process runs each round's first shard,
+    and each helper another, holding that shard's activations and copying
+    its gradient into its slot.  Every helper is reaped before train
+    returns or raises, and a helper's exception is raised here.
+    Deterministic for a fixed (cfg, samples, net_cfg), whatever the worker
+    count.
     """
     if not samples:
         raise DomainError("cannot train on an empty dataset")
@@ -298,7 +301,7 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
         return terms
 
     state = AdamState.zeros(model.theta)
-    with parallel.Helpers(workers - 1, helper_task) as helpers:
+    with parallel.helpers(workers - 1, helper_task) as map_tasks:
         for epoch in range(1, cfg.epochs + 1):
             stream = SplitMix64(derive(cfg.seed, 0xE90C, epoch))
             order = stream.permutation(len(train_set))
@@ -311,13 +314,11 @@ def train(cfg: TrainConfig, samples: list[Sample], net_cfg: unet.UNetConfig,
                               for s in picked]
                 x = _images(picked)
                 y = np.stack([s.mask.astype(np.float32) for s in picked])[:, None]
-                batch_terms, grad = _batch_gradient(model, x, y, helpers, slots)
+                batch_terms, grad = _batch_gradient(model, x, y, map_tasks, slots)
                 adam_step(model.theta, grad, state, cfg)
                 terms += batch_terms
                 seen += y.size
-            report = _score(helpers, held_out, count)
-            history.append(EpochRecord(epoch, terms / seen, report.mean_iou,
-                                       report.pixel_accuracy, report.counts))
+            history.append(EpochRecord(epoch, terms / seen, _score(map_tasks, held_out, count)))
             if on_epoch is not None:
                 on_epoch(history[-1])
     # a copy of its own, so the mapping and the helpers' slots can go
@@ -328,5 +329,6 @@ def history_csv(history: list[EpochRecord]) -> str:
     """Plain-text CSV with 6-decimal fixed-point values."""
     lines = ["epoch,train_loss,test_iou,test_pixel_acc"]
     for r in history:
-        lines.append(f"{r.epoch},{r.train_loss:.6f},{r.test_iou:.6f},{r.test_pixel_acc:.6f}")
+        lines.append(f"{r.epoch},{r.train_loss:.6f},{r.test.mean_iou:.6f},"
+                     f"{r.test.pixel_accuracy:.6f}")
     return "\n".join(lines) + "\n"

@@ -76,7 +76,7 @@ def test_conv2d_matches_loop_oracle_on_random_shapes():
 
 def test_banded_conv2d_matches_loop_oracle_on_random_shapes(monkeypatch):
     # budgets of a few columns split every 3x3 layer into many bands of
-    # whole rows, images of one row or part of a row
+    # whole rows or part of a row
     kinds = set()
     for budget in (256, 512, 4096):
         monkeypatch.setattr(ops, "_BAND_BYTES", budget)
@@ -98,15 +98,13 @@ def test_banded_conv2d_matches_loop_oracle_on_random_shapes(monkeypatch):
                         kinds.add("several rows")
                         if h % nr:
                             kinds.add("h not divisible by band height")
-                    if ni > 1:
-                        kinds.add("several images of one row")
                     if nx < w:
                         kinds.add("part of a row")
                 assert np.all(covered == 1)
             np.testing.assert_allclose(ops.conv2d(x, p), conv2d_reference(x, p.weights, p.bias),
                                        atol=1e-5)
     assert kinds == {"n > 1", "n = 1", "several rows", "h not divisible by band height",
-                     "several images of one row", "part of a row"}
+                     "part of a row"}
 
 
 def test_conv2d_is_bitwise_independent_of_memory_layout():

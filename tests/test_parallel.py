@@ -1,7 +1,7 @@
 """Sharing the cores between cordseg's workers and OpenBLAS, and the forked helpers."""
 
 import os
-import threading
+import signal
 import time
 
 import numpy as np
@@ -150,17 +150,24 @@ def test_share_cores_leaves_the_blas_alone_exactly_when_the_user_set_a_count(
 
 # --- forked helpers -----------------------------------------------------------------
 
-def _close_within(helpers, seconds=30):
-    """Close the helpers on a thread; fail if reaping them hangs."""
-    closing = threading.Thread(target=helpers.close)
-    closing.start()
-    closing.join(timeout=seconds)
-    assert not closing.is_alive()
-
-
 def _no_children_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _recording_forks(monkeypatch, fail_at=None):
+    """Record each os.fork in the list returned; the fail_at-th call (from 1)
+    raises KeyboardInterrupt instead, as a Ctrl-C during it would."""
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(len(forks) + 1)
+        if len(forks) == fail_at:
+            raise KeyboardInterrupt
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
@@ -168,7 +175,7 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 
 @needs_fork
 def test_helpers_reply_through_pipes_and_share_arrays_made_before_the_fork():
-    # map replies in task order, task 0 running in the caller
+    # map_tasks replies in task order, task 0 running in the caller
     shared = parallel.shared_array((4, 4), np.float64)
     parent = os.getpid()
 
@@ -180,17 +187,16 @@ def test_helpers_reply_through_pipes_and_share_arrays_made_before_the_fork():
     def local(task):
         return None, task, os.getpid()
 
-    helpers = parallel.Helpers(3, work)
-    try:
+    started = time.monotonic()
+    with parallel.helpers(3, work) as map_tasks:
         for round_ in range(1, 4):
             shared[0] = round_  # written after the fork, before the tasks
-            replies = helpers.map(local, [5, 10, 20, 30])
+            replies = map_tasks(local, [5, 10, 20, 30])
             assert [reply[:2] for reply in replies] == [(None, 5), (0, 10), (1, 20), (2, 30)]
             assert replies[0][2] == parent and len({reply[2] for reply in replies}) == 4
             assert shared[1:].tolist() == [[t * round_] * 4 for t in (10.0, 20.0, 30.0)]
-        assert [r[:2] for r in helpers.map(local, [1, 2])] == [(None, 1), (0, 2)]  # fewer tasks
-    finally:
-        _close_within(helpers)
+        assert [r[:2] for r in map_tasks(local, [1, 2])] == [(None, 1), (0, 2)]  # fewer tasks
+    assert time.monotonic() - started < 30  # leaving the block reaps without hanging
     _no_children_left()
 
 
@@ -203,9 +209,9 @@ def test_a_helpers_exception_is_raised_in_the_caller_with_its_type_and_message(e
             raise error
         return task
 
-    with pytest.raises(type(error)) as raised, parallel.Helpers(2, work) as helpers:
-        assert helpers.map(str.upper, ["a", "ok", "ok"]) == ["A", "ok", "ok"]
-        helpers.map(str.upper, ["a", "ok", "fail"])
+    with pytest.raises(type(error)) as raised, parallel.helpers(2, work) as map_tasks:
+        assert map_tasks(str.upper, ["a", "ok", "ok"]) == ["A", "ok", "ok"]
+        map_tasks(str.upper, ["a", "ok", "fail"])
     assert str(raised.value) == str(error)
     _no_children_left()
 
@@ -220,65 +226,101 @@ def test_helpers_are_killed_and_reaped_when_the_caller_raises_mid_task():
             raise stop
 
         started = time.monotonic()
-        with pytest.raises(stop), parallel.Helpers(2, work) as helpers:
-            helpers.map(local, [None, None, None])
+        with pytest.raises(stop), parallel.helpers(2, work) as map_tasks:
+            map_tasks(local, [None, None, None])
         assert time.monotonic() - started < 30
         _no_children_left()
 
 
 @needs_fork
-def test_helpers_are_killed_and_reaped_when_entering_the_block_raises(monkeypatch):
+def test_nothing_forks_when_taking_the_blas_share_raises(monkeypatch):
     def interrupted(workers):
         raise KeyboardInterrupt  # as a Ctrl-C while OpenBLAS is first looked up
 
+    forks = _recording_forks(monkeypatch)
     monkeypatch.setattr(parallel, "share_cores", interrupted)
-    with pytest.raises(KeyboardInterrupt), parallel.Helpers(2, lambda index, task: task):
+    with pytest.raises(KeyboardInterrupt), parallel.helpers(2, lambda index, task: task):
         pass
+    assert forks == []
+    _no_children_left()
+
+
+@needs_fork
+def test_helpers_fork_nothing_until_the_block_is_entered(monkeypatch):
+    forks = _recording_forks(monkeypatch)
+    block = parallel.helpers(2, lambda index, task: task)
+    assert forks == []
+    with block as map_tasks:
+        assert forks == [1, 2]
+        assert map_tasks(str, [1, 2, 3]) == ["1", 2, 3]
+    _no_children_left()
+
+
+@needs_fork
+def test_a_ctrl_c_during_a_fork_leaves_no_child_and_restores_the_blas_count(
+        blas, monkeypatch):
+    setter, getter = blas
+    monkeypatch.setattr(parallel, "available_cores", lambda: 4)
+    before = getter()
+    forks = _recording_forks(monkeypatch, fail_at=2)
+    with pytest.raises(KeyboardInterrupt), parallel.helpers(2, lambda index, task: task):
+        pytest.fail("the block ran although a fork was interrupted")
+    assert forks == [1, 2]  # the first helper was forked, and then reaped
+    assert getter() == before
     _no_children_left()
 
 
 @needs_fork
 def test_a_helper_gets_its_blas_share(blas, monkeypatch):
-    # and the caller gets its own inside the with-block only
+    # inherited at the fork from the caller, which has it inside the with-block only
     setter, getter = blas
     monkeypatch.setattr(parallel, "available_cores", lambda: 4)
     before = getter()
-    helpers = parallel.Helpers(1, lambda index, task: getter())
-    assert getter() == before  # forking alone changes nothing
-    with helpers:
+    with parallel.helpers(1, lambda index, task: getter()) as map_tasks:
         # two workers, the caller one of them: each gets 4 // 2 threads
-        assert helpers.map(lambda task: getter(), [None, None]) == [2, 2]
+        assert map_tasks(lambda task: getter(), [None, None]) == [2, 2]
     assert getter() == before
-    with pytest.raises(RuntimeError), parallel.Helpers(3, lambda index, task: None):
-        assert getter() == 1
+    with pytest.raises(RuntimeError), \
+            parallel.helpers(3, lambda index, task: getter()) as map_tasks:
+        assert map_tasks(lambda task: getter(), [None] * 4) == [1] * 4
         raise RuntimeError
     assert getter() == before
     _no_children_left()
 
 
 @needs_fork
-def test_a_helper_exits_by_itself_at_eof_on_its_pipe():
-    # as when the caller dies without closing the helpers
-    helpers = parallel.Helpers(2, lambda index, task: task)
-    pids, pipes = helpers._pids, helpers._pipes
-    helpers._pids, helpers._pipes = [], []  # so nothing but EOF ends them
-    for pipe in pipes:
-        pipe.close()
-    statuses = []
-    reaping = threading.Thread(target=lambda: statuses.extend(os.waitpid(pid, 0)[1]
-                                                                for pid in pids))
-    reaping.start()
-    reaping.join(timeout=30)
-    assert not reaping.is_alive()
-    assert statuses == [0, 0]
+def test_a_helper_exits_by_itself_at_eof_on_its_pipe(monkeypatch):
+    # as when the caller dies without killing the helpers: with os.kill a
+    # no-op, leaving the block closes the pipes, and EOF alone must end them
+    killed, statuses = [], []
+    real_kill, real_waitpid = os.kill, os.waitpid
+
+    def waitpid_within_30s(pid, options):
+        deadline = time.monotonic() + 30
+        while not (done := real_waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                real_kill(pid, signal.SIGKILL)  # fail, and leave no child behind
+                real_waitpid(pid, 0)
+                pytest.fail(f"helper {pid} did not exit at EOF")
+            time.sleep(0.01)
+        statuses.append(done[1])
+        return done
+
+    with parallel.helpers(2, lambda index, task: task) as map_tasks:
+        assert map_tasks(str, [1, 2, 3]) == ["1", 2, 3]
+        monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid))
+        monkeypatch.setattr(os, "waitpid", waitpid_within_30s)
+    monkeypatch.undo()
+    assert len(killed) == 2 and statuses == [0, 0]
     _no_children_left()
 
 
-def test_no_helpers_fork_nothing():
+def test_no_helpers_fork_nothing(monkeypatch):
     # and the one task runs here
-    with parallel.Helpers(0, None) as helpers:
-        assert helpers.workers == 1
-        assert helpers.map(lambda task: (task, os.getpid()), ["only"]) == [("only", os.getpid())]
+    forks = _recording_forks(monkeypatch) if hasattr(os, "fork") else []
+    with parallel.helpers(0, None) as map_tasks:
+        assert map_tasks(lambda task: (task, os.getpid()), ["only"]) == [("only", os.getpid())]
         with pytest.raises(IndexError):  # a task no worker would run
-            helpers.map(str.upper, ["a", "b"])
+            map_tasks(str.upper, ["a", "b"])
+    assert forks == []
     _no_children_left()

@@ -1,6 +1,7 @@
 """Every public top-level function and class in src/cordseg has a caller in
 src/cordseg: code that only the tests use belongs in tests/.  One module,
-parallel, reads os.fork: every other module takes its worker count from it.
+parallel, reads os.fork: every other module takes its worker count from it,
+and enters its helpers only as the item of a with statement.
 And the command line sets every field of the config objects it builds: a
 field that only tests set is a setting without a caller.
 
@@ -130,26 +131,70 @@ def test_the_fork_finder_sees_attributes_reflection_and_imports():
         assert _reads_os_fork(ast.parse(source)) == reads, source
 
 
-def _builds(tree, classes):
-    """(class, positional argument count, keyword names) of every call in a
-    module that builds one of the given (module, name) classes, named as an
-    attribute of an imported package module or imported from one."""
+def _calls(module, tree):
+    """(call node, (module, name) called) of every call in a module of a
+    name read as an attribute of an imported package module, imported from
+    one, or defined at the module's top level."""
     modules, names = _imports(tree)
+    own = {node.name for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        func, called = node.func, None
+        func = node.func
         if (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
                 and func.value.id in modules):
-            called = modules[func.value.id], func.attr
-        elif isinstance(func, ast.Name):
-            called = names.get(func.id)
+            yield node, (modules[func.value.id], func.attr)
+        elif isinstance(func, ast.Name) and func.id in names:
+            yield node, names[func.id]
+        elif isinstance(func, ast.Name) and func.id in own:
+            yield node, (module, func.id)
+
+
+def _helpers_calls(module, tree):
+    """(line, whether it is a with item) of every call of parallel.helpers in
+    a module."""
+    items = {id(item.context_expr) for node in ast.walk(tree)
+             if isinstance(node, (ast.With, ast.AsyncWith)) for item in node.items}
+    for node, called in _calls(module, tree):
+        if called == ("parallel", "helpers"):
+            yield node.lineno, id(node) in items
+
+
+def test_helpers_are_only_entered_as_with_items():
+    # so no helper outlives the block that forked it
+    calls = {(module, line): item for module, tree in _modules().items()
+             for line, item in _helpers_calls(module, tree)}
+    assert {module for module, _ in calls} == {"training", "pipeline"}
+    assert all(calls.values()), sorted(call for call, item in calls.items() if not item)
+
+
+def test_the_helpers_finder_sees_attribute_imported_and_bare_calls():
+    sources = {
+        "from . import parallel\nwith parallel.helpers(1, w) as run:\n    pass\n": [True],
+        "from . import parallel as p\nwith open(f), p.helpers(1, w):\n    pass\n": [True],
+        "from . import parallel\nblock = parallel.helpers(1, w)\n": [False],
+        "from . import parallel\nstack.enter_context(parallel.helpers(1, w))\n": [False],
+        "from .parallel import helpers as h\nwith h(0, w):\n    x = h(1, w)\n": [True, False],
+        "from . import parallel\nwith helpers(1, w), parallel.workers():\n    pass\n": [],
+    }
+    for source, items in sources.items():
+        found = sorted(_helpers_calls("training", ast.parse(source)))
+        assert [item for _, item in found] == items, source
+    own = ast.parse("def helpers(count, work):\n    pass\n\nx = helpers(1, w)\n")
+    assert [item for _, item in _helpers_calls("parallel", own)] == [False]
+
+
+def _builds(module, tree, classes):
+    """(class, positional argument count, keyword names) of every call in a
+    module that builds one of the given (module, name) classes."""
+    for node, called in _calls(module, tree):
         if called in classes:
             yield called, len(node.args), {k.arg for k in node.keywords}
 
 
 def test_cli_passes_every_config_field_by_keyword():
-    builds = list(_builds(_modules()["cli"], CONFIGS))
+    builds = list(_builds("cli", _modules()["cli"], CONFIGS))
     assert {called for called, _, _ in builds} == CONFIGS
     for (module, name), positional, keywords in builds:
         config = getattr(importlib.import_module(f"cordseg.{module}"), name)
@@ -162,7 +207,7 @@ def test_the_config_finder_sees_attribute_and_imported_builds():
                      "def build(args):\n"
                      "    return unet.UNetConfig(depth=args.depth), TrainConfig(1, seed=2)\n"
                      "other = unet.init_params(unet.UNetConfig(), 0)\n")
-    assert sorted(_builds(tree, CONFIGS)) == [
+    assert sorted(_builds("cli", tree, CONFIGS)) == [
         (("training", "TrainConfig"), 1, {"seed"}),
         (("unet", "UNetConfig"), 0, set()),
         (("unet", "UNetConfig"), 0, {"depth"}),

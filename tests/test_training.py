@@ -416,9 +416,7 @@ def test_last_epoch_record_is_evaluate_of_the_returned_model(cores, cores_seen):
     cfg = TrainConfig(epochs=2, seed=6, split_ratio=0.6)  # 5 held out: 3 shards
     model, history = training.train(cfg, samples, UNetConfig(depth=1, base_channels=2))
     report = training.evaluate(model, training.split_dataset(samples, 0.6, 6)[1])
-    last = history[-1]
-    assert (last.test_iou, last.test_pixel_acc, last.test_counts) == (
-        report.mean_iou, report.pixel_accuracy, report.counts)
+    assert history[-1].test == report
     no_children_left()
 
 
@@ -468,6 +466,21 @@ def test_evaluate_does_not_depend_on_the_worker_count(monkeypatch, cores):
     assert all(report == reports[0] for report in reports[1:])
 
 
+def test_evaluate_rejects_a_size_the_model_cannot_pool_before_forking(monkeypatch, cores):
+    cores(2)  # 3 shards: one helper would get a run
+    forks = []
+    if hasattr(os, "fork"):
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    model = unet.init_params(UNetConfig(depth=2, base_channels=2), 0)
+    samples = [Sample(s.name, s.image[:30, :30], s.mask[:30, :30])
+               for s in data.gen_synthetic(6, 32, 1)]
+    with pytest.raises(ShapeError, match="30x30 must be divisible by 4"):
+        training.evaluate(model, samples)
+    assert forks == []
+    no_children_left()
+
+
 @pytest.mark.parametrize("batch", [1, 4, 5])
 def test_sharded_batch_gradient_is_the_whole_batch_gradient(batch):
     # float64 parameters, so only the summation order separates the two
@@ -476,8 +489,8 @@ def test_sharded_batch_gradient_is_the_whole_batch_gradient(batch):
     stream = SplitMix64(31)
     x = stream.normal_array(batch * 16 * 16).reshape(batch, 1, 16, 16)
     y = (stream.f64_array(batch * 16 * 16) < 0.5).astype(np.float64).reshape(x.shape)
-    with parallel.Helpers(0, None) as helpers:
-        terms, grad = training._batch_gradient(model, x, y, helpers,
+    with parallel.helpers(0, None) as map_tasks:
+        terms, grad = training._batch_gradient(model, x, y, map_tasks,
                                                np.empty((0, model.theta.size)))
     logits, cache = unet.forward(model, x)
     want = unet.backward(model, cache, ops.bce_with_logits_backward(logits, y))
@@ -550,9 +563,9 @@ def test_train_loss_decreases_on_single_repeated_sample():
 
 
 def test_history_csv_format():
-    counts = ConfusionCounts(1, 2, 3, 4)  # the CSV leaves the counts out
-    history = [training.EpochRecord(1, 0.5, 0.25, 0.75, counts),
-               training.EpochRecord(2, 1 / 3, 2 / 3, 0.999999, counts)]
+    counts = ConfusionCounts(1, 2, 3, 4)  # the CSV leaves the counts and pooled IoU out
+    history = [training.EpochRecord(1, 0.5, training.EvalReport(0.25, 0.5, 0.75, counts)),
+               training.EpochRecord(2, 1 / 3, training.EvalReport(2 / 3, 0.5, 0.999999, counts))]
     text = training.history_csv(history)
     lines = text.splitlines()
     assert lines[0] == "epoch,train_loss,test_iou,test_pixel_acc"
