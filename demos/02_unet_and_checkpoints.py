@@ -1,9 +1,10 @@
 """Assemble the U-Net, count its parameters, and round-trip a checkpoint.
 
 The network is configurable in depth (down-sampling stages) and base
-channel width.  A model is one object: its config, one flat parameter
-vector in the canonical order that the optimizer, the gradient checker and
-the checkpoint file all share, and per-layer views of that vector.
+channel width, and written down once as a schedule of steps.  A model is
+one object: its config, one flat parameter vector in the canonical order
+that the optimizer, the gradient checker and the checkpoint file all
+share, its schedule, and per-layer views of that vector.
 """
 
 import tempfile
@@ -17,9 +18,15 @@ from cordseg.unet import UNetConfig
 
 cfg = UNetConfig(depth=2, base_channels=8)
 print(f"config: depth={cfg.depth}, base_channels={cfg.base_channels}")
-print("canonical layer plan (kind, in_channels, out_channels, kernel):")
-for layer in unet.layer_plan(cfg):
-    print("   ", layer)
+print("the forward's schedule, the one description of the network: each step's")
+print("kind, parameter layer and the values it reads (0 is the input, i is step i's")
+print("output, counting from 1), beside that layer's canonical plan entry")
+print("(kind, in_channels, out_channels, kernel):")
+plan = unet.layer_plan(cfg)
+for i, step in enumerate(unet.schedule(cfg), start=1):
+    layer = "-" if step.layer is None else step.layer
+    entry = "" if step.layer is None else plan[step.layer]
+    print(f"   step {i:2d}  {step.kind:9s}  layer {layer!s:>2}  reads {step.reads!s:8s}  {entry}".rstrip())
 
 model = unet.init_params(cfg, seed=42)
 print(f"\ntotal parameters: {model.theta.size:,}")

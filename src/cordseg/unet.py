@@ -9,12 +9,13 @@ as one channel concatenation that is never built; a final 1x1 conv makes
 the logit plane.  It reads one channel and emits one, and same-padding keeps
 the output the input's spatial size everywhere, so masks align with tiles.
 
-Parameters live in one canonical order: encoder blocks top-down (conv1,
-conv2 per level), bottleneck (conv1, conv2), decoder blocks bottom-up
-(upconv, conv1, conv2 per level), final 1x1 conv.  A `Model` is the
-network's one form: its `UNetConfig`, the flat vector `theta` of every
-layer's weights then bias in that order, and `layers`, the per-layer views
-that `unflatten_params` cuts from theta once, when the model is built.
+`schedule` writes it down once, as steps that forward, backward, the
+workspace plan (whose free order comes from them) and the canonical
+parameter order follow: encoder blocks top-down (conv1, conv2 per level),
+bottleneck (conv1, conv2), decoder blocks bottom-up (upconv, conv1, conv2
+per level), final 1x1 conv.  A `Model` is the network's one form: its
+`UNetConfig`, the flat vector `theta` of every layer's weights then bias in
+that order, its `steps`, and `layers`, the per-layer views cut from theta.
 `init_params` and `load_checkpoint` return a Model; `forward`, `backward`
 and `save_checkpoint` take one.  `backward` returns the gradient as a
 vector laid out like theta, Adam updates theta in place, the gradient
@@ -32,9 +33,11 @@ this rule: checkpoints, the init draws and the gradient checker's
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,28 +67,47 @@ class UNetConfig:
                               f"can index")
 
 
+Step = namedtuple("Step", "kind layer c_in c_out k reads frees", defaults=((),))
+
+
+def schedule(cfg: UNetConfig) -> list[Step]:
+    """The forward pass as steps in the order they run: the network's one
+    description.  A step has a kind ("conv_relu", "pool", "upconv", or
+    "conv" for the 1x1 head), its layer in canonical parameter order (None
+    for a pool), channels in and out, kernel side k, the values it reads as
+    one conv input (see ops.Channels; value 0 is the batch, value i step
+    i-1's output) and frees, those of them no later step reads."""
+    steps, layers = [], itertools.count()
+
+    def add(kind, c_in, c_out, k, reads=None) -> int:
+        """Append a step reading reads (default: the last output); return its output."""
+        layer = None if kind == "pool" else next(layers)
+        steps.append(Step(kind, layer, c_in, c_out, k, reads or (len(steps),)))
+        return len(steps)
+
+    widths = [cfg.base_channels << level for level in range(cfg.depth + 1)]
+    skips = []  # each encoder level's output, read again by its decoder level
+    for c_in, width in zip([1, *widths], widths[:-1]):  # a level reads the one above
+        add("conv_relu", c_in, width, 3)
+        skips.append(add("conv_relu", width, width, 3))
+        add("pool", width, width, 2)
+    add("conv_relu", widths[-2], widths[-1], 3)
+    add("conv_relu", widths[-1], widths[-1], 3)
+    for width in reversed(widths[:-1]):  # each reads the level below, twice as wide
+        up = add("upconv", 2 * width, width, 2)
+        add("conv_relu", 2 * width, width, 3, (up, skips.pop()))
+        add("conv_relu", width, width, 3)
+    add("conv", widths[0], 1, 1)
+    last = {v: i for i, step in enumerate(steps) for v in step.reads}  # later readers win
+    return [step._replace(frees=tuple(v for v in step.reads if last[v] == i))
+            for i, step in enumerate(steps)]
+
+
 def layer_plan(cfg: UNetConfig) -> list[tuple[str, int, int, int]]:
-    """Canonical layer list as (kind, in_channels, out_channels, kernel_side)."""
-    plan: list[tuple[str, int, int, int]] = []
-    base = cfg.base_channels
-    prev = 1
-    for i in range(cfg.depth):
-        c = base << i
-        plan.append(("conv", prev, c, 3))
-        plan.append(("conv", c, c, 3))
-        prev = c
-    c = base << cfg.depth
-    plan.append(("conv", prev, c, 3))
-    plan.append(("conv", c, c, 3))
-    prev = c
-    for i in range(cfg.depth - 1, -1, -1):
-        c = base << i
-        plan.append(("upconv", prev, c, 2))
-        plan.append(("conv", 2 * c, c, 3))
-        plan.append(("conv", c, c, 3))
-        prev = c
-    plan.append(("conv", base, 1, 1))
-    return plan
+    """Canonical layer list as (kind, in_channels, out_channels, kernel_side):
+    the schedule's parameter steps, a conv_relu and the head both "conv"."""
+    return [("upconv" if s.kind == "upconv" else "conv", s.c_in, s.c_out, s.k)
+            for s in schedule(cfg) if s.layer is not None]
 
 
 def param_shapes(cfg: UNetConfig) -> list[tuple[tuple[int, ...], tuple[int]]]:
@@ -132,36 +154,44 @@ def init_params(cfg: UNetConfig, seed: int) -> Model:
 
 
 def unflatten_params(vector: np.ndarray, cfg: UNetConfig) -> list[ConvParams]:
-    """Per-layer views into a flat canonical-order vector; nothing is copied.
-    Each weight's block is stored in the order its `ops` kernel reads it (see
-    the module docstring)."""
-    if vector.size != _parameter_total(cfg):
-        raise ShapeError(f"vector of length {vector.size} does not match "
-                         f"parameter count {_parameter_total(cfg)}")
+    """Per-layer views into a flat canonical-order vector, cut as a Model cuts them."""
+    return Model(cfg, vector).layers
+
+
+def _views(vector: np.ndarray, steps: list[Step]) -> list[ConvParams]:
+    """Per-layer views into a flat canonical-order vector of the steps'
+    parameter count; nothing is copied.  Each weight's block is stored in
+    the order its `ops` kernel reads it (see the module docstring)."""
     params, pos = [], 0
-    for (kind, *_), (w, b) in zip(layer_plan(cfg), param_shapes(cfg)):
-        # the block's axes as a permutation of the checkpoint axes
-        axes = (1, 2, 3, 0) if kind == "upconv" else (2, 0, 1, 3)
-        n_w, n_b = math.prod(w), math.prod(b)
-        block = vector[pos:pos + n_w].reshape([w[a] for a in axes])
-        params.append(ConvParams(block.transpose(np.argsort(axes)),
-                                 vector[pos + n_w:pos + n_w + n_b]))
-        pos += n_w + n_b
+    for s in (s for s in steps if s.layer is not None):
+        size = s.c_in * s.c_out * s.k * s.k
+        block = vector[pos:pos + size]
+        if s.kind == "upconv":  # stored (oc, 2, 2, ic), viewed (ic, oc, 2, 2)
+            weights = block.reshape(s.c_out, 2, 2, s.c_in).transpose(3, 0, 1, 2)
+        else:  # stored (kh, oc, ic, kw), viewed (oc, ic, kh, kw)
+            weights = block.reshape(s.k, s.c_out, s.c_in, s.k).transpose(1, 2, 0, 3)
+        params.append(ConvParams(weights, vector[pos + size:pos + size + s.c_out]))
+        pos += size + s.c_out
     return params
 
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """A U-Net: its config, its flat parameter vector, and that vector's
+    """A U-Net: its config, flat parameter vector, schedule and the vector's
     per-layer views.  Building one cuts the views, so a theta of the wrong
     length raises ShapeError here; updates to theta in place reach them."""
 
     cfg: UNetConfig
     theta: np.ndarray = field(repr=False)
+    steps: list[Step] = field(init=False, repr=False)
     layers: list[ConvParams] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "layers", unflatten_params(self.theta, self.cfg))
+        if self.theta.size != _parameter_total(self.cfg):
+            raise ShapeError(f"vector of length {self.theta.size} does not match "
+                             f"parameter count {_parameter_total(self.cfg)}")
+        object.__setattr__(self, "steps", schedule(self.cfg))
+        object.__setattr__(self, "layers", _views(self.theta, self.steps))
 
 
 @dataclass
@@ -198,41 +228,26 @@ class _FirstFit:
 
 def _inference_layout(cfg: UNetConfig, shape: tuple, itemsize: int) -> _FirstFit:
     """First fit of the buffers an inference forward on a batch of the given
-    shape asks for, with the shapes the kernels ask for them, in the order it
-    takes and frees them: each conv's (c, h, n, w) output and its band
-    scratch, each pool's (c, h/2, n, w/2) output, each upconv's (n, c, 2h, 2w)
-    output and its 1x1 conv's (4c, h, n, w) planes; a layer's input goes once
-    the layer has run, a skip once its decoder level's first conv has.  The
-    head's logits are not in it."""
-    fit, layers = _FirstFit(), iter(layer_plan(cfg))
-    n, c, h, w = shape
-    reads, skips = [], []  # buffers the next layer reads (the batch is none), and skips
-
-    def conv():
-        nonlocal reads, c
-        _, c_in, c, k = next(layers)
-        out = fit.take((c, h, n, w))
-        fit.free(fit.take((ops.conv2d_scratch_size((n, c_in, h, w), (c, c_in, k, k), itemsize),)))
-        fit.free(*reads)
-        reads = [out]
-
-    for _ in range(cfg.depth):
-        conv()
-        conv()
-        skips.append(reads[0])
-        h, w = h // 2, w // 2
-        reads = [fit.take((c, h, n, w))]
-    conv()
-    conv()
-    for _ in range(cfg.depth):
-        _, _, c, _ = next(layers)
-        out = fit.take((n, c, 2 * h, 2 * w))
-        fit.free(fit.take((4 * c, h, n, w)))
-        fit.free(*reads)
-        h, w = 2 * h, 2 * w
-        reads = [out, skips.pop()]
-        conv()
-        conv()
+    shape asks for, in the order it takes and frees them: each step of the
+    schedule takes its kernel's output and scratch, in the shapes the kernel
+    asks for, frees the scratch, then frees the values it reads last.  The
+    batch and the head's logits are not in it."""
+    fit, held = _FirstFit(), {}  # each value's buffer; the batch and the logits have none
+    n, _, h, w = shape  # then the sides of the latest value, every step's first read
+    for i, step in enumerate(schedule(cfg), start=1):  # step i outputs value i
+        c = step.c_out
+        if step.kind == "conv_relu":
+            held[i] = fit.take((c, h, n, w))
+            weights = (c, step.c_in, step.k, step.k)
+            fit.free(fit.take((ops.conv2d_scratch_size((n, step.c_in, h, w), weights, itemsize),)))
+        elif step.kind == "pool":
+            h, w = h // 2, w // 2
+            held[i] = fit.take((c, h, n, w))
+        elif step.kind == "upconv":
+            held[i] = fit.take((n, c, 2 * h, 2 * w))
+            fit.free(fit.take((4 * c, h, n, w)))
+            h, w = 2 * h, 2 * w
+        fit.free(*(held.pop(v) for v in step.frees if v in held))
     return fit
 
 
@@ -301,35 +316,25 @@ def forward(model: Model, batch: np.ndarray, workspace: Workspace | None = None)
     keep = records.append if workspace is None else (lambda _: None)
     alloc = np.empty if workspace is None else workspace._allocator(
         cfg, batch.shape, np.result_type(model.theta, batch))
-    k = 0
-
-    def conv_relu(t):
-        nonlocal k
-        z = ops.conv2d(t, params[k], alloc)
-        np.maximum(z, 0, out=z)
-        k += 1
-        keep(("conv_relu", t, z))
-        return z
-
-    skips = []
-    t = batch
-    for _ in range(cfg.depth):
-        t = conv_relu(t)
-        t = conv_relu(t)
-        skips.append(t)
-        t = ops.maxpool2(t, alloc)
-        keep(("pool", skips[-1], t))
-    t = conv_relu(t)
-    t = conv_relu(t)
-    for _ in range(cfg.depth):
-        keep(("upconv", t))
-        t = ops.upconv2(t, params[k], alloc)
-        k += 1
-        t = conv_relu(ops.Channels((t, skips.pop())))
-        t = conv_relu(t)
-    logits = ops.conv2d(t, params[k])
-    keep(("conv", t))
-    return logits, ActivationCache(records, logits.shape)
+    values = [batch]  # value 0 is the batch, value i step i-1's output
+    for step in model.steps:
+        parts = [values[v] for v in step.reads]
+        x = parts[0] if len(parts) == 1 else ops.Channels(tuple(parts))
+        if step.kind == "conv_relu":
+            y = ops.conv2d(x, params[step.layer], alloc)
+            np.maximum(y, 0, out=y)
+            keep(("conv_relu", x, y))
+        elif step.kind == "pool":
+            y = ops.maxpool2(x, alloc)
+            keep(("pool", x, y))
+        elif step.kind == "upconv":
+            y = ops.upconv2(x, params[step.layer], alloc)
+            keep(("upconv", x))
+        else:  # the head, whose logits are the caller's, not the workspace's
+            y = ops.conv2d(x, params[step.layer])
+            keep(("conv", x))
+        values.append(y)
+    return y, ActivationCache(records, y.shape)
 
 
 def backward(model: Model, cache: ActivationCache, grad_logits: np.ndarray) -> np.ndarray:
@@ -341,30 +346,28 @@ def backward(model: Model, cache: ActivationCache, grad_logits: np.ndarray) -> n
     if grad_logits.shape != cache.logits_shape:
         raise ShapeError(f"grad_logits {grad_logits.shape} does not match the "
                          f"cached logits shape {cache.logits_shape}")
-    params = model.layers
     grad = np.empty_like(model.theta)
-    grads = unflatten_params(grad, model.cfg)
-    k = len(params) - 1
-    g = grad_logits
-    skip_grads = []  # the decoders' shares, read by the pools in reverse order
-    while cache.records:  # popping frees each activation once it is used
-        record = cache.records.pop()
-        tag = record[0]
-        if tag == "pool":
-            g = ops.maxpool2_backward(record[1], record[2], g) + skip_grads.pop()
+    grads = _views(grad, model.steps)
+    value_grads = {len(model.steps): grad_logits}  # summed over the readers walked so far
+    for i, step in reversed(list(enumerate(model.steps))):
+        record = cache.records.pop()  # popping frees each activation once it is used
+        g = value_grads.pop(i + 1)
+        if step.kind == "pool":
+            parts = [ops.maxpool2_backward(record[1], record[2], g)]
         else:  # conv, conv_relu or upconv: one parameter layer
-            if tag == "conv_relu":
+            p, dp = model.layers[step.layer], grads[step.layer]
+            if step.kind == "conv_relu":
                 g = ops.relu_backward(record[2], g)
-            if k == 0:  # the image's gradient: nothing reads it
-                grads[k].weights[...], grads[k].bias[...] = ops.conv2d_weight_grads(
-                    record[1], params[k], g)
-                break
-            if tag == "upconv":  # g is the gradient of (upconv output, skip)
-                g, skip = np.split(g, [params[k].weights.shape[1]], axis=1)
-                skip_grads.append(skip)
-            kernel = ops.upconv2_backward if tag == "upconv" else ops.conv2d_backward
-            g, grads[k].weights[...], grads[k].bias[...] = kernel(record[1], params[k], g)
-            k -= 1
+            if step.reads == (0,):  # the batch's gradient: nothing reads it
+                dp.weights[...], dp.bias[...] = ops.conv2d_weight_grads(record[1], p, g)
+                continue
+            kernel = ops.upconv2_backward if step.kind == "upconv" else ops.conv2d_backward
+            g, dp.weights[...], dp.bias[...] = kernel(record[1], p, g)
+            parts = [g]
+            if len(step.reads) > 1:  # g is the gradient of the reads' channel concatenation
+                parts = np.split(g, np.cumsum([t.shape[1] for t in record[1]])[:-1], axis=1)
+        for v, part in zip(step.reads, parts):
+            value_grads[v] = part + value_grads[v] if v in value_grads else part
     return grad
 
 
@@ -377,14 +380,10 @@ def _kink_margin(model: Model, cache: ActivationCache) -> float:
     (which would flip the gradient routing under perturbation).
     """
     margin = np.inf
-    layers = iter(model.layers)
-    for record in cache.records:
-        tag = record[0]
-        if tag in ("conv_relu", "upconv", "conv"):
-            layer = next(layers)
-        if tag == "conv_relu":
-            margin = min(margin, float(np.abs(ops.conv2d(record[1], layer)).min()))
-        elif tag == "pool":
+    for step, record in zip(model.steps, cache.records):
+        if step.kind == "conv_relu":
+            margin = min(margin, float(np.abs(ops.conv2d(record[1], model.layers[step.layer])).min()))
+        elif step.kind == "pool":
             windows = np.stack(ops._pool_windows(record[1]), axis=-1).reshape(-1, 4)
             top2 = np.sort(windows, axis=1)[:, -2:]
             gaps = top2[:, 1] - top2[:, 0]

@@ -271,19 +271,23 @@ def _assert_no_fork_outlives(tmp_path, argv, ending, before_ctrl_c):
     """Run the CLI on argv under _CLI_RECORDING_FORKS in a session of its
     own; for ctrl_c, send its process group SIGINT, as a terminal's Ctrl-C
     does, once before_ctrl_c(proc, forks) returns.  The exit code must be
-    the ending's, and no process it forked may exist afterwards."""
+    the ending's, and no process it forked may exist afterwards.  The child
+    starts with SIGINT's default action, as from a terminal, even where the
+    suite's shell ignores SIGINT (a non-interactive shell's `cmd &`)."""
     forks = tmp_path / "forks"
     proc = subprocess.Popen([sys.executable, "-c", _CLI_RECORDING_FORKS, str(forks), *argv],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            env=_env_with_blas_threads(None), start_new_session=True)
+                            env=_env_with_blas_threads(None), start_new_session=True,
+                            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
     try:
         if ending == "ctrl_c":
             before_ctrl_c(proc, forks)
             os.killpg(proc.pid, signal.SIGINT)
         _, err = proc.communicate(timeout=120)
     finally:
-        proc.kill()
-        proc.wait()
+        if proc.returncode is None:  # timed out or failed: kill, then reap and close the pipes
+            proc.kill()
+            proc.communicate()
     assert proc.returncode == {"success": 0, "input_error": 2, "numeric_error": 3,
                                "ctrl_c": -signal.SIGINT}[ending], err
     pids = [int(line) for line in forks.read_text().split()]

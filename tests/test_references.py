@@ -3,7 +3,8 @@ src/cordseg: code that only the tests use belongs in tests/.  One module,
 parallel, reads os.fork: every other module takes its worker count from it,
 and enters its helpers only as the item of a with statement.
 And the command line sets every field of the config objects it builds: a
-field that only tests set is a setting without a caller.
+field that only tests set is a setting without a caller.  In unet only
+schedule walks the network's levels; everything else follows its steps.
 
 References are found in the syntax tree, not by text search: a bare name
 bound at a module's top level or imported from a package module, or an
@@ -212,3 +213,36 @@ def test_the_config_finder_sees_attribute_and_imported_builds():
         (("unet", "UNetConfig"), 0, set()),
         (("unet", "UNetConfig"), 0, {"depth"}),
     ]
+
+
+def _walks_levels(tree) -> set:
+    """Names of the top-level definitions of a module with a for loop or a
+    comprehension over a range(...) that mentions depth: a walk over the
+    network's levels."""
+    def mentions_depth(node):
+        return any(isinstance(n, ast.Name) and n.id == "depth"
+                   or isinstance(n, ast.Attribute) and n.attr == "depth" for n in ast.walk(node))
+
+    def over_depth(iterable):
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == "range" and mentions_depth(n) for n in ast.walk(iterable))
+
+    return {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+            if isinstance(node, (ast.For, ast.comprehension)) and over_depth(node.iter)}
+
+
+def test_only_the_schedule_walks_the_unets_levels():
+    # forward, backward, the workspace plan and the layer plan follow unet.schedule
+    assert _walks_levels(_modules()["unet"]) == {"schedule"}
+
+
+def test_the_level_walk_finder_sees_loops_and_comprehensions_over_depth():
+    sources = {
+        "def f(cfg):\n    for _ in range(cfg.depth):\n        pass\n": {"f"},
+        "def f(depth):\n    for i in reversed(range(depth - 1)):\n        pass\n": {"f"},
+        "class W:\n    def g(self, cfg):\n        return [i for i in range(1, cfg.depth)]\n": {"W"},
+        "def f(cfg):\n    for _ in range(4):\n        x = cfg.depth\n": set(),
+        "def f(steps, depth):\n    for step in steps[:depth]:\n        pass\n": set(),
+    }
+    for source, found in sources.items():
+        assert _walks_levels(ast.parse(source)) == found, source

@@ -151,6 +151,67 @@ def test_the_network_reads_one_channel_and_emits_one():
                 unet.forward(model, x, workspace)
 
 
+DEPTHS = [1, 2, 3, 4]
+
+
+def readers(steps):
+    """Each value's readers, the steps that read it, in order."""
+    found = {}
+    for i, step in enumerate(steps):
+        for v in step.reads:
+            found.setdefault(v, []).append(i)
+    return found
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_schedule_numbers_its_parameter_layers_in_canonical_order(depth):
+    steps = unet.schedule(UNetConfig(depth=depth, base_channels=3))
+    kinds = (["conv_relu", "conv_relu", "pool"] * depth + ["conv_relu"] * 2
+             + ["upconv", "conv_relu", "conv_relu"] * depth + ["conv"])
+    assert [s.kind for s in steps] == kinds
+    assert [s.layer for s in steps if s.kind != "pool"] == list(range(len(steps) - depth))
+    assert all(s.layer is None for s in steps if s.kind == "pool")
+    # every step reads the last step's output first
+    assert all(s.reads[0] == i for i, s in enumerate(steps))
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_each_skip_is_read_by_its_pool_and_its_decoders_first_conv_only(depth):
+    steps = unet.schedule(UNetConfig(depth=depth, base_channels=3))
+    found = readers(steps)
+    pools = [i for i, s in enumerate(steps) if s.kind == "pool"]
+    joins = [i for i, s in enumerate(steps) if len(s.reads) > 1]
+    skips = [steps[i].reads[0] for i in pools]  # top-down
+    assert [steps[i].reads[1] for i in joins] == skips[::-1]  # decoders run bottom-up
+    for skip, pool, join in zip(skips, pools, joins[::-1]):
+        assert found[skip] == [pool, join]
+        assert steps[join].c_in == 2 * steps[skip - 1].c_out == 2 * steps[join].c_out
+    # every other value but the logits has one reader, the next step
+    for v in set(range(len(steps))) - set(skips):
+        assert found[v] == [v]
+    assert len(steps) not in found
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_every_value_but_the_logits_is_freed_once_by_its_last_reader(depth):
+    steps = unet.schedule(UNetConfig(depth=depth, base_channels=3))
+    frees = [(v, i) for i, s in enumerate(steps) for v in s.frees]
+    assert sorted(v for v, _ in frees) == list(range(len(steps)))
+    found = readers(steps)
+    assert all(i == found[v][-1] for v, i in frees)
+
+
+@pytest.mark.parametrize("depth", DEPTHS)
+def test_layer_plan_is_in_param_shapes_order(depth):
+    cfg = UNetConfig(depth=depth, base_channels=3)
+    plan, shapes, layers = unet.layer_plan(cfg), unet.param_shapes(cfg), unet.init_params(cfg, 0).layers
+    assert len(plan) == len(shapes) == len(layers)
+    for (kind, c_in, c_out, k), (w, b), p in zip(plan, shapes, layers):
+        assert w == ((c_in, c_out, k, k) if kind == "upconv" else (c_out, c_in, k, k))
+        assert b == (c_out,)
+        assert (p.weights.shape, p.bias.shape) == (w, b)
+
+
 def test_forward_rejects_indivisible_size_naming_divisor():
     params = unet.init_params(UNetConfig(depth=3, base_channels=2), 42)
     with pytest.raises(ShapeError) as err:
@@ -282,6 +343,11 @@ def test_workspace_block_stays_near_the_plain_forward_peak():
     params, x = zero_model(UNetConfig()), small_input(21, side=256)
     first = forward_memory(params, x, unet.Workspace())[1]  # the block, the logits and the plan
     assert first <= 1.10 * 59.82 * 2**20, first / 2**20
+
+
+def test_the_default_models_256_tile_plan_takes_64_mib():
+    # the plan's size follows from the schedule's free order alone
+    assert unet._inference_layout(UNetConfig(), (1, 1, 256, 256), 4).size * 4 == 64 * 2**20
 
 
 def test_inference_forward_copies_no_kernel():
